@@ -15,13 +15,12 @@ from __future__ import annotations
 from typing import List, Set
 
 from repro.net.server import CentralServer
-from repro.trace.dataset import TraceDataset
 
 
 class ChannelPrefetcher:
     """Ranks prefetch candidates for SocialTube nodes."""
 
-    def __init__(self, dataset: TraceDataset, server: CentralServer, window: int = 3):
+    def __init__(self, server: CentralServer, window: int = 3):
         """``window`` is M, the number of first chunks fetched per watch.
 
         "users prefetch the first chunks of 3 top popular videos within
@@ -29,7 +28,6 @@ class ChannelPrefetcher:
         """
         if window < 0:
             raise ValueError("window must be >= 0")
-        self.dataset = dataset
         self.server = server
         self.window = window
 
@@ -61,9 +59,3 @@ class ChannelPrefetcher:
             if len(picks) >= want:
                 break
         return picks
-
-    def ranked_channel_videos(self, channel_id: int) -> List[int]:
-        """Full popularity ranking of a channel (most viewed first)."""
-        return self.server.top_videos_of_channel(
-            channel_id, len(self.dataset.videos_of_channel(channel_id))
-        )

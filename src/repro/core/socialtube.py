@@ -57,7 +57,7 @@ class SocialTubeProtocol(VodProtocol):
             inner_link_limit=inner_link_limit,
             inter_link_limit=inter_link_limit,
         )
-        self.prefetcher = ChannelPrefetcher(dataset, server, window=prefetch_window)
+        self.prefetcher = ChannelPrefetcher(server, window=prefetch_window)
 
     # -- helpers ------------------------------------------------------------
 

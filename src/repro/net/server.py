@@ -11,7 +11,9 @@ loop with three roles:
    fails, the requester downloads from the server's capped upload link.
 3. **Popularity oracle** -- YouTube's site knows per-video view counts;
    SocialTube's prefetching consumes the server's periodically published
-   per-channel popularity ranking (Section IV-B).
+   per-channel popularity ranking (Section IV-B).  Trace views are
+   static, so the run is the publication period: each channel's ranking
+   is computed once, on first request, and served from then on.
 
 The server is deliberately protocol-agnostic: the three protocols use
 different subsets of the tracker maps.
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from random import Random
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.net.bandwidth import SharedUploadLink
 from repro.obs.tracer import NULL_TRACER
@@ -63,6 +65,8 @@ class CentralServer:
         self._channel_members: Dict[int, Set[int]] = defaultdict(set)
         self._video_overlay_members: Dict[int, Set[int]] = defaultdict(set)
         self._current_watchers: Dict[int, Set[int]] = defaultdict(set)
+        # Popularity oracle: per-channel ranking, filled on first request.
+        self._ranking: Dict[int, Tuple[int, ...]] = {}
         # Bookkeeping the paper's comparison cares about --------------------
         self.requests_served = 0
         self.tracker_lookups = 0
@@ -310,14 +314,25 @@ class CentralServer:
     # -- popularity oracle ----------------------------------------------------
 
     def top_videos_of_channel(self, channel_id: int, count: int) -> List[int]:
-        """The ``count`` most-viewed videos of a channel.
+        """The ``count`` most-viewed videos of a channel, as a fresh list.
 
         This is the periodically published popularity feed SocialTube's
-        channel-facilitated prefetching ranks on.
+        channel-facilitated prefetching ranks on.  Views are static trace
+        fields, so the ranking is published once per channel per run: it
+        is sorted on the first request (a stable sort, so tied videos
+        keep their catalog order) and sliced on every later one.
         """
-        videos: Sequence[int] = self.catalog.videos_of_channel(channel_id)
-        ranked = sorted(videos, key=self.catalog.video_views, reverse=True)
-        return list(ranked[:count])
+        ranking = self._ranking.get(channel_id)
+        if ranking is None:
+            ranking = tuple(
+                sorted(
+                    self.catalog.videos_of_channel(channel_id),
+                    key=self.catalog.video_views,
+                    reverse=True,
+                )
+            )
+            self._ranking[channel_id] = ranking
+        return list(ranking[:count])
 
     # -- fallback video source -------------------------------------------------
 

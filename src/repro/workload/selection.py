@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.trace.dataset import TraceDataset
 from repro.trace.distributions import DiscreteSampler
@@ -77,9 +77,12 @@ class VideoSelector:
         self.rng = rng
         self.policy = policy or SelectionPolicy()
         self._current_channel: Dict[int, int] = {}
-        # Cached samplers; channels/videos are static during a run.
+        # Cached samplers and weights; channels/videos/subscriptions are
+        # static during a run, so each is computed on first use.
         self._video_sampler: Dict[int, DiscreteSampler] = {}
         self._channel_sampler_of_category: Dict[int, DiscreteSampler] = {}
+        self._weight_of_channel: Dict[int, float] = {}
+        self._subscriptions: Dict[int, Tuple[int, ...]] = {}
         self._category_ids = [
             c for c in dataset.categories
             if dataset.categories[c].channel_ids
@@ -105,9 +108,26 @@ class VideoSelector:
 
     def _channel_weight(self, channel_id: int) -> float:
         """Tempered popularity weight for channel-move choices."""
-        views = self.dataset.channel_total_views(channel_id) or 1.0
-        return views ** self.policy.channel_popularity_exponent
+        weight = self._weight_of_channel.get(channel_id)
+        if weight is None:
+            views = self.dataset.channel_total_views(channel_id) or 1.0
+            weight = views ** self.policy.channel_popularity_exponent
+            self._weight_of_channel[channel_id] = weight
+        return weight
 
+    def _sorted_subscriptions(self, user_id: int) -> Tuple[int, ...]:
+        """The user's subscribed channels in ascending id order.
+
+        sorted(): the subscription set's hash order depends on its
+        insertion history, which a pickle round trip rewrites -- the
+        trace cache ships snapshots to workers, so iteration order must
+        be canonical for jobs=N to equal jobs=1.
+        """
+        subscriptions = self._subscriptions.get(user_id)
+        if subscriptions is None:
+            subscriptions = tuple(sorted(self.dataset.subscriptions_of_user(user_id)))
+            self._subscriptions[user_id] = subscriptions
+        return subscriptions
 
     def _pick_video_in_channel(self, channel_id: int) -> int:
         sampler = self._video_sampler.get(channel_id)
@@ -143,11 +163,7 @@ class VideoSelector:
         popularity-weighted among them.  Users without subscriptions
         start from a popular channel of a popular category.
         """
-        # sorted(): the subscription set's hash order depends on its
-        # insertion history, which a pickle round trip rewrites -- the
-        # trace cache ships snapshots to workers, so iteration order
-        # must be canonical for jobs=N to equal jobs=1.
-        subscriptions = sorted(self.dataset.subscriptions_of_user(user_id))
+        subscriptions = self._sorted_subscriptions(user_id)
         if subscriptions:
             weights = [self._channel_weight(c) for c in subscriptions]
             channel = subscriptions[DiscreteSampler(weights).sample(self.rng)]
@@ -166,10 +182,9 @@ class VideoSelector:
     ) -> Optional[int]:
         """A popularity-weighted subscribed channel, optionally filtered
         to one category; None when the user has no match."""
-        # sorted() for pickle-stable iteration order (see start_session).
         candidates = [
             c
-            for c in sorted(self.dataset.subscriptions_of_user(user_id))
+            for c in self._sorted_subscriptions(user_id)
             if c != exclude
             and (
                 category_id is None

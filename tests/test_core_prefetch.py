@@ -11,18 +11,25 @@ from repro.net.server import CentralServer
 @pytest.fixture()
 def prefetcher(tiny_dataset):
     server = CentralServer(tiny_dataset, capacity_bps=1e6, rng=random.Random(0))
-    return ChannelPrefetcher(tiny_dataset, server, window=3)
+    return ChannelPrefetcher(server, window=3)
 
 
 def _largest_channel(dataset):
     return max(dataset.iter_channels(), key=lambda c: c.num_videos)
 
 
+def _full_ranking(prefetcher, dataset, channel_id):
+    """The server's whole popularity feed for one channel."""
+    return prefetcher.server.top_videos_of_channel(
+        channel_id, len(dataset.videos_of_channel(channel_id))
+    )
+
+
 class TestChannelPrefetcher:
     def test_invalid_window_rejected(self, tiny_dataset):
         server = CentralServer(tiny_dataset, capacity_bps=1e6, rng=random.Random(0))
         with pytest.raises(ValueError):
-            ChannelPrefetcher(tiny_dataset, server, window=-1)
+            ChannelPrefetcher(server, window=-1)
 
     def test_candidates_ranked_by_popularity(self, prefetcher, tiny_dataset):
         channel = _largest_channel(tiny_dataset)
@@ -45,13 +52,13 @@ class TestChannelPrefetcher:
 
     def test_currently_watching_excluded(self, prefetcher, tiny_dataset):
         channel = _largest_channel(tiny_dataset)
-        top = prefetcher.ranked_channel_videos(channel.channel_id)[0]
+        top = _full_ranking(prefetcher, tiny_dataset, channel.channel_id)[0]
         picks = prefetcher.candidates(channel.channel_id, set(), top)
         assert top not in picks
 
     def test_already_have_excluded_and_backfilled(self, prefetcher, tiny_dataset):
         channel = _largest_channel(tiny_dataset)
-        ranked = prefetcher.ranked_channel_videos(channel.channel_id)
+        ranked = _full_ranking(prefetcher, tiny_dataset, channel.channel_id)
         if len(ranked) < 6:
             pytest.skip("channel too small")
         have = set(ranked[:2])
@@ -67,5 +74,5 @@ class TestChannelPrefetcher:
 
     def test_ranked_channel_videos_complete(self, prefetcher, tiny_dataset):
         channel = _largest_channel(tiny_dataset)
-        ranked = prefetcher.ranked_channel_videos(channel.channel_id)
+        ranked = _full_ranking(prefetcher, tiny_dataset, channel.channel_id)
         assert sorted(ranked) == sorted(channel.video_ids)

@@ -164,6 +164,33 @@ class TestPopularityOracle:
         top = server.top_videos_of_channel(channel.channel_id, 3)
         assert all(tiny_dataset.channel_of_video(v) == channel.channel_id for v in top)
 
+    def test_mutating_a_feed_leaves_the_next_feed_unchanged(self, server, tiny_dataset):
+        channel = max(tiny_dataset.channels.values(), key=lambda c: c.num_videos)
+        first = server.top_videos_of_channel(channel.channel_id, 4)
+        expected = list(first)
+        first.reverse()
+        first.append(-1)
+        first[0] = -2
+        assert server.top_videos_of_channel(channel.channel_id, 4) == expected
+
+    def test_tied_views_keep_catalog_order(self):
+        views = {10: 5, 11: 9, 12: 5, 13: 9, 14: 1, 15: 5}
+        videos = list(views)
+
+        class TiedCatalog:
+            def videos_of_channel(self, channel_id):
+                return videos
+
+            def video_views(self, video_id):
+                return views[video_id]
+
+        server = CentralServer(TiedCatalog(), capacity_bps=1e6, rng=random.Random(0))
+        assert server.top_videos_of_channel(0, len(videos)) == [11, 13, 10, 12, 15, 14]
+        for count in range(len(videos) + 3):
+            assert server.top_videos_of_channel(0, count) == sorted(
+                videos, key=views.__getitem__, reverse=True
+            )[:count]
+
 
 class TestFallbackSource:
     def test_serve_counts_requests(self, server):

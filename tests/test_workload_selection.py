@@ -160,3 +160,88 @@ class TestNextVideo:
         assert [a.next_video(0) for _ in range(20)] == [
             b.next_video(0) for _ in range(20)
         ]
+
+
+#: Recorded from the selector before its weights and subscription lists
+#: were memoized: start_session plus 200 next_video calls per user at
+#: Random(11) on the tiny corpus.  ``channels`` has the current channel
+#: after start_session and after each next_video.
+GOLDEN_CHANNELS = {
+    0: (
+        21, 21, 21, 21, 21, 11, 21, 24, 24, 24, 24, 24, 24, 24, 24, 6, 6, 6, 6,
+        21, 21, 21, 21, 21, 21, 9, 9, 9, 9, 9, 9, 9, 9, 21, 21, 21, 5, 5, 5, 5,
+        5, 5, 5, 1, 5, 24, 24, 24, 21, 11, 11, 11, 21, 21, 21, 21, 21, 21, 21,
+        21, 21, 12, 12, 12, 12, 12, 12, 12, 21, 21, 21, 21, 21, 17, 17, 21, 21,
+        21, 21, 1, 1, 1, 1, 5, 5, 21, 21, 21, 21, 21, 21, 21, 21, 1, 5, 5, 5, 5,
+        1, 1, 1, 8, 8, 8, 8, 8, 8, 8, 8, 24, 24, 24, 24, 27, 27, 27, 27, 27, 21,
+        5, 1, 1, 1, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 24, 24, 24, 24, 24, 24, 24,
+        24, 24, 21, 21, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5,
+        24, 24, 24, 24, 24, 24, 24, 24, 21, 21, 21, 21, 21, 21, 21, 25, 25, 25,
+        25, 25, 25, 25, 25, 25, 25, 25, 21, 21, 21, 23, 23, 23, 23, 23, 23, 23,
+        23, 23, 23,
+    ),
+    1: (
+        6, 6, 6, 4, 4, 4, 4, 4, 12, 12, 12, 22, 22, 22, 22, 22, 22, 22, 22, 22,
+        22, 22, 22, 22, 6, 6, 6, 12, 12, 12, 12, 12, 12, 12, 12, 12, 6, 11, 11,
+        11, 6, 0, 0, 0, 0, 0, 0, 0, 0, 2, 2, 2, 2, 2, 6, 0, 2, 2, 2, 2, 2, 2, 2,
+        2, 2, 2, 2, 21, 21, 24, 24, 16, 16, 16, 16, 16, 13, 24, 24, 24, 24, 24,
+        24, 24, 24, 24, 24, 27, 27, 27, 27, 27, 6, 6, 0, 0, 0, 0, 6, 6, 6, 6, 6,
+        21, 21, 11, 15, 15, 15, 6, 6, 21, 21, 21, 21, 13, 13, 13, 13, 6, 25, 6,
+        6, 6, 6, 6, 6, 6, 6, 3, 3, 3, 3, 6, 6, 6, 6, 6, 6, 2, 0, 0, 0, 2, 2, 2,
+        6, 17, 17, 17, 5, 5, 5, 8, 8, 8, 8, 8, 2, 2, 2, 2, 6, 29, 29, 29, 6, 6,
+        6, 21, 21, 24, 13, 13, 13, 13, 13, 13, 13, 6, 6, 21, 20, 20, 20, 20, 20,
+        20, 20, 6, 6, 6, 6, 6, 6, 6, 18, 18, 18, 18, 18,
+    ),
+}
+GOLDEN_VIDEOS = {
+    0: (
+        130, 126, 126, 126, 44, 130, 881, 881, 881, 880, 881, 881, 881, 885, 10,
+        12, 12, 12, 130, 130, 126, 128, 126, 130, 36, 40, 38, 37, 36, 36, 37,
+        41, 126, 129, 126, 9, 9, 9, 9, 9, 9, 9, 2, 9, 885, 881, 881, 126, 45,
+        44, 52, 130, 125, 126, 126, 126, 126, 127, 126, 125, 59, 60, 60, 59, 60,
+        60, 60, 129, 126, 126, 126, 130, 121, 121, 125, 126, 127, 126, 1, 1, 2,
+        1, 9, 9, 126, 126, 130, 126, 126, 126, 126, 129, 1, 9, 9, 9, 9, 1, 1, 1,
+        24, 24, 32, 24, 28, 32, 33, 33, 884, 881, 885, 882, 890, 890, 894, 893,
+        894, 126, 9, 2, 2, 1, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 885, 882, 881, 882,
+        885, 881, 883, 881, 885, 126, 129, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9,
+        9, 9, 9, 9, 9, 9, 885, 881, 881, 884, 884, 881, 880, 883, 128, 127, 126,
+        125, 126, 126, 126, 886, 887, 887, 886, 886, 886, 887, 886, 886, 886,
+        886, 129, 126, 126, 704, 804, 684, 201, 506, 388, 625, 815, 388, 594,
+    ),
+    1: (
+        12, 11, 7, 5, 5, 5, 5, 60, 60, 59, 131, 131, 131, 131, 131, 131, 131,
+        131, 131, 131, 131, 131, 131, 10, 12, 11, 59, 59, 59, 59, 59, 59, 59,
+        60, 60, 12, 48, 52, 53, 12, 0, 0, 0, 0, 0, 0, 0, 0, 3, 3, 3, 3, 3, 11,
+        0, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 126, 126, 884, 881, 120, 120, 120,
+        120, 120, 95, 881, 883, 881, 881, 885, 881, 884, 885, 884, 884, 894,
+        890, 894, 890, 893, 10, 10, 0, 0, 0, 0, 10, 10, 11, 10, 10, 129, 126,
+        52, 117, 117, 113, 10, 10, 126, 126, 130, 126, 105, 71, 70, 79, 10, 886,
+        11, 12, 10, 10, 11, 11, 10, 12, 4, 4, 4, 4, 10, 11, 10, 11, 10, 10, 3,
+        0, 0, 0, 3, 3, 3, 11, 121, 121, 121, 9, 9, 9, 23, 28, 21, 35, 33, 3, 3,
+        3, 3, 10, 899, 899, 899, 12, 12, 11, 126, 126, 882, 79, 73, 71, 71, 71,
+        63, 71, 10, 11, 130, 124, 124, 124, 124, 124, 124, 124, 10, 10, 10, 11,
+        10, 10, 10, 122, 122, 122, 122, 122,
+    ),
+}
+
+
+class TestMemoizedSelector:
+    def test_reproduces_recorded_sequence(self, tiny_dataset):
+        selector = VideoSelector(tiny_dataset, random.Random(11))
+        for user in (0, 1):
+            selector.start_session(user)
+            channels = [selector.current_channel(user)]
+            videos = []
+            for _ in range(200):
+                videos.append(selector.next_video(user))
+                channels.append(selector.current_channel(user))
+            assert tuple(channels) == GOLDEN_CHANNELS[user]
+            assert tuple(videos) == GOLDEN_VIDEOS[user]
+
+    def test_channel_weight_matches_definition(self, selector, tiny_dataset):
+        gamma = selector.policy.channel_popularity_exponent
+        for _ in range(2):  # the second pass reads the memo
+            for channel_id in tiny_dataset.channels:
+                assert selector._channel_weight(channel_id) == (
+                    tiny_dataset.channel_total_views(channel_id) or 1.0
+                ) ** gamma
