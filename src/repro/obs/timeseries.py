@@ -143,21 +143,25 @@ class TimeSeriesTable:
 #: at all -- rows outside this map (``flood.hop``, span ends, counter
 #: footers, ...) exit after two comparisons, which is what holds the
 #: streaming sink under the <5%-of-run overhead bar asserted in
-#: ``tests/test_obs_timeseries.py``.  Codes are ordered by observed row
-#: frequency so the dispatch chain stays shallow for the hot names.
+#: ``tests/test_obs_timeseries.py``.  The code is also the row's slot in
+#: the per-window tally list, so every metric-bearing row costs one
+#: list increment; codes below :data:`_FIRST_ATTRS_CODE` are pure
+#: tallies and return before the row's attrs are read.
 _ROW_CODES: Dict[str, int] = {
-    "server.lookup": 1,
-    "transfer.chunks": 2,
-    "playback.report": 3,
-    "request.serve": 4,
-    "overlay.links": 5,
-    "flood.found": 6,
-    "playback.stall": 7,
-    "server.request": 8,
-    "session.begin": 9,
-    "session.end": 10,
-    "flood.ttl_exhausted": 11,
-    "engine.tick": 12,
+    # Tallies only.
+    "server.lookup": 0,
+    "playback.stall": 1,
+    "flood.ttl_exhausted": 2,
+    "server.request": 3,
+    # Tallies that also fold attrs.
+    "transfer.chunks": 10,
+    "request.serve": 11,
+    "overlay.links": 12,
+    "playback.report": 13,
+    "flood.found": 14,
+    "session.begin": 15,
+    "session.end": 16,
+    "engine.tick": 17,
 }
 
 #: Extra dispatch codes merged in only when the collector is built with
@@ -166,22 +170,30 @@ _ROW_CODES: Dict[str, int] = {
 #: baseline digests keyed on their bytes -- are untouched by the fault
 #: subsystem's existence.
 _FAULT_ROW_CODES: Dict[str, int] = {
-    "churn.crash": 13,
-    "failover.interrupted": 14,
-    "failover.retry": 15,
-    "failover.resume": 16,
-    "failover.server": 17,
-    "overlay.repair": 18,
+    # Tallies only.
+    "churn.crash": 4,
+    "failover.interrupted": 5,
+    "failover.retry": 6,
     # Correlated & infrastructure families (repro.faults v2).
-    "fault.community_crash": 19,
-    "tracker.outage": 20,
-    "tracker.lookup_failed": 21,
+    "tracker.lookup_failed": 7,
+    "server.shed": 8,
+    # Outage / partition / flash-crowd edges share one tally.
+    "tracker.outage": 9,
+    "partition.transition": 9,
+    "server.flash_crowd": 9,
+    # Tallies that also fold attrs.
+    "failover.resume": 18,
+    "failover.server": 19,
+    "overlay.repair": 20,
+    "fault.community_crash": 21,
     "tracker.reregister": 22,
-    "partition.transition": 23,
-    "partition.healed": 24,
-    "server.shed": 25,
-    "server.flash_crowd": 26,
+    "partition.healed": 23,
 }
+
+#: Codes at or above this read the row's attrs after the tally.
+_FIRST_ATTRS_CODE = 10
+#: Length of the per-window tally list (one slot per code).
+_NUM_CODES = 24
 
 
 class TimeSeriesCollector:
@@ -200,6 +212,20 @@ class TimeSeriesCollector:
             collector.observe_row(row)
         table = collector.finalize(content_hash=spec.content_hash())
     """
+
+    # Slots give the per-row hot path fixed attribute offsets.
+    __slots__ = (
+        "window_s", "_include_faults", "_codes", "_records", "_index",
+        "_window_end",
+        # Gauges.
+        "_active_sessions", "_overlay_links", "_links_by_node",
+        "_pending_events", "_events_processed",
+        # Per-window tallies and attr sums (see _reset_window).
+        "_counts", "_cluster_requests", "_server_chunks", "_peer_chunks",
+        "_cache_chunks", "_hops_sum", "_startup_sum_s", "_stalled_reports",
+        "_failover_latency_sum_s", "_repaired_links", "_burst_crashes",
+        "_reregistrations", "_healed_nodes",
+    )
 
     def __init__(
         self, window_s: float = DEFAULT_WINDOW_S, include_faults: bool = False
@@ -227,48 +253,34 @@ class TimeSeriesCollector:
 
     def _reset_window(self) -> None:
         """Zero the per-window counters (gauges are left alone)."""
-        self._rows = 0
-        self._requests = 0
+        #: Rows seen per dispatch code in this window.
+        self._counts = [0] * _NUM_CODES
         self._cluster_requests: Dict[int, int] = {}
         self._server_chunks = 0
         self._peer_chunks = 0
         self._cache_chunks = 0
-        self._server_requests = 0
-        self._tracker_lookups = 0
-        self._joins = 0
-        self._leaves = 0
-        self._ttl_exhausted = 0
         self._hops_sum = 0
-        self._hops_count = 0
         self._startup_sum_s = 0.0
-        self._startup_count = 0
-        self._stall_events = 0
-        self._reports = 0
         self._stalled_reports = 0
-        # Fault-recovery counters (recorded only under include_faults).
-        self._crashes = 0
-        self._interrupted = 0
-        self._failover_retries = 0
-        self._failover_resumes = 0
-        self._failover_server = 0
+        # Fault-recovery sums (recorded only under include_faults).
         self._failover_latency_sum_s = 0.0
         self._repaired_links = 0
-        # Infrastructure-fault counters (repro.faults v2).
+        # Infrastructure-fault sums (repro.faults v2).
         self._burst_crashes = 0
-        self._infra_transitions = 0
-        self._lookup_failures = 0
         self._reregistrations = 0
         self._healed_nodes = 0
-        self._server_sheds = 0
 
     def _flush_window(self) -> None:
         """Close the current window into a record and start the next."""
+        counts = self._counts
         total_shared = self._server_chunks + self._peer_chunks
+        hops_count = counts[14]
+        reports = counts[13]
         record: Dict[str, Any] = {
             "window": self._index,
             "t0": self._index * self.window_s,
-            "rows": self._rows,
-            "requests": self._requests,
+            "rows": sum(counts),
+            "requests": counts[11],
             "cluster_requests": {
                 str(cluster): count
                 for cluster, count in sorted(self._cluster_requests.items())
@@ -279,24 +291,22 @@ class TimeSeriesCollector:
             "server_share": (
                 self._server_chunks / total_shared if total_shared else 0.0
             ),
-            "server_requests": self._server_requests,
-            "tracker_lookups": self._tracker_lookups,
-            "joins": self._joins,
-            "leaves": self._leaves,
-            "ttl_exhausted": self._ttl_exhausted,
+            "server_requests": counts[3],
+            "tracker_lookups": counts[0],
+            "joins": counts[15],
+            "leaves": counts[16],
+            "ttl_exhausted": counts[2],
             "search_hops_mean": (
-                self._hops_sum / self._hops_count if self._hops_count else 0.0
+                self._hops_sum / hops_count if hops_count else 0.0
             ),
             "startup_ms_mean": (
-                1000.0 * self._startup_sum_s / self._startup_count
-                if self._startup_count
-                else 0.0
+                1000.0 * self._startup_sum_s / reports if reports else 0.0
             ),
-            "stall_events": self._stall_events,
-            "reports": self._reports,
+            "stall_events": counts[1],
+            "reports": reports,
             "stalled_reports": self._stalled_reports,
             "stall_rate": (
-                self._stalled_reports / self._reports if self._reports else 0.0
+                self._stalled_reports / reports if reports else 0.0
             ),
             "active_sessions": self._active_sessions,
             "overlay_links": self._overlay_links,
@@ -304,12 +314,12 @@ class TimeSeriesCollector:
             "events_processed": self._events_processed,
         }
         if self._include_faults:
-            failovers = self._failover_resumes + self._failover_server
-            record["crashes"] = self._crashes
-            record["interrupted"] = self._interrupted
-            record["failover_retries"] = self._failover_retries
-            record["failover_resumes"] = self._failover_resumes
-            record["failover_server"] = self._failover_server
+            failovers = counts[18] + counts[19]
+            record["crashes"] = counts[4]
+            record["interrupted"] = counts[5]
+            record["failover_retries"] = counts[6]
+            record["failover_resumes"] = counts[18]
+            record["failover_server"] = counts[19]
             record["failover_latency_ms_mean"] = (
                 1000.0 * self._failover_latency_sum_s / failovers
                 if failovers
@@ -317,11 +327,11 @@ class TimeSeriesCollector:
             )
             record["repaired_links"] = self._repaired_links
             record["burst_crashes"] = self._burst_crashes
-            record["infra_transitions"] = self._infra_transitions
-            record["lookup_failures"] = self._lookup_failures
+            record["infra_transitions"] = counts[9]
+            record["lookup_failures"] = counts[7]
             record["reregistrations"] = self._reregistrations
             record["healed_nodes"] = self._healed_nodes
-            record["server_sheds"] = self._server_sheds
+            record["server_sheds"] = counts[8]
         self._records.append(record)
         self._index += 1
         self._window_end = (self._index + 1) * self.window_s
@@ -333,10 +343,11 @@ class TimeSeriesCollector:
         Rows must arrive in non-decreasing ``t`` order -- the order the
         tracer emits and the JSONL artifact stores.  This is the live
         sink's hot path: two comparisons and one dict probe decide
-        whether the row contributes at all, and the metric bodies are
-        inlined behind integer codes (a bound-method call per row costs
-        more than most of the bodies).  Both feeding paths run exactly
-        this code, which is what makes them byte-identical.
+        whether the row contributes at all, one list increment tallies
+        it, and the attr-folding bodies are inlined behind integer codes
+        (a bound-method call per row costs more than most of the
+        bodies).  Both feeding paths run exactly this code, which is
+        what makes them byte-identical.
         """
         kind = row["kind"]
         if kind != "event" and kind != "span_begin":
@@ -348,12 +359,11 @@ class TimeSeriesCollector:
             window = row["t"] // self.window_s
             while window > self._index:
                 self._flush_window()
-        self._rows += 1
-        if code == 1:  # server.lookup: one tracker-state query
-            self._tracker_lookups += 1
+        self._counts[code] += 1
+        if code < _FIRST_ATTRS_CODE:
             return
         attrs = row.get("attrs") or _NO_ATTRS
-        if code == 2:  # transfer.chunks: bucket by supply side
+        if code == 10:  # transfer.chunks: bucket by supply side
             source = attrs.get("source")
             chunks = attrs.get("chunks", 0)
             if source in _PEER_SOURCES:
@@ -362,69 +372,39 @@ class TimeSeriesCollector:
                 self._server_chunks += chunks
             elif source == "cache":
                 self._cache_chunks += chunks
-        elif code == 3:  # playback.report: startup mean + stalled-watch rate
-            self._reports += 1
-            self._startup_sum_s += attrs.get("startup_s", 0.0)
-            self._startup_count += 1
-            if attrs.get("stalls", 0) > 0:
-                self._stalled_reports += 1
-        elif code == 4:  # request.serve span: total + per-cluster counts
-            self._requests += 1
+        elif code == 11:  # request.serve span: per-cluster counts
             cluster = attrs.get("cluster")
             if cluster is not None:
                 self._cluster_requests[cluster] = (
                     self._cluster_requests.get(cluster, 0) + 1
                 )
-        elif code == 5:  # overlay.links: fold sample into the link total
+        elif code == 12:  # overlay.links: fold sample into the link total
             node = attrs.get("node")
             links = attrs.get("links", 0)
             self._overlay_links += links - self._links_by_node.get(node, 0)
             self._links_by_node[node] = links
-        elif code == 6:  # flood.found: search depth for the hop mean
+        elif code == 13:  # playback.report: startup mean + stalled-watch rate
+            self._startup_sum_s += attrs.get("startup_s", 0.0)
+            if attrs.get("stalls", 0) > 0:
+                self._stalled_reports += 1
+        elif code == 14:  # flood.found: search depth for the hop mean
             self._hops_sum += attrs.get("depth", 0)
-            self._hops_count += 1
-        elif code == 7:  # playback.stall: one mid-watch buffer underrun
-            self._stall_events += 1
-        elif code == 8:  # server.request: one fallback admission
-            self._server_requests += 1
-        elif code == 9:  # session.begin: arrival + active gauge
+        elif code == 15 or code == 16:  # session.begin/end: active gauge
             self._active_sessions = attrs.get("active", self._active_sessions)
-            self._joins += 1
-        elif code == 10:  # session.end: departure + active gauge
-            self._active_sessions = attrs.get("active", self._active_sessions)
-            self._leaves += 1
-        elif code == 11:  # flood.ttl_exhausted: one failed search
-            self._ttl_exhausted += 1
-        elif code == 12:  # engine.tick: scheduler gauges
+        elif code == 17:  # engine.tick: scheduler gauges
             self._pending_events = attrs.get("pending", self._pending_events)
             self._events_processed = attrs.get("events", self._events_processed)
         # Fault-recovery rows (codes mapped only under include_faults).
-        elif code == 13:  # churn.crash: one abrupt mid-session death
-            self._crashes += 1
-        elif code == 14:  # failover.interrupted: one severed transfer
-            self._interrupted += 1
-        elif code == 15:  # failover.retry: one backed-off re-search
-            self._failover_retries += 1
-        elif code == 16:  # failover.resume: resumed from a new peer
-            self._failover_resumes += 1
+        elif code == 18 or code == 19:  # failover.resume/server: latency
             self._failover_latency_sum_s += attrs.get("latency_s", 0.0)
-        elif code == 17:  # failover.server: degraded server finish
-            self._failover_server += 1
-            self._failover_latency_sum_s += attrs.get("latency_s", 0.0)
-        elif code == 18:  # overlay.repair: crash-repair sweep outcome
+        elif code == 20:  # overlay.repair: crash-repair sweep outcome
             self._repaired_links += attrs.get("links", 0)
-        elif code == 19:  # fault.community_crash: one correlated burst
+        elif code == 21:  # fault.community_crash: one correlated burst
             self._burst_crashes += attrs.get("victims", 0)
-        elif code == 21:  # tracker.lookup_failed: query hit a dark tracker
-            self._lookup_failures += 1
         elif code == 22:  # tracker.reregister: recovery reports re-filed
             self._reregistrations += attrs.get("count", 0)
-        elif code == 24:  # partition.healed: heal-sweep size at re-link
+        else:  # code 23, partition.healed: heal-sweep size at re-link
             self._healed_nodes += attrs.get("nodes", 0)
-        elif code == 25:  # server.shed: one admission-control rejection
-            self._server_sheds += 1
-        else:  # codes 20/23/26: outage / partition / flash-crowd edges
-            self._infra_transitions += 1
 
     def finalize(self, content_hash: str = "") -> TimeSeriesTable:
         """Close the trailing window and return the finished table.
@@ -434,7 +414,7 @@ class TimeSeriesCollector:
         says how far they reach).  A rowless stream yields an empty
         table.
         """
-        if self._rows or self._records:
+        if any(self._counts) or self._records:
             self._flush_window()
         return TimeSeriesTable(
             window_s=self.window_s,

@@ -54,7 +54,7 @@ class _NullSpan:
 _NULL_SPAN = _NullSpan()
 
 
-class NullTracer:
+class NullTracer(int):
     """The zero-cost disabled tracer.
 
     Implements the full :class:`Tracer` interface with no-op bodies and
@@ -63,6 +63,12 @@ class NullTracer:
     ``if tracer:`` guard (cheapest).  There is one shared instance,
     :data:`NULL_TRACER`; it holds no state and is safe to share across
     schedulers, protocols, and runs.
+
+    The class subclasses :class:`int` and its instance is the integer
+    zero, so the guard's truth test runs in int's C slot instead of a
+    Python-level ``__bool__`` frame.  The guard is the most frequent
+    disabled-path shape (one per instrumented site per event), so this
+    is where "zero-cost" is decided.
 
     Example::
 
@@ -77,8 +83,8 @@ class NullTracer:
     #: Mirrors :attr:`Tracer.enabled`; always False here.
     enabled = False
 
-    def __bool__(self) -> bool:
-        return False
+    def __repr__(self) -> str:
+        return "NULL_TRACER"
 
     #: Mirrors :attr:`Tracer.tick_every_s`; always None here (the null
     #: tracer never asks the engine for window ticks).
