@@ -47,8 +47,7 @@ class CentralServer:
     catalog:
         Any object exposing the trace-dataset read interface used here:
         ``channel_of_video(video_id)``, ``videos_of_channel(channel_id)``,
-        ``category_of_channel(channel_id)``, ``channels_of_category(cat)``
-        and ``video_views(video_id)``.  :class:`repro.trace.TraceDataset`
+        ``category_of_channel(channel_id)`` and ``video_views(video_id)``.  :class:`repro.trace.TraceDataset`
         satisfies it.
     capacity_bps:
         Total server upload capacity (Table I).
@@ -63,6 +62,10 @@ class CentralServer:
         # Tracker state ----------------------------------------------------
         self._online: Set[int] = set()
         self._channel_members: Dict[int, Set[int]] = defaultdict(set)
+        #: category -> {channel: its member set} over the channels that
+        #: have members, in the order they gained one; category scans
+        #: never visit an empty channel.
+        self._occupied: Dict[int, Dict[int, Set[int]]] = defaultdict(dict)
         self._video_overlay_members: Dict[int, Set[int]] = defaultdict(set)
         self._current_watchers: Dict[int, Set[int]] = defaultdict(set)
         # Popularity oracle: per-channel ranking, filled on first request.
@@ -112,6 +115,7 @@ class CentralServer:
         self.tracker_down = True
         self._online.clear()
         self._channel_members.clear()
+        self._occupied.clear()
         self._video_overlay_members.clear()
         self._current_watchers.clear()
         if self.tracer:
@@ -136,8 +140,9 @@ class CentralServer:
         if self.tracker_down:
             return
         self._online.discard(node_id)
-        for members in self._channel_members.values():
-            members.discard(node_id)
+        for channel_id, members in self._channel_members.items():
+            if node_id in members:
+                self._leave_channel(channel_id, members, node_id)
         for members in self._video_overlay_members.values():
             members.discard(node_id)
         for watchers in self._current_watchers.values():
@@ -162,13 +167,25 @@ class CentralServer:
         """
         if self.tracker_down:
             return
-        self._channel_members[channel_id].add(node_id)
+        members = self._channel_members[channel_id]
+        if not members:
+            category_id = self.catalog.category_of_channel(channel_id)
+            self._occupied[category_id][channel_id] = members
+        members.add(node_id)
         self.subscription_reports += 1
 
     def unregister_channel_member(self, channel_id: int, node_id: int) -> None:
         if self.tracker_down:
             return
-        self._channel_members[channel_id].discard(node_id)
+        members = self._channel_members[channel_id]
+        if node_id in members:
+            self._leave_channel(channel_id, members, node_id)
+
+    def _leave_channel(self, channel_id: int, members: Set[int], node_id: int) -> None:
+        """Drop a present member; an emptied channel leaves the occupied index."""
+        members.remove(node_id)
+        if not members:
+            del self._occupied[self.catalog.category_of_channel(channel_id)][channel_id]
 
     def channel_members(self, channel_id: int) -> Set[int]:
         """Online members of one channel overlay (read-only view)."""
@@ -185,10 +202,23 @@ class CentralServer:
         members = self._channel_members.get(channel_id)
         if not members:
             return None
-        candidates = [m for m in members if m != exclude]
+        candidates = list(members)
+        if exclude in members:
+            candidates.remove(exclude)
         if not candidates:
             return None
         return self._rng.choice(candidates)
+
+    def _occupied_channels(self, category_id: int, exclude: Optional[int]) -> List[Set[int]]:
+        """Member sets of the category's channels that hold anyone but
+        ``exclude``, in uniformly random order (one ``shuffle``)."""
+        occupied = [
+            members
+            for members in self._occupied.get(category_id, {}).values()
+            if len(members) > 1 or exclude not in members
+        ]
+        self._rng.shuffle(occupied)
+        return occupied
 
     def random_members_per_channel_in_category(
         self, category_id: int, exclude: Optional[int] = None, limit: Optional[int] = None
@@ -198,35 +228,51 @@ class CentralServer:
         This is the bootstrap the server performs for a joining
         SocialTube node: "the server also randomly chooses a node in
         each channel in this channel's higher-level overlay".  The draw
-        round-robins over the category's non-empty channels (one member
-        per channel per round) so that when the category has fewer
-        occupied channels than ``limit``, additional members of the same
-        channels are handed out rather than returning short.
+        round-robins over the category's occupied channels in random
+        order, one uniformly random member per channel per round, so
+        that when the category has fewer occupied channels than
+        ``limit``, further members of the same channels are handed out
+        rather than returning short.
+
+        Draws are lazy: only the first ``limit`` channels of the random
+        order are reachable, the number of rounds ``R`` that reaches
+        ``limit`` follows from the pool sizes alone, and each pool draws
+        just its first ``min(size, R)`` members without replacement.
+        That is the same distribution as shuffling every pool in full.
         """
         if self.tracker_down:
             self._count_lookup_failed("category-bootstrap")
             return []
         self._count_lookup("category-bootstrap")
-        channels = list(self.catalog.channels_of_category(category_id))
-        self._rng.shuffle(channels)
-        pools: List[List[int]] = []
-        for channel_id in channels:
-            members = [
-                m for m in self._channel_members.get(channel_id, ()) if m != exclude
-            ]
-            if members:
-                self._rng.shuffle(members)
-                pools.append(members)
-        picks: List[int] = []
-        round_index = 0
-        while pools:
-            pools = [pool for pool in pools if round_index < len(pool)]
-            for pool in pools:
-                picks.append(pool[round_index])
-                if limit is not None and len(picks) >= limit:
-                    return picks
-            round_index += 1
-        return picks
+        pools = self._occupied_channels(category_id, exclude)
+        if limit is not None:
+            del pools[limit:]
+        sizes = [len(members) - (exclude in members) for members in pools]
+        rounds = max(sizes, default=0)
+        if limit is not None:
+            # The fewest rounds that hand out ``limit`` picks.
+            reached = 0
+            for round_index in range(1, rounds + 1):
+                reached += sum(size >= round_index for size in sizes)
+                if reached >= limit:
+                    rounds = round_index
+                    break
+        draws = []
+        for members, size in zip(pools, sizes):
+            candidates = list(members)
+            if size < len(candidates):
+                candidates.remove(exclude)
+            if rounds == 1:
+                draws.append((self._rng.choice(candidates),))
+            else:
+                draws.append(self._rng.sample(candidates, min(size, rounds)))
+        picks = [
+            draw[round_index]
+            for round_index in range(rounds)
+            for draw in draws
+            if round_index < len(draw)
+        ]
+        return picks[:limit]
 
     def find_holder_in_category(
         self,
@@ -240,18 +286,18 @@ class CentralServer:
         Implements the Section IV-A join assist: when a video's channel
         overlay is empty, "the server randomly chooses a node in each
         channel overlay (including a node with the video) in the
-        higher-level overlay of the video's interest".  The scan is
-        bounded to keep the server's work per request constant.
+        higher-level overlay of the video's interest".  Only occupied
+        channels are put in random order (one ``shuffle``), and each is
+        scanned in tracker order; the scan is bounded to keep the
+        server's work per request constant.
         """
         if self.tracker_down:
             self._count_lookup_failed("category-holder")
             return None
         self._count_lookup("category-holder")
         scanned = 0
-        channels = list(self.catalog.channels_of_category(category_id))
-        self._rng.shuffle(channels)
-        for channel_id in channels:
-            for member in self._channel_members.get(channel_id, ()):
+        for members in self._occupied_channels(category_id, exclude):
+            for member in members:
                 if member == exclude:
                     continue
                 scanned += 1

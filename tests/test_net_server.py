@@ -1,6 +1,7 @@
 """Unit tests for the central server (tracker / oracle / fallback source)."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -82,6 +83,147 @@ class TestChannelTracker:
             category.category_id, exclude=1
         )
         assert 1 not in picks
+
+
+def reference_category_picks(server, category_id, rng, exclude=None, limit=None):
+    """The eager category bootstrap the lazy one replaced: shuffle every
+    channel of the category and every member pool, then round-robin."""
+    channels = list(server.catalog.channels_of_category(category_id))
+    rng.shuffle(channels)
+    pools = []
+    for channel_id in channels:
+        members = [m for m in server.channel_members(channel_id) if m != exclude]
+        if members:
+            rng.shuffle(members)
+            pools.append(members)
+    picks = []
+    round_index = 0
+    while pools:
+        pools = [pool for pool in pools if round_index < len(pool)]
+        for pool in pools:
+            picks.append(pool[round_index])
+            if limit is not None and len(picks) >= limit:
+                return picks
+        round_index += 1
+    return picks
+
+
+def position_frequencies(draw, trials):
+    """Per-position pick frequencies of ``trials`` calls of ``draw()``."""
+    counts = Counter()
+    for _ in range(trials):
+        for position, member in enumerate(draw()):
+            counts[position, member] += 1
+    return {key: count / trials for key, count in counts.items()}
+
+
+class TestCategoryBootstrapDistribution:
+    #: channel -> members in category 1 of the tiny dataset; node 9 is the
+    #: joining node, alone in channel 11 and sharing channel 9.
+    LAYOUT = {3: (1, 2, 3, 4, 5), 4: (6, 7), 6: (8,), 9: (9, 10), 11: (9,)}
+    CATEGORY = 1
+
+    @pytest.fixture()
+    def populated(self, server, tiny_dataset):
+        assert set(self.LAYOUT) <= set(tiny_dataset.channels_of_category(self.CATEGORY))
+        for channel, members in self.LAYOUT.items():
+            for member in members:
+                server.register_channel_member(channel, member)
+        return server
+
+    @pytest.mark.parametrize("limit", [2, 5, 7, None])
+    def test_position_frequencies_match_eager_reference(self, populated, limit):
+        trials = 4000
+        populated._rng = random.Random(101)
+        lazy = position_frequencies(
+            lambda: populated.random_members_per_channel_in_category(
+                self.CATEGORY, exclude=9, limit=limit
+            ),
+            trials,
+        )
+        reference_rng = random.Random(202)
+        eager = position_frequencies(
+            lambda: reference_category_picks(
+                populated, self.CATEGORY, reference_rng, exclude=9, limit=limit
+            ),
+            trials,
+        )
+        assert set(lazy) == set(eager)
+        for key in eager:
+            assert lazy[key] == pytest.approx(eager[key], abs=0.05), key
+
+    def test_channel_of_only_the_excluded_node_is_skipped(self, server, tiny_dataset):
+        alone, shared = tiny_dataset.channels_of_category(self.CATEGORY)[:2]
+        server.register_channel_member(alone, 9)
+        server.register_channel_member(shared, 1)
+        for _ in range(20):
+            assert server.random_members_per_channel_in_category(
+                self.CATEGORY, exclude=9, limit=5
+            ) == [1]
+
+    @pytest.mark.parametrize("limit", [None, 9, 50])
+    def test_enough_limit_returns_every_other_member_once(self, populated, limit):
+        expected = sorted({m for ms in self.LAYOUT.values() for m in ms} - {9})
+        for seed in range(20):
+            populated._rng = random.Random(seed)
+            picks = populated.random_members_per_channel_in_category(
+                self.CATEGORY, exclude=9, limit=limit
+            )
+            assert sorted(picks) == expected
+
+    def test_no_duplicate_picks(self, populated):
+        for seed in range(50):
+            populated._rng = random.Random(seed)
+            for limit in range(1, 10):
+                picks = populated.random_members_per_channel_in_category(
+                    self.CATEGORY, exclude=9, limit=limit
+                )
+                assert len(picks) == len(set(picks)) == min(limit, 9)
+
+    def test_round_zero_covers_distinct_channels_first(self, populated):
+        channel_of = {m: c for c, ms in self.LAYOUT.items() for m in ms if m != 9}
+        occupied = {3, 4, 6, 9}
+        for seed in range(50):
+            populated._rng = random.Random(seed)
+            picks = populated.random_members_per_channel_in_category(
+                self.CATEGORY, exclude=9
+            )
+            assert {channel_of[m] for m in picks[: len(occupied)]} == occupied
+
+    def test_tracker_down_draws_nothing(self, populated):
+        populated.tracker_down = True
+        state = populated._rng.getstate()
+        assert populated.random_members_per_channel_in_category(self.CATEGORY) == []
+        assert populated.find_holder_in_category(self.CATEGORY, is_holder=bool) is None
+        assert populated.random_channel_member(3) is None
+        assert populated._rng.getstate() == state
+
+
+class TestOccupiedIndex:
+    def test_index_tracks_membership_writes(self, server, tiny_dataset):
+        rng = random.Random(5)
+        channels = sorted(tiny_dataset.channels)
+        for _ in range(600):
+            op = rng.random()
+            channel, node = rng.choice(channels), rng.randrange(12)
+            if op < 0.5:
+                server.register_channel_member(channel, node)
+            elif op < 0.8:
+                server.unregister_channel_member(channel, node)
+            elif op < 0.97:
+                server.node_offline(node)
+            else:
+                server.tracker_outage_begin()
+                server.tracker_outage_end()
+            for category in tiny_dataset.categories.values():
+                occupied = {
+                    id(server.channel_members(c))
+                    for c in category.channel_ids
+                    if server.channel_members(c)
+                }
+                listed = server._occupied_channels(category.category_id, exclude=None)
+                assert {id(members) for members in listed} == occupied
+                assert len(listed) == len(occupied)
 
 
 class TestHolderAssist:

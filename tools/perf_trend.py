@@ -11,10 +11,12 @@ read: this tool walks ``git log`` for each ``BENCH_*.json``, extracts
 the file's **headline metric** (the one number its benchmark exists to
 track -- see ``benchmarks/README.md``), and renders one markdown table
 per file: commit, date, subject, headline value, and the delta against
-the previous committed value.  A working-tree version that differs
-from the last committed snapshot is appended as a final
-``(working tree)`` row, so a PR's perf motion is visible before the
-commit exists.
+the previous committed value.  A file with a companion value
+(``COMPANIONS``; the engine's ``nodes_10000`` point) gets two more
+columns: the companion and its ratio to the headline.  A working-tree
+version that differs from the last committed snapshot is appended as
+a final ``(working tree)`` row, so a PR's perf motion is visible
+before the commit exists.
 
 The numbers are machine-dependent (the snapshots record ``cpu_count``
 for exactly this reason), so ``--check`` deliberately does **not**
@@ -70,6 +72,14 @@ HEADLINES: Dict[str, Tuple[str, str, bool]] = {
     ),
     "BENCH_parallel.json": ("timings_s.serial_jobs1", "s", False),
     "BENCH_lint.json": ("throughput_files_per_s", "files/s", True),
+}
+
+#: filename -> dotted key of a companion value shown beside the
+#: headline, with its ratio to the headline.  Context only: neither is
+#: gated.  For the engine it is the 10k-node point, since throughput
+#: stops falling with scale once nodes_10000 / nodes_1000 reaches 1.
+COMPANIONS: Dict[str, str] = {
+    "BENCH_engine.json": "throughput_events_per_s.nodes_10000",
 }
 
 #: Envelope keys every *current* snapshot must carry (historical
@@ -161,9 +171,23 @@ def _fmt_delta(value: Any, previous: Any) -> str:
     return f"{pct:+.1f}%"
 
 
+def _fmt_ratio(value: Any, headline: Any) -> str:
+    if isinstance(value, (int, float)) and isinstance(headline, (int, float)) and headline:
+        return f"{value / headline:.2f}"
+    return "?"
+
+
 def trend_rows(filename: str) -> List[Dict[str, Any]]:
     """One row per revision (plus a working-tree row when it differs)."""
     key, _unit, _higher = HEADLINES[filename]
+    companion = COMPANIONS.get(filename)
+
+    def values(payload: Dict[str, Any]) -> Dict[str, Any]:
+        found = {"value": dig(payload, key)}
+        if companion:
+            found["companion"] = dig(payload, companion)
+        return found
+
     rows: List[Dict[str, Any]] = []
     last_committed: Optional[Dict[str, Any]] = None
     for rev in committed_revisions(filename):
@@ -171,7 +195,7 @@ def trend_rows(filename: str) -> List[Dict[str, Any]]:
         if payload is None:
             continue
         last_committed = payload
-        rows.append({**rev, "value": dig(payload, key)})
+        rows.append({**rev, **values(payload)})
     current = working_payload(filename)
     if current is not None and current != last_committed:
         rows.append(
@@ -179,7 +203,7 @@ def trend_rows(filename: str) -> List[Dict[str, Any]]:
                 "sha": "—",
                 "date": "(working tree)",
                 "subject": "uncommitted",
-                "value": dig(current, key),
+                **values(current),
             }
         )
     return rows
@@ -195,6 +219,7 @@ def render_trend(filenames: List[str]) -> str:
     )
     for filename in filenames:
         key, unit, higher = HEADLINES[filename]
+        companion = COMPANIONS.get(filename)
         lines.append("")
         direction = "higher is better" if higher else "lower is better"
         lines.append(f"## {filename} — `{key}` ({direction})")
@@ -203,8 +228,12 @@ def render_trend(filenames: List[str]) -> str:
         if not rows:
             lines.append("_no committed snapshots and no working-tree file_")
             continue
-        lines.append("| commit | date | subject | headline | delta |")
-        lines.append("| --- | --- | --- | --- | --- |")
+        header = "| commit | date | subject | headline | delta |"
+        if companion:
+            name = companion.rsplit(".", 1)[-1]
+            header += f" {name} | {name}/{key.rsplit('.', 1)[-1]} |"
+        lines.append(header)
+        lines.append("|" + " --- |" * (header.count("|") - 1))
         previous = None
         for row in rows:
             value = row["value"]
@@ -213,10 +242,12 @@ def render_trend(filenames: List[str]) -> str:
             subject = row["subject"]
             if len(subject) > 56:
                 subject = subject[:53] + "..."
-            lines.append(
-                f"| {row['sha']} | {row['date']} | {subject} "
-                f"| {shown} | {delta} |"
-            )
+            line = f"| {row['sha']} | {row['date']} | {subject} | {shown} | {delta} |"
+            if companion:
+                extra = row["companion"]
+                extra_shown = "?" if extra is None else _fmt_value(extra, unit)
+                line += f" {extra_shown} | {_fmt_ratio(extra, value)} |"
+            lines.append(line)
             if value is not None:
                 previous = value
     lines.append("")
