@@ -47,7 +47,8 @@ class CentralServer:
     catalog:
         Any object exposing the trace-dataset read interface used here:
         ``channel_of_video(video_id)``, ``videos_of_channel(channel_id)``,
-        ``category_of_channel(channel_id)`` and ``video_views(video_id)``.  :class:`repro.trace.TraceDataset`
+        ``category_of_channel(channel_id)``, ``channels_of_category(cat)``
+        and ``video_views(video_id)``.  :class:`repro.trace.TraceDataset`
         satisfies it.
     capacity_bps:
         Total server upload capacity (Table I).
@@ -62,10 +63,6 @@ class CentralServer:
         # Tracker state ----------------------------------------------------
         self._online: Set[int] = set()
         self._channel_members: Dict[int, Set[int]] = defaultdict(set)
-        #: category -> {channel: its member set} over the channels that
-        #: have members, in the order they gained one; category scans
-        #: never visit an empty channel.
-        self._occupied: Dict[int, Dict[int, Set[int]]] = defaultdict(dict)
         self._video_overlay_members: Dict[int, Set[int]] = defaultdict(set)
         self._current_watchers: Dict[int, Set[int]] = defaultdict(set)
         # Popularity oracle: per-channel ranking, filled on first request.
@@ -115,7 +112,6 @@ class CentralServer:
         self.tracker_down = True
         self._online.clear()
         self._channel_members.clear()
-        self._occupied.clear()
         self._video_overlay_members.clear()
         self._current_watchers.clear()
         if self.tracer:
@@ -140,9 +136,8 @@ class CentralServer:
         if self.tracker_down:
             return
         self._online.discard(node_id)
-        for channel_id, members in self._channel_members.items():
-            if node_id in members:
-                self._leave_channel(channel_id, members, node_id)
+        for members in self._channel_members.values():
+            members.discard(node_id)
         for members in self._video_overlay_members.values():
             members.discard(node_id)
         for watchers in self._current_watchers.values():
@@ -167,25 +162,13 @@ class CentralServer:
         """
         if self.tracker_down:
             return
-        members = self._channel_members[channel_id]
-        if not members:
-            category_id = self.catalog.category_of_channel(channel_id)
-            self._occupied[category_id][channel_id] = members
-        members.add(node_id)
+        self._channel_members[channel_id].add(node_id)
         self.subscription_reports += 1
 
     def unregister_channel_member(self, channel_id: int, node_id: int) -> None:
         if self.tracker_down:
             return
-        members = self._channel_members[channel_id]
-        if node_id in members:
-            self._leave_channel(channel_id, members, node_id)
-
-    def _leave_channel(self, channel_id: int, members: Set[int], node_id: int) -> None:
-        """Drop a present member; an emptied channel leaves the occupied index."""
-        members.remove(node_id)
-        if not members:
-            del self._occupied[self.catalog.category_of_channel(channel_id)][channel_id]
+        self._channel_members[channel_id].discard(node_id)
 
     def channel_members(self, channel_id: int) -> Set[int]:
         """Online members of one channel overlay (read-only view)."""
@@ -212,11 +195,12 @@ class CentralServer:
     def _occupied_channels(self, category_id: int, exclude: Optional[int]) -> List[Set[int]]:
         """Member sets of the category's channels that hold anyone but
         ``exclude``, in uniformly random order (one ``shuffle``)."""
-        occupied = [
-            members
-            for members in self._occupied.get(category_id, {}).values()
-            if len(members) > 1 or exclude not in members
-        ]
+        channel_members = self._channel_members
+        occupied = []
+        for channel_id in self.catalog.channels_of_category(category_id):
+            members = channel_members.get(channel_id)
+            if members and (len(members) > 1 or exclude not in members):
+                occupied.append(members)
         self._rng.shuffle(occupied)
         return occupied
 

@@ -199,33 +199,6 @@ class TestCategoryBootstrapDistribution:
         assert populated._rng.getstate() == state
 
 
-class TestOccupiedIndex:
-    def test_index_tracks_membership_writes(self, server, tiny_dataset):
-        rng = random.Random(5)
-        channels = sorted(tiny_dataset.channels)
-        for _ in range(600):
-            op = rng.random()
-            channel, node = rng.choice(channels), rng.randrange(12)
-            if op < 0.5:
-                server.register_channel_member(channel, node)
-            elif op < 0.8:
-                server.unregister_channel_member(channel, node)
-            elif op < 0.97:
-                server.node_offline(node)
-            else:
-                server.tracker_outage_begin()
-                server.tracker_outage_end()
-            for category in tiny_dataset.categories.values():
-                occupied = {
-                    id(server.channel_members(c))
-                    for c in category.channel_ids
-                    if server.channel_members(c)
-                }
-                listed = server._occupied_channels(category.category_id, exclude=None)
-                assert {id(members) for members in listed} == occupied
-                assert len(listed) == len(occupied)
-
-
 class TestHolderAssist:
     def test_finds_holder(self, server, tiny_dataset):
         category = next(iter(tiny_dataset.categories.values()))

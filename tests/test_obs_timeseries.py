@@ -77,9 +77,10 @@ def test_series_show_warmup_trend(live_run):
     falls as overlays warm up (Figs 9-11).
 
     Shares are pooled by chunk volume, the first two windows against
-    the rest of the run.  The last windows drain to a few lone
-    sessions, whose per-window shares (1.0, or 0.0 when nothing was
-    supplied) say nothing about warm-up."""
+    the rest of the run and against its second half (the windows after
+    the one where half of all chunks had been supplied).  The last
+    windows drain to a few lone sessions, whose per-window shares (1.0,
+    or 0.0 when nothing was supplied) say nothing about warm-up."""
     server = live_run.table.series("server_chunks")
     peer = live_run.table.series("peer_chunks")
     assert len(server) >= 3
@@ -88,7 +89,15 @@ def test_series_show_warmup_trend(live_run):
         served = sum(server[start:stop])
         return served / (served + sum(peer[start:stop]))
 
-    assert pooled_share(2) < pooled_share(0, 2)
+    supplied = [s + p for s, p in zip(server, peer)]
+    done = 0
+    for middle, chunks in enumerate(supplied):
+        done += chunks
+        if 2 * done >= sum(supplied):
+            break
+    early = pooled_share(0, 2)
+    assert pooled_share(2) < early
+    assert pooled_share(middle + 1) < early
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ read: this tool walks ``git log`` for each ``BENCH_*.json``, extracts
 the file's **headline metric** (the one number its benchmark exists to
 track -- see ``benchmarks/README.md``), and renders one markdown table
 per file: commit, date, subject, headline value, and the delta against
-the previous committed value.  A file with a companion value
-(``COMPANIONS``; the engine's ``nodes_10000`` point) gets two more
+the previous committed value.  A file whose ``HEADLINES`` entry names
+a companion value (the engine's ``nodes_10000`` point) gets two more
 columns: the companion and its ratio to the headline.  A working-tree
 version that differs from the last committed snapshot is appended as
 a final ``(working tree)`` row, so a PR's perf motion is visible
@@ -45,41 +45,40 @@ REPO_ROOT = os.path.normpath(os.path.join(os.path.dirname(__file__), ".."))
 #: literal so this tool runs without PYTHONPATH or the benchmarks dir).
 BENCH_SCHEMA_VERSION = 1
 
-#: filename -> (dotted headline key, unit, higher-is-better).  The
-#: headline is the quantity each snapshot's ``note`` declares; trend
-#: deltas are signed so a drop in a higher-is-better metric reads as
-#: negative.
-HEADLINES: Dict[str, Tuple[str, str, bool]] = {
+#: filename -> (dotted headline key, unit, higher-is-better, dotted
+#: companion key or None).  The headline is the quantity each
+#: snapshot's ``note`` declares; trend deltas are signed so a drop in a
+#: higher-is-better metric reads as negative.  A companion is shown
+#: beside the headline with its ratio to it, as context only: neither
+#: is gated.  The engine's is the 10k-node point, since throughput
+#: stops falling with scale once nodes_10000 / nodes_1000 reaches 1.
+HEADLINES: Dict[str, Tuple[str, str, bool, Optional[str]]] = {
     "BENCH_engine.json": (
         "throughput_events_per_s.nodes_1000",
         "events/s",
         True,
+        "throughput_events_per_s.nodes_10000",
     ),
     "BENCH_shard.json": (
         "throughput_events_per_s.shards_4",
         "events/s",
         True,
+        None,
     ),
     "BENCH_faults.json": (
         "timings_s.grid_smoke",
         "s",
         False,
+        None,
     ),
     "BENCH_timeseries.json": (
         "throughput_events_per_s.untraced",
         "events/s",
         True,
+        None,
     ),
-    "BENCH_parallel.json": ("timings_s.serial_jobs1", "s", False),
-    "BENCH_lint.json": ("throughput_files_per_s", "files/s", True),
-}
-
-#: filename -> dotted key of a companion value shown beside the
-#: headline, with its ratio to the headline.  Context only: neither is
-#: gated.  For the engine it is the 10k-node point, since throughput
-#: stops falling with scale once nodes_10000 / nodes_1000 reaches 1.
-COMPANIONS: Dict[str, str] = {
-    "BENCH_engine.json": "throughput_events_per_s.nodes_10000",
+    "BENCH_parallel.json": ("timings_s.serial_jobs1", "s", False, None),
+    "BENCH_lint.json": ("throughput_files_per_s", "files/s", True, None),
 }
 
 #: Envelope keys every *current* snapshot must carry (historical
@@ -179,14 +178,13 @@ def _fmt_ratio(value: Any, headline: Any) -> str:
 
 def trend_rows(filename: str) -> List[Dict[str, Any]]:
     """One row per revision (plus a working-tree row when it differs)."""
-    key, _unit, _higher = HEADLINES[filename]
-    companion = COMPANIONS.get(filename)
+    key, _unit, _higher, companion = HEADLINES[filename]
 
     def values(payload: Dict[str, Any]) -> Dict[str, Any]:
-        found = {"value": dig(payload, key)}
-        if companion:
-            found["companion"] = dig(payload, companion)
-        return found
+        return {
+            "value": dig(payload, key),
+            "companion": dig(payload, companion) if companion else None,
+        }
 
     rows: List[Dict[str, Any]] = []
     last_committed: Optional[Dict[str, Any]] = None
@@ -218,8 +216,7 @@ def render_trend(filenames: List[str]) -> str:
         "not as a gate."
     )
     for filename in filenames:
-        key, unit, higher = HEADLINES[filename]
-        companion = COMPANIONS.get(filename)
+        key, unit, higher, companion = HEADLINES[filename]
         lines.append("")
         direction = "higher is better" if higher else "lower is better"
         lines.append(f"## {filename} — `{key}` ({direction})")
@@ -258,7 +255,7 @@ def check_snapshots(filenames: List[str]) -> List[str]:
     """Structural problems with the *current* snapshots (CI gate)."""
     problems = []
     for filename in filenames:
-        key, _unit, _higher = HEADLINES[filename]
+        key, _unit, _higher, _companion = HEADLINES[filename]
         payload = working_payload(filename)
         if payload is None:
             problems.append(f"{filename}: missing or unparsable")
