@@ -52,15 +52,27 @@ def _parse_seeds(text: Optional[str]) -> Optional[List[int]]:
     return seeds
 
 
+def _positive_int(text: str) -> int:
+    """argparse ``type=`` for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _run_flags_parent() -> argparse.ArgumentParser:
     """The shared flag surface of every run-executing subcommand.
 
-    ``compare``, ``figures``, ``profile``, ``chaos``, ``dashboard`` and
-    ``regress`` all attach this parent, so ``--seed/--seeds/--jobs/
-    --shards/--workers`` carry the same spelling and help text
-    everywhere instead of drifting per-subcommand copies.  ``--seed`` defaults to
-    ``argparse.SUPPRESS`` so a subcommand-position ``--seed`` overrides
-    the top-level one without clobbering its default when absent.
+    ``compare``, ``figures``, ``profile``, ``perf``, ``chaos``,
+    ``dashboard`` and ``regress`` all attach this parent, so
+    ``--seed/--seeds/--jobs/--shards`` carry the same spelling, help
+    text and validation everywhere instead of drifting per-subcommand
+    copies.  ``--seed`` defaults to ``argparse.SUPPRESS`` so a
+    subcommand-position ``--seed`` overrides the top-level one without
+    clobbering its default when absent.
     """
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument(
@@ -72,19 +84,14 @@ def _run_flags_parent() -> argparse.ArgumentParser:
         help="comma-separated seed list for a multi-seed sweep (e.g. 1,2,3)",
     )
     parent.add_argument(
-        "--jobs", type=int, default=1,
+        "--jobs", type=_positive_int, default=1,
         help="worker processes (1 = serial, the default); results are "
         "byte-identical for any value",
     )
     parent.add_argument(
-        "--shards", type=int, default=1,
+        "--shards", type=_positive_int, default=1,
         help="community-partitioned shards per run (1 = classic engine); "
-        "the determinism gate makes output byte-identical for any value",
-    )
-    parent.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for shard-lane scale-out (1 = in-process); "
-        "byte-identical output for any value (see docs/scaling.md)",
+        "attribution only -- output is byte-identical for any value",
     )
     return parent
 
@@ -131,7 +138,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     seeds = _parse_seeds(args.seeds)
     specs = sweep_specs(
         ("pavod", "nettube", "socialtube"), config, seeds=seeds,
-        shards=args.shards, workers=args.workers,
+        shards=args.shards,
     )
     results = run_sweep(specs, jobs=args.jobs)
     if seeds and len(seeds) > 1:
@@ -158,7 +165,6 @@ def _cmd_figures(args: argparse.Namespace) -> int:
         seeds=seeds,
         jobs=args.jobs,
         shards=args.shards,
-        workers=args.workers,
     )
     environments = ("peersim",) if args.quick else ("peersim", "planetlab")
     suite.warm(environments=environments)
@@ -242,13 +248,13 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     )
     spec = ExperimentSpec(
         protocol=args.protocol, config=config, environment=args.environment,
-        shards=args.shards, workers=args.workers,
+        shards=args.shards,
     )
     profiled = run_profiled(spec, jobs=args.jobs)
     path = os.path.join(args.outdir, trace_filename(spec))
     write_trace(path, profiled.jsonl)
     print(render_profile(profiled.summary))
-    # Pool/shard attribution rides next to the profile (never inside
+    # Shard attribution rides next to the profile (never inside
     # the byte-parity surface); jobs>1 runs lose the in-process result
     # object, so the report is only available on the serial path.
     if profiled.result is not None and profiled.result.shard_report is not None:
@@ -277,7 +283,7 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     )
     spec = ExperimentSpec(
         protocol=args.protocol, config=config, environment=args.environment,
-        shards=args.shards, workers=args.workers,
+        shards=args.shards,
     )
     run = run_perf(spec, top_k=args.top)
     payload = perf_report_to_json_bytes(run.report)
@@ -316,7 +322,7 @@ def _cmd_dashboard(args: argparse.Namespace) -> int:
     specs = [
         ExperimentSpec(
             protocol=name, config=config, environment=args.environment,
-            shards=args.shards, workers=args.workers,
+            shards=args.shards,
         )
         for name in protocols
     ]
@@ -360,7 +366,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             scale=scale,
             jobs=args.jobs,
             shards=args.shards,
-            workers=args.workers,
             protocols=(args.protocol,) if args.protocol else None,
         )
         payload = grid_to_json_bytes(cells, seed=seed, scale=scale)
@@ -388,7 +393,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         raise SystemExit(str(exc))
     spec = ExperimentSpec(
         protocol=args.protocol, config=config, environment=args.environment,
-        shards=args.shards, workers=args.workers,
+        shards=args.shards,
     ).with_faults(plan)
     task = (spec, args.window)
     if args.jobs > 1:
@@ -424,7 +429,6 @@ def _cmd_regress(args: argparse.Namespace) -> int:
         update=args.update,
         quick=args.quick,
         shards=args.shards,
-        workers=args.workers,
     )
 
 

@@ -86,9 +86,10 @@ def simulator_bounded_environment() -> Environment:
     Identical topology, but the lognormal jitter multiplier is clamped
     at 0.25 (it falls below that with probability ~2e-8 at sigma 0.25),
     which gives the planar model a sound ``min_one_way_s`` of
-    ``0.010 * 0.25 = 2.5 ms`` -- positive shard lookahead instead of
-    serialized windows.  This is the environment the scale-out
-    benchmarks and the worker-parity gate run on (docs/scaling.md).
+    ``0.010 * 0.25 = 2.5 ms``.  Its use is ``--shards`` window
+    accounting: with a positive lookahead the sharded coordinator
+    counts fixed ``[kL, (k+1)L)`` windows instead of one barrier per
+    distinct event time (docs/scaling.md).
     """
     return Environment(
         name="peersim-bounded",

@@ -80,8 +80,7 @@ class EvaluationSuite:
     95% CIs) instead of a single :class:`ExperimentResult`.  Both shapes
     expose ``.metrics``, so the ``figNN_*`` methods are agnostic.
     ``shards`` selects community-partitioned execution per run
-    (repro.shard) and ``workers`` the lane scale-out fan-out -- both
-    byte-identical output under the determinism gates.
+    (repro.shard) -- byte-identical output under the determinism gate.
     """
 
     def __init__(
@@ -91,14 +90,12 @@ class EvaluationSuite:
         seeds: Optional[Sequence[int]] = None,
         jobs: int = 1,
         shards: int = 1,
-        workers: int = 1,
     ):
         self.config = config or SimulationConfig.default_scale()
         self.planetlab_config = planetlab_config or SimulationConfig.planetlab_scale()
         self.seeds = tuple(int(s) for s in seeds) if seeds else None
         self.jobs = max(1, int(jobs))
-        self.shards = max(1, int(shards))
-        self.workers = max(1, int(workers))
+        self.shards = shards
         self._results: Dict[Tuple[str, str], SuiteResult] = {}
 
     def _config_for(self, environment: str) -> SimulationConfig:
@@ -127,7 +124,6 @@ class EvaluationSuite:
             environment=environment,
             params=resolve_params(protocol_name, cfg, overrides or None),
             shards=self.shards,
-            workers=self.workers,
         )
         seeds = self.seeds or (cfg.seed,)
         return [base.with_seed(seed) for seed in seeds]

@@ -51,16 +51,14 @@ def sweep_specs(
     seeds: Optional[Sequence[int]] = None,
     environment: str = "peersim",
     shards: int = 1,
-    workers: int = 1,
 ) -> List[ExperimentSpec]:
     """The ``(protocol, seed)`` cross product, protocol-major order.
 
     All specs share ``config``'s trace recipe (one corpus, many
     trials); ``seeds`` defaults to the config's own seed.  ``shards``
-    selects community-partitioned execution per run, and ``workers``
-    the lane scale-out fan-out; both are hash-neutral (the determinism
-    gates make any shard/worker count byte-identical, so dedup and
-    caching by content hash still collapse across them).
+    selects community-partitioned execution per run; it is hash-neutral
+    (the determinism gate makes any shard count byte-identical, so
+    dedup and caching by content hash still collapse across it).
     """
     seed_list = [int(s) for s in seeds] if seeds else [config.seed]
     specs: List[ExperimentSpec] = []
@@ -71,7 +69,6 @@ def sweep_specs(
             environment=environment,
             params=resolve_params(name, config),
             shards=shards,
-            workers=workers,
         )
         specs.extend(base.with_seed(seed) for seed in seed_list)
     return specs

@@ -21,15 +21,9 @@ shard, cross-shard interactions are logged through the typed mailbox,
 and the lookahead window is bounded by the latency model's minimum
 cross-shard one-way delay.  The determinism gate guarantees the result
 is byte-identical to ``shards=1``; the per-shard attribution rides
-along as ``result.shard_report``.
-
-``spec.workers`` is recorded on that report but the paper-metric
-pipeline always executes exact mode in one process: the protocol stack
-shares server/tracker/overlay state across shards, so honest lane
-decomposition would change which RNG stream serves which draw.  Real
-multiprocess execution lives at the lane-program level
-(:mod:`repro.shard.workers`), where state is shared-nothing by
-construction; docs/scaling.md spells out the split.
+along as ``result.shard_report``.  Sharding never runs shards in
+parallel: the protocol stack shares server/tracker/overlay state across
+shards, so the run stays one process (docs/scaling.md).
 
 Delay model (documented in DESIGN.md section 5):
 
@@ -45,7 +39,6 @@ Delay model (documented in DESIGN.md section 5):
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
@@ -894,7 +887,7 @@ class ExperimentRunner:
         Every family event is scheduled *unkeyed* (no node-id first
         argument), so under sharded execution it runs as a global event
         in the exact-mode total order -- the property that keeps
-        ``--shards``/``--workers`` runs byte-identical.  With no family
+        ``--shards`` runs byte-identical.  With no family
         armed this schedules nothing, so fault-free runs are untouched.
         """
         if not self.faults:
@@ -1119,11 +1112,7 @@ class ExperimentRunner:
         self.metrics.tracker_lookup_failures = self.server.tracker_lookup_failures
         self.metrics.server_sheds = self.server.requests_shed
         report = (
-            dataclasses.replace(
-                self.scheduler.shard_report(),
-                workers=self.spec.workers,
-                execution="exact",
-            )
+            self.scheduler.shard_report()
             if isinstance(self.scheduler, ShardedScheduler)
             else None
         )

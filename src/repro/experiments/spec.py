@@ -101,11 +101,6 @@ class ExperimentSpec:
     #: count produces byte-identical results, so baselines and result
     #: caches keyed by :meth:`content_hash` stay valid across it.
     shards: int = 1
-    #: Worker processes for lane scale-out (repro.shard.workers).
-    #: Hash-neutral for the same reason as ``shards``: worker count is
-    #: how the run executes, never what it computes -- ``--workers M``
-    #: is byte-identical to ``--workers 1`` (the worker-parity gate).
-    workers: int = 1
 
     def __post_init__(self) -> None:
         entry = get_protocol(self.protocol)  # raises ValueError when unknown
@@ -123,8 +118,6 @@ class ExperimentSpec:
             raise TypeError("faults must be a FaultPlan or None")
         if not isinstance(self.shards, int) or self.shards < 1:
             raise ValueError(f"shards must be an int >= 1, got {self.shards!r}")
-        if not isinstance(self.workers, int) or self.workers < 1:
-            raise ValueError(f"workers must be an int >= 1, got {self.workers!r}")
 
     # -- derived views -------------------------------------------------------
 
@@ -213,15 +206,6 @@ class ExperimentSpec:
             assert spec.with_shards(4).content_hash() == spec.content_hash()
         """
         return replace(self, shards=shards)
-
-    def with_workers(self, workers: int) -> "ExperimentSpec":
-        """Copy running lane scale-out on ``workers`` processes.
-
-        Hash-neutral like :meth:`with_shards`::
-
-            assert spec.with_workers(4).content_hash() == spec.content_hash()
-        """
-        return replace(self, workers=workers)
 
     def label(self) -> str:
         """Compact human-readable identity for logs and progress rows."""

@@ -21,8 +21,8 @@ blow.  The scorecard columns are the graceful-degradation contract:
 
 Every cell replays one :class:`ExperimentSpec` under one family's demo
 plan, so the whole grid is a pure function of ``(seed, scale)``: the
-canonical JSON is byte-identical across ``--jobs``/``--shards``/
-``--workers``, which is exactly what the CI chaos-grid job diffs.
+canonical JSON is byte-identical across ``--jobs``/``--shards``,
+which is exactly what the CI chaos-grid job diffs.
 """
 
 from __future__ import annotations
@@ -110,7 +110,6 @@ def grid_specs(
     seed: int = 2014,
     scale: str = "smoke",
     shards: int = 1,
-    workers: int = 1,
     protocols: Optional[Tuple[str, ...]] = None,
 ) -> List[Tuple[str, str, ExperimentSpec]]:
     """Every ``(protocol, family, spec)`` cell, protocol-major order."""
@@ -127,8 +126,6 @@ def grid_specs(
             ).with_faults(family_plan(family))
             if shards != 1:
                 spec = spec.with_shards(shards)
-            if workers != 1:
-                spec = spec.with_workers(workers)
             cells.append((protocol, family, spec))
     return cells
 
@@ -159,7 +156,6 @@ def run_grid(
     scale: str = "smoke",
     jobs: int = 1,
     shards: int = 1,
-    workers: int = 1,
     protocols: Optional[Tuple[str, ...]] = None,
 ) -> List[GridCell]:
     """Run the full grid; cells come back in protocol-major order.
@@ -168,7 +164,7 @@ def run_grid(
     therefore the canonical JSON) is identical for any job count.
     """
     tasks = grid_specs(
-        seed=seed, scale=scale, shards=shards, workers=workers, protocols=protocols
+        seed=seed, scale=scale, shards=shards, protocols=protocols
     )
     if jobs > 1:
         with multiprocessing.Pool(processes=min(jobs, len(tasks))) as pool:
@@ -182,7 +178,7 @@ def grid_to_json_bytes(
     """Canonical scorecard JSON: sorted keys, fixed cell order.
 
     The bytes are the grid's parity surface: CI diffs this output
-    across ``--jobs``/``--shards``/``--workers``.
+    across ``--jobs``/``--shards``.
     """
     payload = {
         "schema": GRID_SCHEMA_VERSION,

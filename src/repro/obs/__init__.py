@@ -24,10 +24,8 @@ create a cycle.  Import them explicitly::
 from repro.obs.perf import (
     NULL_PERF,
     PERF_SCHEMA_VERSION,
-    LanePerf,
     NullPerfMeter,
     PerfMeter,
-    PoolPerf,
 )
 from repro.obs.tracer import (
     NULL_TRACER,
@@ -42,11 +40,9 @@ __all__ = [
     "NULL_TRACER",
     "PERF_SCHEMA_VERSION",
     "TRACE_SCHEMA_VERSION",
-    "LanePerf",
     "NullPerfMeter",
     "NullTracer",
     "PerfMeter",
-    "PoolPerf",
     "SpanHandle",
     "Tracer",
 ]

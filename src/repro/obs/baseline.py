@@ -246,7 +246,6 @@ def capture_baseline(
     window_s: float = DEFAULT_WINDOW_S,
     faults: Optional[FaultPlan] = None,
     shards: int = 1,
-    workers: int = 1,
     variant: Optional[str] = None,
 ) -> Dict[str, Any]:
     """Snapshot one protocol's baseline payload from a fresh run.
@@ -256,10 +255,9 @@ def capture_baseline(
     ``baseline_<protocol>_<environment>_chaos.json`` file.
 
     ``shards`` selects community-partitioned execution for the capture
-    run, ``workers`` the lane scale-out fan-out.  Both are hash-neutral
-    and byte-identical by the determinism gates, so ``regress --shards
-    N --workers M`` compares those runs against baselines captured
-    unsharded -- any drift is a real parity bug.
+    run.  It is hash-neutral and byte-identical by the determinism gate,
+    so ``regress --shards N`` compares those runs against baselines
+    captured unsharded -- any drift is a real parity bug.
 
     Example::
 
@@ -276,8 +274,6 @@ def capture_baseline(
         spec = spec.with_faults(faults)
     if shards != 1:
         spec = spec.with_shards(shards)
-    if workers != 1:
-        spec = spec.with_workers(workers)
     return _capture(spec, scale, window_s, variant=variant)
 
 
@@ -292,7 +288,6 @@ def _capture_worker(task: Dict[str, Any]) -> Dict[str, Any]:
         window_s=task.get("window_s", DEFAULT_WINDOW_S),
         faults=FaultPlan.from_dict(faults) if faults else None,
         shards=task.get("shards", 1),
-        workers=task.get("workers", 1),
         variant=task.get("variant"),
     )
 
@@ -365,7 +360,6 @@ def run_regression(
     quick: bool = False,
     protocols: Optional[Tuple[str, ...]] = None,
     shards: int = 1,
-    workers: int = 1,
 ) -> int:
     """The ``python -m repro regress`` entry point; returns the exit code.
 
@@ -376,9 +370,8 @@ def run_regression(
     ``strict`` -- a series-digest mismatch.  ``update=True`` instead
     rewrites the files from the fresh captures (bootstrapping
     :data:`DEFAULT_PROTOCOLS` when the directory is empty).
-    ``shards > 1`` re-runs each baseline community-partitioned and
-    ``workers > 1`` records the lane scale-out fan-out; the determinism
-    gates make the expected drift still exactly zero.
+    ``shards > 1`` re-runs each baseline community-partitioned; the
+    determinism gate makes the expected drift still exactly zero.
     """
     entries = load_baselines(baseline_dir)
     if quick:
@@ -411,7 +404,6 @@ def run_regression(
             "faults": payload.get("faults"),
             "variant": payload.get("variant"),
             "shards": shards,
-            "workers": workers,
         }
         for _path, payload in entries
     ]

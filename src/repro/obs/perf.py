@@ -5,8 +5,8 @@ sim-clock-only -- traces, time-series, metrics are pure functions of
 the :class:`repro.experiments.spec.ExperimentSpec` and byte-identical
 across machines.  This module is the one sanctioned home of the *other*
 clock: it measures where **wall** time goes (events/s, per-phase
-hotspots, lane busy/idle/barrier-wait breakdowns) so the ROADMAP's
-"make the engine fast" work has numbers to aim at.
+hotspots, per-shard busy time) so the ROADMAP's "make the engine fast"
+work has numbers to aim at.
 
 Three rules keep the determinism story intact:
 
@@ -17,8 +17,8 @@ Three rules keep the determinism story intact:
    of canonical output (``tests/test_obs_perf.py`` diffs it).
 2. **Zero-cost when off.**  :data:`NULL_PERF` mirrors the
    :data:`repro.obs.tracer.NULL_TRACER` discipline: it is falsy, so
-   every hook in the engine and the worker pool reduces to one
-   truthiness check (``if perf: ...``) on the inert path.
+   every hook in the engine reduces to one truthiness check
+   (``if perf: ...``) on the inert path.
 3. **Lint-sanctioned namespace.**  The ``wall-clock`` analyzer rule
    bans ``time.perf_counter`` and friends everywhere *except* this
    module (mirroring how ``faults.*`` owns its RNG namespace); other
@@ -34,25 +34,12 @@ Example::
 
 from __future__ import annotations
 
-import pickle
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 #: Bumped whenever the perf-report shape changes, mirroring the trace
 #: schema discipline so stale perf artifacts can never be misread.
-PERF_SCHEMA_VERSION = 1
-
-#: Top-level keys of the worker-pool section of a perf report
-#: (:meth:`PoolPerf.finalize`).  Documented in docs/performance.md
-#: (cross-checked by tools/check_docs.py).
-POOL_PERF_FIELDS: Tuple[str, ...] = (
-    "execution",
-    "workers",
-    "wall_s",
-    "lanes",
-    "worker_utilization",
-    "coordinator",
-)
+PERF_SCHEMA_VERSION = 2
 
 
 class NullPerfMeter:
@@ -293,184 +280,3 @@ class PerfMeter:
             for shard in sorted(self._lane_busy)
         ]
 
-
-class LanePerf:
-    """Worker-process-side perf accumulator for the lane pool.
-
-    One instance lives inside each worker process (or one total for
-    in-process execution), timing lane windows and barrier deliveries.
-    :meth:`snapshot` reduces it to a plain dict that rides back to the
-    coordinator on the final ``stats`` control frame -- pickle-safe,
-    no live objects cross the pipe.
-    """
-
-    __slots__ = ("_started", "_busy_by_lane", "_deliver_s", "_delivered")
-
-    def __init__(self) -> None:
-        self._started = time.perf_counter()
-        self._busy_by_lane: Dict[int, float] = {}
-        self._deliver_s = 0.0
-        self._delivered = 0
-
-    @staticmethod
-    def clock() -> float:
-        """Monotonic wall clock for bracketing lane work."""
-        return time.perf_counter()
-
-    def add_busy(self, lane_index: int, began: float) -> None:
-        """Charge wall time since ``began`` to one lane's busy total."""
-        self._busy_by_lane[lane_index] = self._busy_by_lane.get(
-            lane_index, 0.0
-        ) + (time.perf_counter() - began)
-
-    def add_deliver(self, began: float, messages: int) -> None:
-        """Charge one barrier-delivery batch (wall time + message count)."""
-        self._deliver_s += time.perf_counter() - began
-        self._delivered += int(messages)
-
-    def snapshot(self) -> Dict[str, Any]:
-        """Plain-dict reduction for the ``stats`` control frame."""
-        return {
-            "wall_s": time.perf_counter() - self._started,
-            "busy_s_by_lane": dict(self._busy_by_lane),
-            "deliver_s": self._deliver_s,
-            "messages_delivered": self._delivered,
-        }
-
-
-class PoolPerf:
-    """Coordinator-side perf accumulator for the lane pool.
-
-    Armed by passing an instance to
-    :func:`repro.shard.workers.run_lane_program`; the coordinator times
-    its barrier waits, mailbox routing (batch sizes and pickled pipe
-    payload bytes), and the canonical row merge, then
-    :meth:`finalize` folds everything -- including the per-worker
-    :class:`LanePerf` snapshots -- into the :data:`POOL_PERF_FIELDS`
-    dict that answers "are 4 workers spending 4 cores?".
-    """
-
-    __slots__ = (
-        "_started",
-        "_barrier_wait_s",
-        "_merge_s",
-        "_deliver_batches",
-        "_deliver_messages",
-        "_pipe_payload_bytes",
-    )
-
-    #: PoolPerf is always armed; the inert path passes ``perf=None``.
-    enabled = True
-
-    def __init__(self) -> None:
-        self._started = time.perf_counter()
-        self._barrier_wait_s = 0.0
-        self._merge_s = 0.0
-        self._deliver_batches: List[int] = []
-        self._deliver_messages = 0
-        self._pipe_payload_bytes = 0
-
-    def __bool__(self) -> bool:
-        return True
-
-    @staticmethod
-    def clock() -> float:
-        """Monotonic wall clock for bracketing coordinator work."""
-        return time.perf_counter()
-
-    def lane_perf(self) -> LanePerf:
-        """A fresh worker-side accumulator (in-process mode uses one)."""
-        return LanePerf()
-
-    def add_barrier_wait(self, began: float) -> None:
-        """Charge wall time since ``began`` to barrier-reply waiting."""
-        self._barrier_wait_s += time.perf_counter() - began
-
-    def add_merge(self, began: float) -> None:
-        """Charge wall time since ``began`` to the canonical row merge."""
-        self._merge_s += time.perf_counter() - began
-
-    def record_deliver(self, routed: List[List[Any]]) -> None:
-        """Record one barrier's routed mailbox batches.
-
-        ``routed`` is the per-worker message batch list; batch sizes
-        and pickled payload bytes quantify pipe pressure.  Pickling
-        here is measurement overhead the armed path accepts -- the
-        inert path never reaches this method.
-        """
-        for batch in routed:
-            if not batch:
-                continue
-            self._deliver_batches.append(len(batch))
-            self._deliver_messages += len(batch)
-            self._pipe_payload_bytes += len(
-                pickle.dumps(batch, protocol=pickle.HIGHEST_PROTOCOL)
-            )
-
-    def finalize(
-        self,
-        stats: Dict[str, Any],
-        lane_stats: List[Tuple[int, int, int, int]],
-        worker_snapshots: List[Optional[Dict[str, Any]]],
-        assignments: Optional[List[List[int]]] = None,
-    ) -> Dict[str, Any]:
-        """Fold everything into the :data:`POOL_PERF_FIELDS` dict.
-
-        ``stats`` is the run's :data:`repro.shard.workers.STATS_FIELDS`
-        payload, ``lane_stats`` the per-lane counter tuples,
-        ``worker_snapshots`` one :meth:`LanePerf.snapshot` per worker
-        (None when a worker carried no accumulator), ``assignments``
-        the lane->worker layout (None for in-process execution).
-        """
-        wall_s = time.perf_counter() - self._started
-        busy_by_lane: Dict[int, float] = {}
-        for snapshot in worker_snapshots:
-            if snapshot:
-                for lane, busy in snapshot["busy_s_by_lane"].items():
-                    busy_by_lane[int(lane)] = busy_by_lane.get(int(lane), 0.0) + busy
-        lanes = [
-            {
-                "lane": index,
-                "events": events,
-                "messages_sent": sent,
-                "rows": emitted,
-                "busy_s": busy_by_lane.get(index, 0.0),
-            }
-            for index, events, sent, emitted in sorted(lane_stats)
-        ]
-        if assignments is None:
-            assignments = [[entry["lane"] for entry in lanes]]
-        utilization = []
-        for worker, lane_indices in enumerate(assignments):
-            snapshot = (
-                worker_snapshots[worker] if worker < len(worker_snapshots) else None
-            )
-            busy = sum(busy_by_lane.get(index, 0.0) for index in lane_indices)
-            worker_wall = snapshot["wall_s"] if snapshot else wall_s
-            utilization.append(
-                {
-                    "worker": worker,
-                    "lanes": list(lane_indices),
-                    "wall_s": worker_wall,
-                    "busy_s": busy,
-                    "deliver_s": snapshot["deliver_s"] if snapshot else 0.0,
-                    "idle_s": max(0.0, worker_wall - busy),
-                    "utilization": busy / worker_wall if worker_wall > 0 else 0.0,
-                }
-            )
-        batches = self._deliver_batches
-        return {
-            "execution": stats["execution"],
-            "workers": stats["workers"],
-            "wall_s": wall_s,
-            "lanes": lanes,
-            "worker_utilization": utilization,
-            "coordinator": {
-                "barrier_wait_s": self._barrier_wait_s,
-                "merge_s": self._merge_s,
-                "deliver_batches": len(batches),
-                "max_batch_messages": max(batches) if batches else 0,
-                "deliver_messages": self._deliver_messages,
-                "pipe_payload_bytes": self._pipe_payload_bytes,
-            },
-        }

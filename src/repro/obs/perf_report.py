@@ -2,11 +2,11 @@
 
 A perf report is the wall-clock sibling of the canonical trace: one
 JSON document keyed by the spec's ``content_hash`` holding everything
-:class:`repro.obs.perf.PerfMeter` and the worker pool measured --
-engine throughput, hotspot attribution, lane utilization, coordinator
-overheads.  It lives *next to* the trace, never inside it: running
-``repro perf`` produces a trace byte-identical to ``repro profile``'s
-plus this separate artifact (the perf-smoke CI job diffs the former).
+:class:`repro.obs.perf.PerfMeter` measured -- engine throughput,
+hotspot attribution, per-shard lane utilization.  It lives *next to*
+the trace, never inside it: running ``repro perf`` produces a trace
+byte-identical to ``repro profile``'s plus this separate artifact (the
+perf-smoke CI job diffs the former).
 
 Example::
 
@@ -19,15 +19,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.experiments.runner import ExperimentResult, run_spec
 from repro.experiments.spec import ExperimentSpec
 from repro.experiments.trace_cache import shared_trace_cache
 from repro.obs.export import trace_header, trace_to_jsonl_bytes
-from repro.obs.perf import PERF_SCHEMA_VERSION, PerfMeter, PoolPerf
+from repro.obs.perf import PERF_SCHEMA_VERSION, PerfMeter
 from repro.obs.tracer import Tracer
-from repro.shard.workers import LaneProgram, LaneRunResult, run_lane_program
 
 #: Top-level keys of a perf report (:func:`build_perf_report`).
 #: Documented in docs/performance.md (cross-checked by
@@ -39,88 +38,22 @@ PERF_REPORT_FIELDS: Tuple[str, ...] = (
     "environment",
     "seed",
     "shards",
-    "workers",
     "engine",
     "hotspots",
     "lanes",
-    "pool",
 )
-
-
-class PerfProbeProgram(LaneProgram):
-    """The lane program ``repro perf`` runs to exercise the worker pool.
-
-    The paper-metric pipeline still executes exact mode in one process
-    (shared tracker/server state -- see docs/scaling.md), so pool
-    introspection needs a live pool: each lane ticks once per simulated
-    second, burns a small deterministic compute kernel (so busy time is
-    measurable), emits one row, and pings its ring neighbour two
-    lookahead windows out.  Output rows are byte-identical across
-    worker counts -- the same contract every lane program carries.
-    """
-
-    #: LCG iterations per tick; sized so a probe run's busy time
-    #: dominates its barrier overhead without taking seconds.
-    SPIN = 400
-
-    def setup(self, lane: Any) -> None:
-        """Plant the lane's first tick one simulated second out."""
-        lane.post(1.0, self._tick, lane, 0)
-
-    def _tick(self, lane: Any, step: int) -> None:
-        acc = (lane.index + 1) * 2654435761 % 2**32
-        for _ in range(self.SPIN):
-            acc = (acc * 1103515245 + 12345) % 2**31
-        lane.emit("probe", step, acc % 97)
-        if lane.num_shards > 1:
-            lane.send(
-                (lane.index + 1) % lane.num_shards,
-                lane.now + 2.0 * lane.lookahead_s,
-                "probe-ping",
-                (step,),
-            )
-        lane.post(1.0, self._tick, lane, step + 1)
-
-    def on_message(self, lane: Any, message: Any) -> None:
-        """Absorb a neighbour's ping (delivery cost is the measurement)."""
-
-
-def run_pool_probe(
-    spec: ExperimentSpec,
-    perf: Optional[PoolPerf] = None,
-    horizon_s: float = 120.0,
-) -> LaneRunResult:
-    """Run the pool probe at the spec's requested shard/worker fan-out.
-
-    ``num_shards`` is at least the worker count (a lane is the unit of
-    placement), lookahead is a fixed 1.0 s grid.  Pass a
-    :class:`PoolPerf` to collect the introspection payload on
-    ``result.perf``; pass None for the inert reference run.
-    """
-    return run_lane_program(
-        PerfProbeProgram,
-        num_shards=max(spec.shards, spec.workers, 1),
-        lookahead_s=1.0,
-        horizon_s=horizon_s,
-        seed=spec.seed,
-        workers=spec.workers,
-        perf=perf,
-    )
 
 
 def build_perf_report(
     spec: ExperimentSpec,
     result: ExperimentResult,
     meter: PerfMeter,
-    pool: Optional[Dict[str, Any]] = None,
     top_k: int = 10,
 ) -> Dict[str, Any]:
     """Fold one armed run into the :data:`PERF_REPORT_FIELDS` dict.
 
-    ``pool`` is the :data:`repro.obs.perf.POOL_PERF_FIELDS` payload of
-    a pool-probe run (None when ``spec.workers <= 1``).  Unsharded runs
-    synthesize a single lane from the engine totals so the lane section
-    is always present.
+    Unsharded runs synthesize a single lane from the engine totals so
+    the lane section is always present.
     """
     lanes = meter.lanes()
     if not lanes:
@@ -134,7 +67,6 @@ def build_perf_report(
         "environment": spec.environment,
         "seed": spec.seed,
         "shards": spec.shards,
-        "workers": spec.workers,
         "engine": {
             "wall_s": meter.wall_s,
             "events": meter.events,
@@ -145,7 +77,6 @@ def build_perf_report(
         },
         "hotspots": meter.hotspots(top_k),
         "lanes": lanes,
-        "pool": pool,
     }
 
 
@@ -185,26 +116,6 @@ def render_perf_report(report: Dict[str, Any]) -> str:
             f"  lane {lane['lane']:<4} {lane['events']:>9} events "
             f"{lane['busy_s']:>9.3f} s busy"
         )
-    pool = report.get("pool")
-    if pool:
-        coord = pool["coordinator"]
-        lines.append(
-            f"worker pool ({pool['execution']}, {pool['workers']} workers, "
-            f"{pool['wall_s']:.2f} s wall)"
-        )
-        for entry in pool["worker_utilization"]:
-            lines.append(
-                f"  worker {entry['worker']}: lanes {entry['lanes']} "
-                f"busy {entry['busy_s']:.3f} s / idle {entry['idle_s']:.3f} s "
-                f"({100.0 * entry['utilization']:.0f}% busy)"
-            )
-        lines.append(
-            f"  coordinator: barrier wait {coord['barrier_wait_s']:.3f} s, "
-            f"merge {coord['merge_s']:.3f} s, "
-            f"{coord['deliver_messages']} messages over "
-            f"{coord['deliver_batches']} batches "
-            f"({coord['pipe_payload_bytes']} pipe payload bytes)"
-        )
     return "\n".join(lines)
 
 
@@ -218,23 +129,17 @@ class PerfRun:
     jsonl: bytes
 
 
-def run_perf(
-    spec: ExperimentSpec,
-    top_k: int = 10,
-    probe_horizon_s: float = 120.0,
-) -> PerfRun:
+def run_perf(spec: ExperimentSpec, top_k: int = 10) -> PerfRun:
     """Execute one spec with the perf layer armed; the ``repro perf`` core.
 
     Runs the paper-metric pipeline with a live tracer *and* an attached
-    :class:`PerfMeter` (the trace bytes stay identical to an unarmed
-    ``run_profiled``), then -- when the spec asks for ``workers > 1``
-    -- runs the pool probe under a :class:`PoolPerf` for the
-    worker-utilization section.
+    :class:`PerfMeter`; the trace bytes stay identical to an unarmed
+    ``run_profiled``.
 
     Example::
 
-        run = run_perf(spec.with_workers(4))
-        assert run.report["pool"]["workers"] == 4
+        run = run_perf(spec.with_shards(4))
+        assert run.report["shards"] == 4
     """
     dataset = shared_trace_cache.dataset_for(spec.config.trace)
     tracer = Tracer()
@@ -244,11 +149,5 @@ def run_perf(
     jsonl = trace_to_jsonl_bytes(
         trace_header(spec), tracer.rows(), tracer.counters(), tracer.histograms()
     )
-    pool: Optional[Dict[str, Any]] = None
-    if spec.workers > 1:
-        probe = run_pool_probe(
-            spec, perf=PoolPerf(), horizon_s=probe_horizon_s
-        )
-        pool = probe.perf
-    report = build_perf_report(spec, result, meter, pool=pool, top_k=top_k)
+    report = build_perf_report(spec, result, meter, top_k=top_k)
     return PerfRun(spec=spec, result=result, report=report, jsonl=jsonl)

@@ -7,55 +7,34 @@ simulation: most traffic is intra-community, so cross-shard
 interactions are rare and conservative synchronization is cheap (the
 same observation CliqueStream exploits for clustered overlays).
 
-The package has four parts:
+The package has three parts:
 
 * :mod:`repro.shard.partition` -- the deterministic interest-community
   partitioner mapping nodes to shards;
-* :mod:`repro.shard.mailbox` -- typed inter-shard messages with the
-  canonical ``(fire_time, origin_shard, seq)`` ordering key;
+* :mod:`repro.shard.mailbox` -- typed inter-shard message records and
+  the per-pair traffic / lookahead accounting;
 * :mod:`repro.shard.scheduler` -- :class:`ShardedScheduler`, the
   *exact-mode* coordinator implementing the
   :class:`repro.sim.scheduler.Scheduler` protocol: every event is
   tagged with its owning shard, cross-shard sends are logged through
   the mailbox, and execution preserves the global total order so
-  ``shards=N`` is byte-identical to ``shards=1``;
-* :mod:`repro.shard.lanes` -- :class:`LaneEngine`, the *throughput
-  mode*: per-shard event lanes advance independently inside
-  conservative lookahead windows bounded by the minimum cross-shard
-  latency, exchanging mailbox batches at window barriers;
-* :mod:`repro.shard.workers` -- the *scale-out mode*:
-  :func:`run_lane_program` executes one :class:`LaneProgram` per shard
-  on a persistent ``multiprocessing`` pool, shared-nothing lane state,
-  mailbox batches over pipes only at window barriers, rows merged in
-  canonical order -- byte-identical to the in-process run for any
-  worker count (see docs/scaling.md).
+  ``shards=N`` is byte-identical to ``shards=1``.
+
+Shards never execute in parallel: the protocol stack shares server,
+tracker and overlay state, so a sharded run stays one process and
+``--shards`` is attribution only (see docs/scaling.md).
 """
 
-from repro.shard.lanes import LaneEngine, run_program_on_lane_engine
 from repro.shard.mailbox import Mailbox, ShardMessage, ShardViolation
 from repro.shard.partition import CommunityPartition, primary_interest
 from repro.shard.scheduler import ShardedScheduler, ShardReport
-from repro.shard.workers import (
-    LaneProgram,
-    LaneRunResult,
-    WorkerCrashError,
-    WorkerLane,
-    run_lane_program,
-)
 
 __all__ = [
     "CommunityPartition",
-    "LaneEngine",
-    "LaneProgram",
-    "LaneRunResult",
     "Mailbox",
     "ShardMessage",
     "ShardReport",
     "ShardViolation",
     "ShardedScheduler",
-    "WorkerCrashError",
-    "WorkerLane",
     "primary_interest",
-    "run_lane_program",
-    "run_program_on_lane_engine",
 ]

@@ -3,28 +3,23 @@
 
 Cross-shard interactions -- inter-cluster link searches, tracker
 lookups, server traffic, crash-repair routed to the owning shard --
-are not direct Python callbacks across the partition; they are
-:class:`ShardMessage` records funneled through one :class:`Mailbox`.
-Two properties make the mailbox the determinism backbone of
-:mod:`repro.shard`:
+are logged as :class:`ShardMessage` records through one
+:class:`Mailbox`.  The exact-mode coordinator delivers every event
+through its shared heap, so the mailbox only *accounts*:
 
-* **Canonical order.**  Every delivery batch is sorted by the key
-  ``(fire_time, origin_shard, seq)`` where ``seq`` is the per-origin
-  send counter.  The key is a pure function of simulation state, never
-  of wall-clock arrival, so any interleaving of shard progress yields
-  the same delivery order.
-* **Lookahead accounting.**  A conservative sender may not post a
-  message that fires inside its own current window (before
-  ``window_end``): such a send is a *lookahead violation*, counted
-  always and fatal under ``strict=True``.  The exact-mode coordinator
-  runs lax (violations are impossible there by construction, the
-  counter is a cross-check); the windowed lane engine runs strict.
+* **Traffic.**  Per-origin send sequence numbers and per-pair message
+  counts feed the shard report.
+* **Lookahead.**  A conservative sender may not post a message that
+  fires inside its own current window (before ``window_end``): such a
+  send is a *lookahead violation*, counted always and fatal under
+  ``strict=True``.  The exact-mode coordinator runs lax (violations
+  are impossible there by construction, the counter is a cross-check).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 
 class ShardViolation(RuntimeError):
@@ -38,30 +33,15 @@ class ShardMessage:
     fire_time: float
     origin_shard: int
     dest_shard: int
-    #: Per-origin-shard send sequence number (third ordering component).
+    #: Per-origin-shard send sequence number.
     seq: int
     #: Interaction type, e.g. ``"_finish_video"`` or ``"repair"``.
     kind: str
     payload: Tuple[Any, ...] = ()
 
-    @property
-    def sort_key(self) -> Tuple[float, int, int]:
-        return (self.fire_time, self.origin_shard, self.seq)
-
-
-def canonical_order(messages: List[ShardMessage]) -> List[ShardMessage]:
-    """Sort a batch by the canonical ``(fire_time, origin_shard, seq)`` key."""
-    return sorted(messages, key=lambda m: (m.fire_time, m.origin_shard, m.seq))
-
 
 class Mailbox:
-    """Collects cross-shard sends; drains them in canonical order.
-
-    Deferred sends (the windowed lane engine) buffer until the next
-    barrier calls :meth:`deliver_all`; eager sends (the exact-mode
-    coordinator, which keeps the global event order itself) are counted
-    as delivered immediately and never buffer.
-    """
+    """Counts cross-shard sends per shard pair and checks lookahead."""
 
     def __init__(self, num_shards: int, *, strict: bool = False):
         if num_shards < 1:
@@ -69,9 +49,7 @@ class Mailbox:
         self.num_shards = num_shards
         self.strict = strict
         self._next_seq = [0] * num_shards
-        self._pending: List[ShardMessage] = []
         self.sent = 0
-        self.delivered = 0
         self.violations = 0
         #: (origin, dest) -> message count, for the shard report.
         self.by_pair: Dict[Tuple[int, int], int] = {}
@@ -85,14 +63,12 @@ class Mailbox:
         payload: Tuple[Any, ...] = (),
         *,
         window_end: Optional[float] = None,
-        defer: bool = True,
     ) -> ShardMessage:
         """Record one cross-shard interaction.
 
         ``window_end`` is the end of the sender's current lookahead
         window; a ``fire_time`` before it violates the conservative
-        synchronization contract.  ``defer=False`` marks the message
-        delivered immediately (exact mode).
+        synchronization contract.
         """
         seq = self._next_seq[origin]
         self._next_seq[origin] = seq + 1
@@ -115,27 +91,12 @@ class Mailbox:
         self.sent += 1
         pair = (origin, dest)
         self.by_pair[pair] = self.by_pair.get(pair, 0) + 1
-        if defer:
-            self._pending.append(message)
-        else:
-            self.delivered += 1
         return message
-
-    def pending_count(self) -> int:
-        return len(self._pending)
-
-    def deliver_all(self) -> List[ShardMessage]:
-        """Drain every buffered message, sorted canonically (a barrier)."""
-        batch = canonical_order(self._pending)
-        self._pending.clear()
-        self.delivered += len(batch)
-        return batch
 
     def summary(self) -> Dict[str, Any]:
         """Counters for the shard report; plain types, pickle-safe."""
         return {
             "sent": self.sent,
-            "delivered": self.delivered,
             "violations": self.violations,
             "by_pair": sorted(
                 (origin, dest, count)
@@ -146,5 +107,5 @@ class Mailbox:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Mailbox(shards={self.num_shards}, sent={self.sent}, "
-            f"pending={len(self._pending)}, violations={self.violations})"
+            f"violations={self.violations})"
         )

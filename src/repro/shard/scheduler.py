@@ -59,27 +59,16 @@ class ShardReport:
     windows: int
     events_by_shard: Tuple[int, ...]
     messages_sent: int
-    messages_delivered: int
     lookahead_violations: int
     #: ``(origin, dest, count)`` per shard pair, sorted.
     messages_by_pair: Tuple[Tuple[int, int, int], ...]
-    #: Worker processes the spec asked for.  Exact mode always executes
-    #: single-process (byte parity is structural: one shared heap); real
-    #: multiprocess execution lives in :mod:`repro.shard.workers`, and
-    #: this field records the requested fan-out for the report.
-    workers: int = 1
-    #: Which execution model produced the run: ``"exact"`` here; the
-    #: lane pool reports ``"in-process"``/``"multiprocess"``/
-    #: ``"serialized"`` through its own stats payload.
-    execution: str = "exact"
 
     def render_rows(self) -> List[str]:
         total = max(1, sum(self.events_by_shard))
         rows = [
             f"  shards: {self.num_shards} "
             f"(lookahead {self.lookahead_s * 1000.0:.1f} ms, "
-            f"{self.windows} windows, {self.execution} mode, "
-            f"workers {self.workers})"
+            f"{self.windows} windows)"
         ]
         for shard, events in enumerate(self.events_by_shard):
             rows.append(
@@ -219,7 +208,6 @@ class ShardedScheduler:
             fire_time,
             kind=getattr(fn, "__name__", "callback"),
             window_end=self._window_end,
-            defer=False,  # exact mode: the shared heap is the delivery
         )
 
     def _fire(self, dest: int, fn: Callable[..., Any], args: Tuple[Any, ...]) -> None:
@@ -327,7 +315,6 @@ class ShardedScheduler:
             windows=self.windows,
             events_by_shard=tuple(self.events_by_shard),
             messages_sent=summary["sent"],
-            messages_delivered=summary["delivered"],
             lookahead_violations=summary["violations"],
             messages_by_pair=tuple(summary["by_pair"]),
         )

@@ -10,9 +10,8 @@ event engine through this structural interface rather than the concrete
   kernel (``shards=1``);
 * :class:`repro.shard.scheduler.ShardedScheduler` -- the
   community-partitioned coordinator that tags every event with an
-  owning shard, routes cross-shard sends through the typed inter-shard
-  mailbox, and advances in conservative lookahead windows
-  (``shards>1``).
+  owning shard, logs cross-shard sends in the typed inter-shard
+  mailbox, and counts conservative lookahead windows (``shards>1``).
 
 The protocol is deliberately the *exact* surface the call sites already
 used, so adopting it changed no behaviour: satisfying it is a fact

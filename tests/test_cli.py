@@ -5,6 +5,34 @@ import pytest
 from repro.cli import main
 
 
+#: Every run-executing subcommand, with the arguments that make it a
+#: cheap run if a bad flag were ever accepted instead of rejected.
+RUN_COMMANDS = (
+    ["compare", "--quick"],
+    ["figures", "--quick"],
+    ["profile", "socialtube"],
+    ["perf", "socialtube"],
+    ["chaos", "socialtube"],
+    ["dashboard", "socialtube"],
+    ["regress", "--quick"],
+)
+
+
+@pytest.mark.parametrize("command", RUN_COMMANDS, ids=lambda argv: argv[0])
+@pytest.mark.parametrize(
+    "bad_flag",
+    (["--workers", "2"], ["--shards", "0"], ["--jobs", "0"], ["--jobs", "-1"]),
+    ids=lambda flag: "".join(flag).lstrip("-"),
+)
+def test_bad_run_flags_are_usage_errors(command, bad_flag, capsys):
+    # argparse rejects the removed worker-count flag and non-positive
+    # counts before any run starts: exit 2 with a usage message.
+    with pytest.raises(SystemExit) as excinfo:
+        main(command + bad_flag)
+    assert excinfo.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
 class TestCli:
     def test_requires_command(self, capsys):
         with pytest.raises(SystemExit):
@@ -78,15 +106,6 @@ class TestCli:
         sharded = capsys.readouterr().out
         assert unsharded == sharded
 
-    def test_workers_flag_output_matches_plain(self, capsys):
-        # The worker count is byte-neutral by contract (docs/scaling.md);
-        # CI's worker-parity job enforces the same diff at full scale.
-        main(["compare", "--quick"])
-        plain = capsys.readouterr().out
-        main(["compare", "--quick", "--shards", "4", "--workers", "4"])
-        pooled = capsys.readouterr().out
-        assert plain == pooled
-
     def test_seed_accepted_after_subcommand(self, capsys):
         # The shared parent parses --seed in subcommand position without
         # clobbering the top-level default when absent.
@@ -103,10 +122,8 @@ class TestCli:
         from repro.cli import _run_flags_parent
 
         parent = _run_flags_parent()
-        args = parent.parse_args(
-            ["--seeds", "1,2", "--jobs", "2", "--shards", "4", "--workers", "2"]
-        )
-        assert (args.seeds, args.jobs, args.shards, args.workers) == ("1,2", 2, 4, 2)
+        args = parent.parse_args(["--seeds", "1,2", "--jobs", "2", "--shards", "4"])
+        assert (args.seeds, args.jobs, args.shards) == ("1,2", 2, 4)
         assert not hasattr(args, "seed")  # SUPPRESS: absent unless given
         assert parent.parse_args(["--seed", "9"]).seed == 9
 

@@ -156,19 +156,6 @@ class TestExperimentSpec:
         with pytest.raises(ValueError):
             ExperimentSpec(protocol="socialtube", config=MICRO, shards=0)
 
-    def test_workers_are_hash_neutral(self):
-        # Like shards: the worker count is an execution detail under
-        # the byte-parity gate and may never perturb content hashes.
-        spec = ExperimentSpec(protocol="socialtube", config=MICRO)
-        pooled = spec.with_workers(4)
-        assert pooled.workers == 4
-        assert pooled.content_hash() == spec.content_hash()
-        assert pooled != spec  # equality still sees the field
-
-    def test_invalid_workers_rejected(self):
-        with pytest.raises(ValueError):
-            ExperimentSpec(protocol="socialtube", config=MICRO, workers=0)
-
 
 class TestTraceCache:
     def test_identical_recipes_synthesize_once(self):

@@ -77,11 +77,10 @@ class TestGridSpecs:
         for _protocol, family, spec in cells:
             assert spec.faults == family_plan(family)
 
-    def test_shards_and_workers_ride_on_the_spec(self):
-        cells = grid_specs(seed=2014, scale="smoke", shards=4, workers=2)
+    def test_shards_ride_on_the_spec(self):
+        cells = grid_specs(seed=2014, scale="smoke", shards=4)
         for _protocol, _family, spec in cells:
             assert spec.shards == 4
-            assert spec.workers == 2
 
 
 class TestScorecardSerialization:

@@ -2,18 +2,17 @@
 
 Four guarantees pinned here:
 
-1. **Byte parity** -- arming a :class:`~repro.obs.perf.PerfMeter` (and,
-   for pool runs, a :class:`~repro.obs.perf.PoolPerf`) changes no
-   canonical byte: trace JSONL, metric rows and pool stats are
-   identical armed vs unarmed, serially and across worker counts.
+1. **Byte parity** -- arming a :class:`~repro.obs.perf.PerfMeter`
+   changes no canonical byte: trace JSONL and metric rows are
+   identical armed vs unarmed, unsharded and sharded.
 2. **Inert-path cost** -- the disabled ``if perf:`` guard stays under
    2% of run wall-clock, established constructively like
    ``tests/test_obs_overhead.py`` (per-guard cost measured in
    isolation x guards per event), not by noisy A/B run deltas.
 3. **Report schema stability** -- the sidecar report's top-level keys
    are exactly ``PERF_REPORT_FIELDS`` at ``PERF_SCHEMA_VERSION``, its
-   non-timing fields are deterministic, and the pool section carries
-   exactly ``POOL_PERF_FIELDS``.
+   non-timing fields are deterministic, and sharded runs report one
+   lane per shard.
 4. **Lint carve-out** -- ``repro.obs.perf`` may read the wall clock
    and nothing else may: the ``wall-clock`` rule stays silent for the
    sanctioned path and fires (high severity) everywhere else,
@@ -28,29 +27,20 @@ from repro.experiments.spec import ExperimentSpec
 from repro.experiments.trace_cache import shared_trace_cache
 from repro.lint import lint_source
 from repro.obs.export import trace_header, trace_to_jsonl_bytes
-from repro.obs.perf import (
-    NULL_PERF,
-    POOL_PERF_FIELDS,
-    PERF_SCHEMA_VERSION,
-    PerfMeter,
-    PoolPerf,
-)
+from repro.obs.perf import NULL_PERF, PERF_SCHEMA_VERSION, PerfMeter
 from repro.obs.perf_report import (
     PERF_REPORT_FIELDS,
-    build_perf_report,
     perf_report_to_json_bytes,
     run_perf,
-    run_pool_probe,
 )
 from repro.obs.tracer import Tracer
 
 
-def _spec(shards: int = 1, workers: int = 1) -> ExperimentSpec:
+def _spec(shards: int = 1) -> ExperimentSpec:
     return ExperimentSpec(
         protocol="socialtube",
         config=SimulationConfig.smoke_scale(),
         shards=shards,
-        workers=workers,
     )
 
 
@@ -84,16 +74,6 @@ class TestByteParity:
         unarmed = run_spec(spec, dataset=dataset)
         armed = run_spec(spec, dataset=dataset, perf=PerfMeter())
         assert armed.render_rows() == unarmed.render_rows()
-
-    def test_pool_rows_and_stats_identical_armed_vs_unarmed(self):
-        for workers in (1, 2):
-            spec = _spec(shards=2, workers=workers)
-            unarmed = run_pool_probe(spec, horizon_s=30.0)
-            armed = run_pool_probe(spec, perf=PoolPerf(), horizon_s=30.0)
-            assert armed.rows == unarmed.rows
-            assert armed.stats == unarmed.stats
-            assert unarmed.perf is None
-            assert armed.perf is not None
 
 
 class TestInertOverhead:
@@ -163,8 +143,7 @@ class TestReportSchema:
         assert run.report["environment"] == spec.environment
         assert run.report["seed"] == spec.seed
         assert run.report["shards"] == 1
-        assert run.report["workers"] == 1
-        assert run.report["pool"] is None
+        assert len(run.report["lanes"]) == 1
         engine = run.report["engine"]
         assert engine["events"] == run.result.events_processed
         # Hotspot *ranking* is by wall seconds (machine-dependent),
@@ -186,27 +165,14 @@ class TestReportSchema:
 
         assert json.loads(blob) == run.report
 
-    def test_pool_section_keys_are_exactly_the_schema(self):
-        for workers in (1, 2):
-            spec = _spec(shards=2, workers=workers)
-            result = run_pool_probe(spec, perf=PoolPerf(), horizon_s=30.0)
-            assert set(result.perf) == set(POOL_PERF_FIELDS)
-            assert result.perf["workers"] == workers
-            assert result.perf["execution"] == (
-                "multiprocess" if workers > 1 else "in-process"
-            )
-            assert len(result.perf["lanes"]) == 2
-
-    def test_build_report_with_pool(self):
-        spec = _spec(shards=2, workers=2)
-        meter = PerfMeter()
-        meter.run_begin()
-        meter.run_end(10)
-        pool = run_pool_probe(spec, perf=PoolPerf(), horizon_s=30.0).perf
-        result = run_spec(spec, dataset=shared_trace_cache.dataset_for(spec.config.trace))
-        report = build_perf_report(spec, result, meter, pool=pool)
-        assert set(report) == set(PERF_REPORT_FIELDS)
-        assert report["pool"] == pool
+    def test_sharded_report_has_one_lane_per_shard(self):
+        run = run_perf(_spec(shards=2), top_k=3)
+        assert set(run.report) == set(PERF_REPORT_FIELDS)
+        assert [lane["lane"] for lane in run.report["lanes"]] == [0, 1]
+        assert (
+            sum(lane["events"] for lane in run.report["lanes"])
+            == run.report["engine"]["events"]
+        )
 
 
 class TestLintCarveOut:

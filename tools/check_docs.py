@@ -6,7 +6,7 @@ Run from the repository root (CI's docs job does)::
     python tools/check_docs.py            # checks all tracked *.md files
     python tools/check_docs.py docs/*.md  # or an explicit list
 
-Two checks, both offline:
+Six checks, all offline:
 
 * **Links** -- every relative markdown link target (``[x](docs/y.md)``,
   optionally with a ``#fragment``) must exist on disk, resolved against
@@ -28,21 +28,16 @@ Two checks, both offline:
   ``#### `rule-id` (severity)`` heading whose severity matches the
   registry, and must not document rule ids that no longer exist.  This
   keeps the rule reference from drifting as rules are added/renamed.
-* **Worker protocol reference** -- ``docs/scaling.md`` must mention
-  every control op of the coordinator<->worker barrier protocol
-  (``repro.shard.workers.CONTROL_OPS``) as a backticked token, and
-  ``docs/tracing.md`` must mention every stats field of a lane-pool run
-  (``repro.shard.workers.STATS_FIELDS``) and every fault trace event the
-  time-series collector folds (``repro.obs.timeseries._FAULT_ROW_CODES``).
-  Same anti-drift idea as the lint reference: the wire vocabulary and
-  the counters are code-owned constants, and the operator docs may not
-  silently fall behind them.
+* **Fault event reference** -- ``docs/tracing.md`` must mention every
+  fault trace event the time-series collector folds
+  (``repro.obs.timeseries._FAULT_ROW_CODES``) as a backticked token.
+  Same anti-drift idea as the lint reference: the counters are
+  code-owned constants, and the operator docs may not silently fall
+  behind them.
 * **Perf report reference** -- ``docs/performance.md`` must mention
   every top-level field of the sidecar perf report
-  (``repro.obs.perf_report.PERF_REPORT_FIELDS``) and every section of
-  its pool breakdown (``repro.obs.perf.POOL_PERF_FIELDS``) as
-  backticked tokens, so the telemetry guide tracks the schema it
-  documents.
+  (``repro.obs.perf_report.PERF_REPORT_FIELDS``) as a backticked token,
+  so the telemetry guide tracks the schema it documents.
 
 Exit code 0 when clean, 1 with one ``file:line: message`` row per
 problem otherwise.
@@ -285,40 +280,6 @@ def check_lint_rule_reference(path: str) -> List[str]:
     return problems
 
 
-def check_worker_protocol_reference(path: str) -> List[str]:
-    """docs/scaling.md mentions every barrier-protocol control op."""
-    from repro.shard.workers import CONTROL_OPS
-
-    problems: List[str] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    for op in CONTROL_OPS:
-        if f"`{op}`" not in text:
-            problems.append(
-                f"{path}:1: barrier-protocol op {op!r} "
-                "(repro.shard.workers.CONTROL_OPS) is not documented as a "
-                "backticked token"
-            )
-    return problems
-
-
-def check_worker_stats_reference(path: str) -> List[str]:
-    """docs/tracing.md mentions every lane-pool stats field."""
-    from repro.shard.workers import STATS_FIELDS
-
-    problems: List[str] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    for field in STATS_FIELDS:
-        if f"`{field}`" not in text:
-            problems.append(
-                f"{path}:1: lane-pool stats field {field!r} "
-                "(repro.shard.workers.STATS_FIELDS) is not documented as a "
-                "backticked token"
-            )
-    return problems
-
-
 def check_fault_event_reference(path: str) -> List[str]:
     """docs/tracing.md mentions every fault-row event the collector folds."""
     from repro.obs.timeseries import _FAULT_ROW_CODES
@@ -337,8 +298,7 @@ def check_fault_event_reference(path: str) -> List[str]:
 
 
 def check_perf_field_reference(path: str) -> List[str]:
-    """docs/performance.md mentions every perf-report and pool field."""
-    from repro.obs.perf import POOL_PERF_FIELDS
+    """docs/performance.md mentions every perf-report field."""
     from repro.obs.perf_report import PERF_REPORT_FIELDS
 
     problems: List[str] = []
@@ -350,13 +310,6 @@ def check_perf_field_reference(path: str) -> List[str]:
                 f"{path}:1: perf report field {field!r} "
                 "(repro.obs.perf_report.PERF_REPORT_FIELDS) is not "
                 "documented as a backticked token"
-            )
-    for field in POOL_PERF_FIELDS:
-        if f"`{field}`" not in text:
-            problems.append(
-                f"{path}:1: pool perf section {field!r} "
-                "(repro.obs.perf.POOL_PERF_FIELDS) is not documented as a "
-                "backticked token"
             )
     return problems
 
@@ -373,10 +326,7 @@ def check_file(path: str) -> List[str]:
     in_docs = "docs" in path.split(os.sep)
     if os.path.basename(path) == "lint.md" and in_docs:
         problems += check_lint_rule_reference(path)
-    if os.path.basename(path) == "scaling.md" and in_docs:
-        problems += check_worker_protocol_reference(path)
     if os.path.basename(path) == "tracing.md" and in_docs:
-        problems += check_worker_stats_reference(path)
         problems += check_fault_event_reference(path)
     if os.path.basename(path) == "performance.md" and in_docs:
         problems += check_perf_field_reference(path)

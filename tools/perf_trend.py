@@ -59,12 +59,6 @@ HEADLINES: Dict[str, Tuple[str, str, bool, Optional[str]]] = {
         True,
         "throughput_events_per_s.nodes_10000",
     ),
-    "BENCH_shard.json": (
-        "throughput_events_per_s.shards_4",
-        "events/s",
-        True,
-        None,
-    ),
     "BENCH_faults.json": (
         "timings_s.grid_smoke",
         "s",
