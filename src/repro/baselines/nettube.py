@@ -66,10 +66,6 @@ class NetTubeProtocol(VodProtocol):
             self._overlays[video_id] = table
         return table
 
-    def _is_alive(self, node_id: int) -> bool:
-        peer = self.peers.get(node_id)
-        return peer is not None and peer.online
-
     def _union_neighbors(self, node_id: int) -> List[int]:
         """All neighbors across every overlay the node belongs to.
 
@@ -83,7 +79,7 @@ class NetTubeProtocol(VodProtocol):
         seen: Dict[int, None] = {}
         for video_id in self._memberships.get(node_id, ()):
             for neighbor in self._overlay(video_id).neighbors(node_id):
-                if self._is_alive(neighbor) and self.can_reach(node_id, neighbor):
+                if self.is_alive(neighbor) and self.can_reach(node_id, neighbor):
                     seen[neighbor] = None
         return list(seen)
 
@@ -92,7 +88,7 @@ class NetTubeProtocol(VodProtocol):
         table = self._overlay(video_id)
         self._memberships[user_id].add(video_id)
         self.server.register_video_overlay_member(video_id, user_id)
-        if via is not None and via != user_id and self._is_alive(via):
+        if via is not None and via != user_id and self.is_alive(via):
             table.connect(user_id, via, evict=True)
         needed = self.links_per_overlay - table.degree(user_id)
         if needed <= 0:
@@ -103,7 +99,7 @@ class NetTubeProtocol(VodProtocol):
         for pick in picks:
             if table.degree(user_id) >= self.links_per_overlay:
                 break
-            if self._is_alive(pick):
+            if self.is_alive(pick):
                 table.connect(user_id, pick, evict=True)
 
     # -- lifecycle ----------------------------------------------------------------
@@ -145,14 +141,14 @@ class NetTubeProtocol(VodProtocol):
         cycle.  A no-op when the node rejoined before the repair window
         elapsed (it kept its memberships, so its links are live again).
         """
-        if self._is_alive(user_id):
+        if self.is_alive(user_id):
             return 0
         repaired = 0
         for video_id in sorted(self._memberships.get(user_id, ())):
             table = self._overlay(video_id)
             for neighbor in table.neighbors(user_id):
                 table.disconnect(user_id, neighbor)
-                if self._is_alive(neighbor):
+                if self.is_alive(neighbor):
                     repaired += 1
         self._memberships.pop(user_id, None)
         return repaired
@@ -227,7 +223,7 @@ class NetTubeProtocol(VodProtocol):
         for video_id in self._memberships.get(user_id, ()):
             table = self._overlay(video_id)
             for neighbor in table.neighbors(user_id):
-                if not self._is_alive(neighbor):
+                if not self.is_alive(neighbor):
                     table.disconnect(user_id, neighbor)
             needed = self.links_per_overlay - table.degree(user_id)
             if needed <= 0:
@@ -238,7 +234,7 @@ class NetTubeProtocol(VodProtocol):
             for pick in picks:
                 if table.degree(user_id) >= self.links_per_overlay:
                     break
-                if self._is_alive(pick):
+                if self.is_alive(pick):
                     table.connect(user_id, pick, evict=False)
 
     def reannounce(self, user_id: int) -> int:

@@ -118,10 +118,14 @@ class VodProtocol(ABC):
     def state(self, user_id: int) -> PeerState:
         return self.peers[user_id]
 
+    def is_alive(self, user_id: int) -> bool:
+        """Whether the peer is registered and online (liveness probe)."""
+        peer = self.peers.get(user_id)
+        return peer is not None and peer.online
+
     def is_online_holder(self, user_id: int, video_id: int) -> bool:
         """Holder predicate used by flooding searches."""
-        peer = self.peers.get(user_id)
-        return peer is not None and peer.online and peer.has_video(video_id)
+        return self.is_alive(user_id) and self.peers[user_id].has_video(video_id)
 
     # -- lifecycle hooks -------------------------------------------------------
 

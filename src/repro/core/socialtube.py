@@ -61,10 +61,6 @@ class SocialTubeProtocol(VodProtocol):
 
     # -- helpers ------------------------------------------------------------
 
-    def _is_alive(self, node_id: int) -> bool:
-        peer = self.peers.get(node_id)
-        return peer is not None and peer.online
-
     def _alive_neighbors(self, node_id: int, neighbors: List[int]) -> List[int]:
         """Filter dead neighbors, repairing links lazily (Section IV-A:
         failed neighbors are removed and replaced).
@@ -75,7 +71,7 @@ class SocialTubeProtocol(VodProtocol):
         """
         alive = []
         for neighbor in neighbors:
-            if not self._is_alive(neighbor):
+            if not self.is_alive(neighbor):
                 self.structure.drop_dead_neighbor(node_id, neighbor)
             elif self.can_reach(node_id, neighbor):
                 alive.append(neighbor)
@@ -117,7 +113,7 @@ class SocialTubeProtocol(VodProtocol):
         when the node rejoined before the repair window elapsed (its
         old links are live again).
         """
-        return self.structure.repair_crashed(user_id, self._is_alive)
+        return self.structure.repair_crashed(user_id, self.is_alive)
 
     def ensure_in_channel(self, user_id: int, channel_id: int) -> None:
         """Place the node in the right channel overlay before a request."""
@@ -126,9 +122,9 @@ class SocialTubeProtocol(VodProtocol):
             return
         if current is None:
             # First request after login: try previous neighbors first.
-            self.structure.rejoin(user_id, channel_id, self._is_alive)
+            self.structure.rejoin(user_id, channel_id, self.is_alive)
         else:
-            self.structure.enter_channel(user_id, channel_id, self._is_alive)
+            self.structure.enter_channel(user_id, channel_id, self.is_alive)
 
     # -- Algorithm 1 -----------------------------------------------------------------
 
@@ -235,7 +231,7 @@ class SocialTubeProtocol(VodProtocol):
     def on_maintenance(self, user_id: int) -> None:
         """Probe-cycle repair: drop dead neighbors, top links back up."""
         if self.state(user_id).online:
-            self.structure.maintain(user_id, self._is_alive)
+            self.structure.maintain(user_id, self.is_alive)
 
     def reannounce(self, user_id: int) -> int:
         """Tracker recovery: re-file presence plus channel membership.

@@ -65,6 +65,9 @@ class CentralServer:
         self._channel_members: Dict[int, Set[int]] = defaultdict(set)
         self._video_overlay_members: Dict[int, Set[int]] = defaultdict(set)
         self._current_watchers: Dict[int, Set[int]] = defaultdict(set)
+        #: Per node, the member sets of the three maps above that hold it,
+        #: keyed by ``id(set)``: the offline purge touches only these.
+        self._memberships: Dict[int, Dict[int, Set[int]]] = defaultdict(dict)
         # Popularity oracle: per-channel ranking, filled on first request.
         self._ranking: Dict[int, Tuple[int, ...]] = {}
         # Bookkeeping the paper's comparison cares about --------------------
@@ -114,6 +117,7 @@ class CentralServer:
         self._channel_members.clear()
         self._video_overlay_members.clear()
         self._current_watchers.clear()
+        self._memberships.clear()
         if self.tracer:
             self.tracer.event("tracker.outage", phase="begin")
 
@@ -132,16 +136,28 @@ class CentralServer:
         self._online.add(node_id)
 
     def node_offline(self, node_id: int) -> None:
-        """Mark a node offline and purge it from all tracker maps."""
+        """Mark a node offline and purge it from all tracker maps.
+
+        The purge visits only the member sets that hold the node, so
+        it costs O(the node's memberships), not O(channels + videos).
+        """
         if self.tracker_down:
             return
         self._online.discard(node_id)
-        for members in self._channel_members.values():
+        for members in self._memberships.pop(node_id, {}).values():
             members.discard(node_id)
-        for members in self._video_overlay_members.values():
-            members.discard(node_id)
-        for watchers in self._current_watchers.values():
-            watchers.discard(node_id)
+
+    def _add_member(self, members: Set[int], node_id: int) -> None:
+        """Add ``node_id`` to one tracker member set, remembering the set."""
+        members.add(node_id)
+        self._memberships[node_id][id(members)] = members
+
+    def _remove_member(self, members: Set[int], node_id: int) -> None:
+        """Remove ``node_id`` from one tracker member set and forget the set."""
+        members.discard(node_id)
+        record = self._memberships.get(node_id)
+        if record:
+            record.pop(id(members), None)
 
     def is_online(self, node_id: int) -> bool:
         return node_id in self._online
@@ -162,13 +178,13 @@ class CentralServer:
         """
         if self.tracker_down:
             return
-        self._channel_members[channel_id].add(node_id)
+        self._add_member(self._channel_members[channel_id], node_id)
         self.subscription_reports += 1
 
     def unregister_channel_member(self, channel_id: int, node_id: int) -> None:
         if self.tracker_down:
             return
-        self._channel_members[channel_id].discard(node_id)
+        self._remove_member(self._channel_members[channel_id], node_id)
 
     def channel_members(self, channel_id: int) -> Set[int]:
         """Online members of one channel overlay (read-only view)."""
@@ -195,12 +211,13 @@ class CentralServer:
     def _occupied_channels(self, category_id: int, exclude: Optional[int]) -> List[Set[int]]:
         """Member sets of the category's channels that hold anyone but
         ``exclude``, in uniformly random order (one ``shuffle``)."""
-        channel_members = self._channel_members
-        occupied = []
-        for channel_id in self.catalog.channels_of_category(category_id):
-            members = channel_members.get(channel_id)
-            if members and (len(members) > 1 or exclude not in members):
-                occupied.append(members)
+        occupied = [
+            members
+            for members in map(
+                self._channel_members.get, self.catalog.channels_of_category(category_id)
+            )
+            if members and (len(members) > 1 or exclude not in members)
+        ]
         self._rng.shuffle(occupied)
         return occupied
 
@@ -223,6 +240,7 @@ class CentralServer:
         ``limit`` follows from the pool sizes alone, and each pool draws
         just its first ``min(size, R)`` members without replacement.
         That is the same distribution as shuffling every pool in full.
+        When at least ``limit`` channels are occupied, that is one round.
         """
         if self.tracker_down:
             self._count_lookup_failed("category-bootstrap")
@@ -232,15 +250,19 @@ class CentralServer:
         if limit is not None:
             del pools[limit:]
         sizes = [len(members) - (exclude in members) for members in pools]
-        rounds = max(sizes, default=0)
-        if limit is not None:
-            # The fewest rounds that hand out ``limit`` picks.
-            reached = 0
-            for round_index in range(1, rounds + 1):
-                reached += sum(size >= round_index for size in sizes)
-                if reached >= limit:
-                    rounds = round_index
-                    break
+        if len(pools) == limit:
+            # One member from each kept channel already makes ``limit``.
+            rounds = 1
+        else:
+            rounds = max(sizes, default=0)
+            if limit is not None:
+                # The fewest rounds that hand out ``limit`` picks.
+                reached = 0
+                for round_index in range(1, rounds + 1):
+                    reached += sum(size >= round_index for size in sizes)
+                    if reached >= limit:
+                        rounds = round_index
+                        break
         draws = []
         for members, size in zip(pools, sizes):
             candidates = list(members)
@@ -296,13 +318,13 @@ class CentralServer:
     def register_video_overlay_member(self, video_id: int, node_id: int) -> None:
         if self.tracker_down:
             return
-        self._video_overlay_members[video_id].add(node_id)
+        self._add_member(self._video_overlay_members[video_id], node_id)
         self.subscription_reports += 1
 
     def unregister_video_overlay_member(self, video_id: int, node_id: int) -> None:
         if self.tracker_down:
             return
-        self._video_overlay_members[video_id].discard(node_id)
+        self._remove_member(self._video_overlay_members[video_id], node_id)
 
     def video_overlay_members(self, video_id: int) -> Set[int]:
         return self._video_overlay_members[video_id]
@@ -326,13 +348,13 @@ class CentralServer:
         """PA-VoD: a node begins playback and becomes a potential provider."""
         if self.tracker_down:
             return
-        self._current_watchers[video_id].add(node_id)
+        self._add_member(self._current_watchers[video_id], node_id)
 
     def watch_finished(self, video_id: int, node_id: int) -> None:
         """PA-VoD: once playback ends the node stops providing the video."""
         if self.tracker_down:
             return
-        self._current_watchers[video_id].discard(node_id)
+        self._remove_member(self._current_watchers[video_id], node_id)
 
     def current_watchers(self, video_id: int, exclude: Optional[int] = None) -> List[int]:
         if self.tracker_down:

@@ -7,7 +7,7 @@
   two-hop neighbor search.
 """
 
-from repro.overlay.links import LinkSet, LinkTable
+from repro.overlay.links import LinkTable
 from repro.overlay.flood import FloodResult, ttl_flood
 
-__all__ = ["LinkSet", "LinkTable", "FloodResult", "ttl_flood"]
+__all__ = ["LinkTable", "FloodResult", "ttl_flood"]

@@ -10,105 +10,31 @@ eviction), and capacity is enforced at the data-structure level.
 
 from __future__ import annotations
 
-from random import Random
-from typing import Dict, Iterator, List, Optional
-
-
-class LinkSet:
-    """An ordered set of neighbor ids with a soft capacity.
-
-    ``add`` refuses new links beyond capacity unless ``evict=True``, in
-    which case the oldest link is dropped to make room -- the repair
-    behaviour of an unstructured overlay absorbing a newcomer when all
-    its members are full.
-    """
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self._links: Dict[int, None] = {}
-
-    def __len__(self) -> int:
-        return len(self._links)
-
-    def __contains__(self, node_id: int) -> bool:
-        return node_id in self._links
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._links)
-
-    @property
-    def is_full(self) -> bool:
-        return len(self._links) >= self.capacity
-
-    def members(self) -> List[int]:
-        """Neighbors in insertion order (a copy, safe to mutate)."""
-        return list(self._links)
-
-    def add(self, node_id: int, evict: bool = False) -> Optional[int]:
-        """Add a neighbor.
-
-        Returns the evicted neighbor id when eviction occurred, None
-        otherwise.  Raises :class:`OverflowError` when full and
-        ``evict`` is False; adding an existing neighbor is a no-op.
-        """
-        if node_id in self._links:
-            return None
-        evicted: Optional[int] = None
-        if self.is_full:
-            if not evict:
-                raise OverflowError("link set full")
-            evicted = next(iter(self._links))
-            del self._links[evicted]
-        self._links[node_id] = None
-        return evicted
-
-    def try_add(self, node_id: int) -> bool:
-        """Add if capacity allows; True on success (or already linked)."""
-        if node_id in self._links:
-            return True
-        if self.is_full:
-            return False
-        self._links[node_id] = None
-        return True
-
-    def remove(self, node_id: int) -> bool:
-        """Drop a neighbor; True if it was present."""
-        if node_id in self._links:
-            del self._links[node_id]
-            return True
-        return False
-
-    def clear(self) -> None:
-        self._links.clear()
-
-    def random_member(self, rng: Random) -> Optional[int]:
-        if not self._links:
-            return None
-        return rng.choice(list(self._links))
+from typing import Dict, List
 
 
 class LinkTable:
-    """Per-node :class:`LinkSet` registry for one overlay level.
+    """Per-node link sets for one overlay level.
 
-    Links are kept *symmetric*: ``connect`` records the link on both
-    endpoints (each against its own capacity) and ``disconnect`` removes
-    both directions, so a node's ``len`` is exactly the number of links
-    it maintains -- the Fig 15 / Fig 18 quantity.
+    Each node's links are an insertion-ordered ``dict`` (neighbor id ->
+    None), oldest link first.  Links are kept *symmetric*: ``connect``
+    records the link on both endpoints (each against its own capacity)
+    and ``disconnect`` removes both directions, so a node's degree is
+    exactly the number of links it maintains -- the Fig 15 / Fig 18
+    quantity.
     """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._table: Dict[int, LinkSet] = {}
+        self._table: Dict[int, Dict[int, None]] = {}
 
-    def links_of(self, node_id: int) -> LinkSet:
+    def links_of(self, node_id: int) -> Dict[int, None]:
+        """The node's live link set (created empty on first use)."""
         links = self._table.get(node_id)
         if links is None:
-            links = LinkSet(self.capacity)
-            self._table[node_id] = links
+            links = self._table[node_id] = {}
         return links
 
     def nodes(self) -> List[int]:
@@ -120,50 +46,69 @@ class LinkTable:
         return sorted(self._table)
 
     def degree(self, node_id: int) -> int:
-        links = self._table.get(node_id)
-        return len(links) if links is not None else 0
+        return len(self._table.get(node_id, ()))
 
     def neighbors(self, node_id: int) -> List[int]:
-        links = self._table.get(node_id)
-        return links.members() if links is not None else []
+        """Neighbors in link order, oldest first (a copy, safe to mutate)."""
+        return list(self._table.get(node_id, ()))
 
     def connected(self, a: int, b: int) -> bool:
-        return b in self.links_of(a)
+        return b in self._table.get(a, ())
 
     def connect(self, a: int, b: int, evict: bool = False) -> bool:
         """Create the undirected link a--b.
 
         Without ``evict`` the link forms only if *both* endpoints have
         spare capacity.  With ``evict`` a full endpoint drops its oldest
-        link (symmetrically) to make room.  Returns True when the link
-        exists afterwards.
+        link (symmetrically) to make room: ``a`` first, then ``b``.
+        Returns True when the link exists afterwards.
         """
         if a == b:
             raise ValueError("a node cannot link to itself")
-        la, lb = self.links_of(a), self.links_of(b)
+        table = self._table
+        la = table.get(a)
+        if la is None:
+            la = table[a] = {}
+        lb = table.get(b)
+        if lb is None:
+            lb = table[b] = {}
         if b in la:
             return True
-        if not evict and (la.is_full or lb.is_full):
+        capacity = self.capacity
+        if not evict and (len(la) >= capacity or len(lb) >= capacity):
             return False
-        evicted_a = la.add(b, evict=evict)
-        if evicted_a is not None:
-            self.links_of(evicted_a).remove(a)
-        evicted_b = lb.add(a, evict=evict)
-        if evicted_b is not None:
-            self.links_of(evicted_b).remove(b)
+        if len(la) >= capacity:
+            evicted = next(iter(la))
+            del la[evicted]
+            self.links_of(evicted).pop(a, None)
+        la[b] = None
+        if a not in lb:
+            if len(lb) >= capacity:
+                evicted = next(iter(lb))
+                del lb[evicted]
+                self.links_of(evicted).pop(b, None)
+            lb[a] = None
         return True
 
     def disconnect(self, a: int, b: int) -> None:
-        self.links_of(a).remove(b)
-        self.links_of(b).remove(a)
+        table = self._table
+        links = table.get(a)
+        if links is not None:
+            links.pop(b, None)
+        links = table.get(b)
+        if links is not None:
+            links.pop(a, None)
 
     def drop_all(self, node_id: int) -> None:
         """Remove every link of ``node_id`` (graceful departure notifies
         all neighbors, Section IV-A)."""
-        for neighbor in self.links_of(node_id).members():
-            self.links_of(neighbor).remove(node_id)
-        self.links_of(node_id).clear()
+        links = self._table.get(node_id)
+        if not links:
+            return
+        for neighbor in list(links):
+            self.links_of(neighbor).pop(node_id, None)
+        links.clear()
 
     def total_links(self) -> int:
         """Number of undirected links in the whole table."""
-        return sum(len(ls) for ls in self._table.values()) // 2
+        return sum(map(len, self._table.values())) // 2

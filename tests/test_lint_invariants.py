@@ -51,14 +51,14 @@ class TestCheckLinkTable:
         assert check_link_table(table, "inner") == []
 
     def test_over_capacity_link_set_detected(self):
-        # Force a LinkSet beyond its capacity (no public API allows
+        # Force a link set beyond its capacity (no public API allows
         # this; the checker guards against exactly such corruption).
         table = LinkTable(capacity=2)
         table.connect(1, 2)
         table.connect(1, 3)
         for extra in (4, 5):
-            table.links_of(1)._links[extra] = None
-            table.links_of(extra)._links[1] = None
+            table.links_of(1)[extra] = None
+            table.links_of(extra)[1] = None
         violations = check_link_table(table, "inner")
         assert kinds_of(violations) == ["over-capacity"]
         assert violations[0].node_id == 1
@@ -73,14 +73,14 @@ class TestCheckLinkTable:
 
     def test_asymmetric_link_detected(self):
         table = LinkTable(capacity=3)
-        table.links_of(1)._links[2] = None  # one-directional edge
+        table.links_of(1)[2] = None  # one-directional edge
         violations = check_link_table(table, "inter")
         assert kinds_of(violations) == ["asymmetric-link"]
         assert violations[0].level == "inter"
 
     def test_self_link_detected(self):
         table = LinkTable(capacity=3)
-        table.links_of(7)._links[7] = None
+        table.links_of(7)[7] = None
         violations = check_link_table(table, "inner")
         assert kinds_of(violations) == ["self-link"]
 
@@ -112,8 +112,8 @@ class TestCheckOverlay:
         _populated(structure)
         links = structure.inner.links_of(1)
         for extra in range(900, 900 + structure.inner_link_limit):
-            links._links[extra] = None
-            structure.inner.links_of(extra)._links[1] = None
+            links[extra] = None
+            structure.inner.links_of(extra)[1] = None
             structure.channel_of[extra] = 0
         violations = check_overlay(structure)
         assert "over-capacity" in kinds_of(violations)
@@ -125,7 +125,7 @@ class TestCheckOverlay:
 
     def test_structure_assert_invariants_raises(self, structure):
         _populated(structure)
-        structure.inner.links_of(1)._links[1] = None  # self-link
+        structure.inner.links_of(1)[1] = None  # self-link
         with pytest.raises(OverlayInvariantError) as excinfo:
             structure.assert_invariants()
         assert "self-link" in str(excinfo.value)
@@ -143,7 +143,7 @@ class TestPeriodicHook:
         _populated(structure)
         sched = EventScheduler()
         install_invariant_hook(sched, structure, period_s=50.0)
-        structure.inner.links_of(1)._links[1] = None
+        structure.inner.links_of(1)[1] = None
         with pytest.raises(OverlayInvariantError):
             sched.run_until(60.0)
 
@@ -154,7 +154,7 @@ class TestPeriodicHook:
         install_invariant_hook(
             sched, structure, period_s=50.0, on_violation=seen.append
         )
-        structure.inner.links_of(1)._links[1] = None
+        structure.inner.links_of(1)[1] = None
         sched.run_until(120.0)
         assert len(seen) == 2  # still rescheduled after recording
         # The injected self-link also pushes node 1 past N_l.

@@ -199,6 +199,217 @@ class TestCategoryBootstrapDistribution:
         assert populated._rng.getstate() == state
 
 
+def parent_category_picks(server, category_id, rng, exclude=None, limit=None):
+    """The category bootstrap as it stood before a full set of occupied
+    channels skipped the round count: occupied channels, the round count
+    from the pool sizes, then ``choice`` or ``sample`` per pool and an
+    interleave."""
+    pools = []
+    for channel_id in server.catalog.channels_of_category(category_id):
+        members = server._channel_members.get(channel_id)
+        if members and (len(members) > 1 or exclude not in members):
+            pools.append(members)
+    rng.shuffle(pools)
+    if limit is not None:
+        del pools[limit:]
+    sizes = [len(members) - (exclude in members) for members in pools]
+    rounds = max(sizes, default=0)
+    if limit is not None:
+        reached = 0
+        for round_index in range(1, rounds + 1):
+            reached += sum(size >= round_index for size in sizes)
+            if reached >= limit:
+                rounds = round_index
+                break
+    draws = []
+    for members, size in zip(pools, sizes):
+        candidates = list(members)
+        if size < len(candidates):
+            candidates.remove(exclude)
+        if rounds == 1:
+            draws.append((rng.choice(candidates),))
+        else:
+            draws.append(rng.sample(candidates, min(size, rounds)))
+    picks = [
+        draw[round_index]
+        for round_index in range(rounds)
+        for draw in draws
+        if round_index < len(draw)
+    ]
+    return picks[:limit]
+
+
+class TestCategoryBootstrapDraws:
+    """Setting one round when ``limit`` channels are occupied draws
+    exactly what counting the rounds did."""
+
+    #: Same layout as TestCategoryBootstrapDistribution: four channels
+    #: hold someone besides node 9, five hold someone at all.
+    LAYOUT = TestCategoryBootstrapDistribution.LAYOUT
+    CATEGORY = TestCategoryBootstrapDistribution.CATEGORY
+
+    @pytest.mark.parametrize("exclude", [9, None])
+    @pytest.mark.parametrize("limit", [1, 3, 4, 5, 6, 12, None])
+    def test_same_picks_and_rng_state_as_parent(self, server, exclude, limit):
+        for channel, members in self.LAYOUT.items():
+            for member in members:
+                server.register_channel_member(channel, member)
+        for seed in range(40):
+            server._rng = random.Random(seed)
+            reference_rng = random.Random(seed)
+            picks = server.random_members_per_channel_in_category(
+                self.CATEGORY, exclude=exclude, limit=limit
+            )
+            expected = parent_category_picks(
+                server, self.CATEGORY, reference_rng, exclude=exclude, limit=limit
+            )
+            assert picks == expected, (seed, exclude, limit)
+            assert server._rng.getstate() == reference_rng.getstate()
+
+
+class FullScanPurgeServer(CentralServer):
+    """A twin server whose offline purge scans every tracker map."""
+
+    def node_offline(self, node_id):
+        if self.tracker_down:
+            return
+        self._online.discard(node_id)
+        for members in self._channel_members.values():
+            members.discard(node_id)
+        for members in self._video_overlay_members.values():
+            members.discard(node_id)
+        for watchers in self._current_watchers.values():
+            watchers.discard(node_id)
+
+
+def tracker_maps(server):
+    """Every tracker map, with each member set in iteration order."""
+    return [sorted(server._online)] + [
+        {key: list(members) for key, members in mapping.items()}
+        for mapping in (
+            server._channel_members,
+            server._video_overlay_members,
+            server._current_watchers,
+        )
+    ]
+
+
+def membership_record(server):
+    """The per-node membership record, as sorted ids of the sets it holds."""
+    return {
+        node: sorted(map(id, record.values()))
+        for node, record in server._memberships.items()
+        if record
+    }
+
+
+def held_sets(server):
+    """Per node, the sorted ids of the tracker member sets that hold it."""
+    held = {}
+    for mapping in (
+        server._channel_members,
+        server._video_overlay_members,
+        server._current_watchers,
+    ):
+        for members in mapping.values():
+            for node in members:
+                held.setdefault(node, []).append(id(members))
+    return {node: sorted(ids) for node, ids in held.items()}
+
+
+class TestTrackerMembershipIndex:
+    """``node_offline`` purges through the per-node membership record."""
+
+    NODES = range(8)
+    KEYS = range(5)
+
+    def _twins(self, tiny_dataset):
+        return [
+            cls(tiny_dataset, capacity_bps=50e6, rng=random.Random(7))
+            for cls in (CentralServer, FullScanPurgeServer)
+        ]
+
+    def _random_op(self, rng):
+        node, key = rng.choice(self.NODES), rng.choice(self.KEYS)
+        roll = rng.random()
+        if roll < 0.02:
+            return "tracker_outage_begin", ()
+        if roll < 0.06:
+            return "tracker_outage_end", ()
+        name = rng.choice(
+            [
+                "node_online",
+                "node_offline",
+                "node_offline",
+                "register_channel_member",
+                "unregister_channel_member",
+                "register_video_overlay_member",
+                "unregister_video_overlay_member",
+                "watch_started",
+                "watch_finished",
+            ]
+        )
+        if name.startswith("node_"):
+            return name, (node,)
+        return name, (key, node)
+
+    def test_random_sequences_match_full_scan_purge(self, tiny_dataset):
+        for seed in range(200):
+            rng = random.Random(seed)
+            indexed, scanned = self._twins(tiny_dataset)
+            for _ in range(80):
+                name, args = self._random_op(rng)
+                for server in (indexed, scanned):
+                    getattr(server, name)(*args)
+                if name == "node_offline":
+                    assert tracker_maps(indexed) == tracker_maps(scanned), seed
+                assert membership_record(indexed) == held_sets(indexed), seed
+
+    def test_record_tracks_current_memberships_only(self, server):
+        server.node_online(1)
+        for _ in range(50):
+            for key in self.KEYS:
+                server.register_channel_member(key, 1)
+                server.register_video_overlay_member(key, 1)
+                server.watch_started(key, 1)
+            for key in self.KEYS:
+                server.unregister_channel_member(key, 1)
+                server.unregister_video_overlay_member(key, 1)
+                server.watch_finished(key, 1)
+        server.register_channel_member(3, 1)
+        server.watch_started(3, 1)
+        server.watch_started(3, 1)
+        assert len(server._memberships[1]) == 2
+        assert membership_record(server) == held_sets(server)
+
+    def test_registered_before_outage_offline_after_recovery(self, tiny_dataset):
+        indexed, scanned = self._twins(tiny_dataset)
+        for server in (indexed, scanned):
+            server.node_online(1)
+            server.register_channel_member(0, 1)
+            server.register_video_overlay_member(5, 1)
+            server.watch_started(5, 1)
+            server.tracker_outage_begin()
+            assert not server._memberships
+            server.tracker_outage_end()
+            # The re-registration sweep after recovery.
+            server.node_online(1)
+            server.register_channel_member(0, 1)
+            server.register_channel_member(2, 2)
+            server.node_offline(1)
+        assert tracker_maps(indexed) == tracker_maps(scanned)
+        assert 1 not in indexed.channel_members(0)
+        assert indexed.channel_members(2) == {2}
+        assert 1 not in indexed._memberships
+
+    def test_offline_of_unknown_node_creates_no_entry(self, server):
+        server.register_channel_member(0, 1)
+        before = tracker_maps(server)
+        server.node_offline(99)
+        assert tracker_maps(server) == before
+        assert 99 not in server._memberships
+
+
 class TestHolderAssist:
     def test_finds_holder(self, server, tiny_dataset):
         category = next(iter(tiny_dataset.categories.values()))

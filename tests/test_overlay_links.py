@@ -1,79 +1,82 @@
-"""Unit tests for link-set / link-table management."""
+"""Unit tests for link-table management."""
 
 import random
 
 import pytest
 
-from repro.overlay.links import LinkSet, LinkTable
+from repro.overlay.links import LinkTable
 
 
 class TestLinkSet:
+    """A node's link set: the insertion-ordered dict ``links_of`` returns,
+    which the invariant checker reads.  Each case pins its exact
+    contents and order on every endpoint; TestLinkTable checks the
+    table's derived queries."""
+
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ValueError):
-            LinkSet(0)
+            LinkTable(-1)
 
     def test_add_and_contains(self):
-        links = LinkSet(3)
-        links.add(1)
-        assert 1 in links
-        assert len(links) == 1
+        table = LinkTable(3)
+        table.connect(0, 1)
+        assert table.links_of(0) == {1: None}
+        assert table.links_of(1) == {0: None}
 
     def test_duplicate_add_is_noop(self):
-        links = LinkSet(3)
-        links.add(1)
-        assert links.add(1) is None
-        assert len(links) == 1
+        table = LinkTable(2)
+        table.connect(0, 1)
+        table.connect(0, 2)
+        assert table.connect(0, 1, evict=True) is True
+        assert list(table.links_of(0)) == [1, 2]  # neither evicted nor moved
 
-    def test_full_add_raises_without_evict(self):
-        links = LinkSet(1)
-        links.add(1)
-        with pytest.raises(OverflowError):
-            links.add(2)
+    def test_full_connect_refused_without_evict(self):
+        table = LinkTable(1)
+        table.connect(0, 1)
+        assert table.connect(0, 2) is False
+        assert list(table.links_of(0)) == [1]
+        assert table.links_of(2) == {}
 
     def test_evict_drops_oldest(self):
-        links = LinkSet(2)
-        links.add(1)
-        links.add(2)
-        evicted = links.add(3, evict=True)
-        assert evicted == 1
-        assert links.members() == [2, 3]
-
-    def test_try_add(self):
-        links = LinkSet(1)
-        assert links.try_add(1) is True
-        assert links.try_add(1) is True  # already present
-        assert links.try_add(2) is False  # full
+        table = LinkTable(2)
+        table.connect(0, 1)
+        table.connect(0, 2)
+        assert table.connect(0, 3, evict=True) is True
+        assert list(table.links_of(0)) == [2, 3]
+        assert table.links_of(1) == {}
 
     def test_remove(self):
-        links = LinkSet(2)
-        links.add(1)
-        assert links.remove(1) is True
-        assert links.remove(1) is False
+        table = LinkTable(3)
+        for n in (1, 2, 3):
+            table.connect(0, n)
+        table.disconnect(2, 0)
+        assert list(table.links_of(0)) == [1, 3]
+        table.disconnect(0, 2)  # already gone: a no-op
+        assert list(table.links_of(0)) == [1, 3]
+        assert table.links_of(2) == {}
 
     def test_is_full(self):
-        links = LinkSet(2)
-        assert not links.is_full
-        links.add(1)
-        links.add(2)
-        assert links.is_full
+        table = LinkTable(2)
+        table.connect(0, 1)
+        table.connect(0, 2)
+        assert table.connect(3, 0) is False
+        assert list(table.links_of(0)) == [1, 2]
+        assert table.links_of(3) == {}
 
     def test_members_order_is_insertion(self):
-        links = LinkSet(5)
+        table = LinkTable(5)
         for n in (5, 3, 9):
-            links.add(n)
-        assert links.members() == [5, 3, 9]
-
-    def test_random_member(self):
-        links = LinkSet(3)
-        assert links.random_member(random.Random(0)) is None
-        links.add(7)
-        assert links.random_member(random.Random(0)) == 7
+            table.connect(0, n)
+        table.connect(3, 0)  # relinking keeps the original position
+        assert list(table.links_of(0)) == [5, 3, 9]
 
     def test_clear(self):
-        links = LinkSet(3)
-        links.add(1)
-        links.clear()
-        assert len(links) == 0
+        table = LinkTable(3)
+        table.connect(0, 1)
+        table.connect(2, 1)
+        table.drop_all(0)
+        assert table.links_of(0) == {}
+        assert list(table.links_of(1)) == [2]
 
 
 class TestLinkTable:
