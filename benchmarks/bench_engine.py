@@ -22,9 +22,9 @@ the 1k point for context -- the sidecar meter must ride for free.
 The in-script acceptance bar is **constructive**, like
 ``tests/test_obs_overhead.py``: the marginal cost of one disabled
 ``if perf:`` guard is measured in isolation (guard loop minus empty
-loop, best of N), scaled to two guards per processed event -- the
-sharded scheduler's ``_fire`` pre/post hooks, the worst-per-event case
-in the tree -- and that projected cost must stay under
+loop, best of N), scaled to two guards per processed event -- a
+conservative over-count, since the engine carries only run-level
+``if perf:`` guards -- and that projected cost must stay under
 ``INERT_BAR_PCT`` of the measured 1k-point wall clock.  Run-minus-run
 deltas at this scale sit inside scheduler noise; the projection does
 not.  Exit is non-zero past the bar.  Measurements go to
@@ -188,9 +188,9 @@ def main() -> int:
             "tools/perf_trend.py tracks across PRs.  inert_guard is the "
             "constructive <2% bar: per-guard cost of a disabled "
             "`if perf:` check measured in isolation and projected to "
-            "two guards per event (the sharded _fire hooks, the "
-            "worst-per-event case); run-minus-run deltas at this scale "
-            "are scheduler noise, the projection is not.  "
+            "two guards per event (a conservative over-count: the "
+            "engine has only run-level guards); run-minus-run deltas "
+            "at this scale are scheduler noise, the projection is not.  "
             "perf_armed_nodes_1000 records what a live meter costs the "
             "engine leg, for context, no bar.  --quick skips the "
             "minute-long nodes_10000 point; CI uses it, the committed "

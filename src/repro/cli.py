@@ -68,7 +68,7 @@ def _run_flags_parent() -> argparse.ArgumentParser:
 
     ``compare``, ``figures``, ``profile``, ``perf``, ``chaos``,
     ``dashboard`` and ``regress`` all attach this parent, so
-    ``--seed/--seeds/--jobs/--shards`` carry the same spelling, help
+    ``--seed/--seeds/--jobs`` carry the same spelling, help
     text and validation everywhere instead of drifting per-subcommand
     copies.  ``--seed`` defaults to ``argparse.SUPPRESS`` so a
     subcommand-position ``--seed`` overrides the top-level one without
@@ -87,11 +87,6 @@ def _run_flags_parent() -> argparse.ArgumentParser:
         "--jobs", type=_positive_int, default=1,
         help="worker processes (1 = serial, the default); results are "
         "byte-identical for any value",
-    )
-    parent.add_argument(
-        "--shards", type=_positive_int, default=1,
-        help="community-partitioned shards per run (1 = classic engine); "
-        "attribution only -- output is byte-identical for any value",
     )
     return parent
 
@@ -137,8 +132,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     )
     seeds = _parse_seeds(args.seeds)
     specs = sweep_specs(
-        ("pavod", "nettube", "socialtube"), config, seeds=seeds,
-        shards=args.shards,
+        ("pavod", "nettube", "socialtube"), config, seeds=seeds
     )
     results = run_sweep(specs, jobs=args.jobs)
     if seeds and len(seeds) > 1:
@@ -164,7 +158,6 @@ def _cmd_figures(args: argparse.Namespace) -> int:
         ),
         seeds=seeds,
         jobs=args.jobs,
-        shards=args.shards,
     )
     environments = ("peersim",) if args.quick else ("peersim", "planetlab")
     suite.warm(environments=environments)
@@ -247,18 +240,12 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         else SimulationConfig.smoke_scale(seed=seed)
     )
     spec = ExperimentSpec(
-        protocol=args.protocol, config=config, environment=args.environment,
-        shards=args.shards,
+        protocol=args.protocol, config=config, environment=args.environment
     )
     profiled = run_profiled(spec, jobs=args.jobs)
     path = os.path.join(args.outdir, trace_filename(spec))
     write_trace(path, profiled.jsonl)
     print(render_profile(profiled.summary))
-    # Shard attribution rides next to the profile (never inside
-    # the byte-parity surface); jobs>1 runs lose the in-process result
-    # object, so the report is only available on the serial path.
-    if profiled.result is not None and profiled.result.shard_report is not None:
-        print("\n".join(profiled.result.shard_report.render_rows()))
     print(f"trace: {path} ({len(profiled.jsonl)} bytes)")
     return 0
 
@@ -282,8 +269,7 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         else SimulationConfig.smoke_scale(seed=seed)
     )
     spec = ExperimentSpec(
-        protocol=args.protocol, config=config, environment=args.environment,
-        shards=args.shards,
+        protocol=args.protocol, config=config, environment=args.environment
     )
     run = run_perf(spec, top_k=args.top)
     payload = perf_report_to_json_bytes(run.report)
@@ -321,8 +307,7 @@ def _cmd_dashboard(args: argparse.Namespace) -> int:
             protocols.append(name)
     specs = [
         ExperimentSpec(
-            protocol=name, config=config, environment=args.environment,
-            shards=args.shards,
+            protocol=name, config=config, environment=args.environment
         )
         for name in protocols
     ]
@@ -365,7 +350,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             seed=seed,
             scale=scale,
             jobs=args.jobs,
-            shards=args.shards,
             protocols=(args.protocol,) if args.protocol else None,
         )
         payload = grid_to_json_bytes(cells, seed=seed, scale=scale)
@@ -392,8 +376,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise SystemExit(str(exc))
     spec = ExperimentSpec(
-        protocol=args.protocol, config=config, environment=args.environment,
-        shards=args.shards,
+        protocol=args.protocol, config=config, environment=args.environment
     ).with_faults(plan)
     task = (spec, args.window)
     if args.jobs > 1:
@@ -428,7 +411,6 @@ def _cmd_regress(args: argparse.Namespace) -> int:
         strict=args.strict,
         update=args.update,
         quick=args.quick,
-        shards=args.shards,
     )
 
 
@@ -526,7 +508,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_profile.set_defaults(func=_cmd_profile)
 
     p_perf = sub.add_parser(
-        "perf", help="wall-clock perf report: throughput, hotspots, lanes",
+        "perf", help="wall-clock perf report: throughput and hotspots",
         parents=[run_flags],
     )
     p_perf.add_argument(

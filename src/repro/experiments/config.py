@@ -80,39 +80,6 @@ def planetlab_environment() -> Environment:
     )
 
 
-def simulator_bounded_environment() -> Environment:
-    """``peersim`` with the bounded-below jitter variant.
-
-    Identical topology, but the lognormal jitter multiplier is clamped
-    at 0.25 (it falls below that with probability ~2e-8 at sigma 0.25),
-    which gives the planar model a sound ``min_one_way_s`` of
-    ``0.010 * 0.25 = 2.5 ms``.  Its use is ``--shards`` window
-    accounting: with a positive lookahead the sharded coordinator
-    counts fixed ``[kL, (k+1)L)`` windows instead of one barrier per
-    distinct event time (docs/scaling.md).
-    """
-    return Environment(
-        name="peersim-bounded",
-        latency_factory=lambda rng: PlanarLatencyModel(rng, jitter_floor=0.25),
-        peer_failure_prob=0.0,
-    )
-
-
-def planetlab_bounded_environment() -> Environment:
-    """``planetlab`` with the bounded-below jitter variant.
-
-    Same WAN matrix, congestion episodes and failure probability; the
-    jitter clamp at 0.25 yields ``min_one_way_s`` of ``0.015 * 0.25 =
-    3.75 ms`` so WAN runs also get a positive lookahead.
-    """
-    return Environment(
-        name="planetlab-bounded",
-        latency_factory=lambda rng: WanLatencyModel(rng, jitter_floor=0.25),
-        peer_failure_prob=0.06,
-        server_processing_delay=0.010,
-    )
-
-
 #: Named environment factories.  ExperimentSpec stores an environment
 #: *name* (Environment itself holds latency-model closures that do not
 #: pickle across process boundaries); the runner resolves the name on
@@ -120,8 +87,6 @@ def planetlab_bounded_environment() -> Environment:
 ENVIRONMENT_FACTORIES: Dict[str, Callable[[], Environment]] = {  # shard: shared-mutable
     "peersim": simulator_environment,
     "planetlab": planetlab_environment,
-    "peersim-bounded": simulator_bounded_environment,
-    "planetlab-bounded": planetlab_bounded_environment,
 }
 
 

@@ -79,8 +79,6 @@ class EvaluationSuite:
     :meth:`result` then returns an :class:`AggregatedResult` (means +
     95% CIs) instead of a single :class:`ExperimentResult`.  Both shapes
     expose ``.metrics``, so the ``figNN_*`` methods are agnostic.
-    ``shards`` selects community-partitioned execution per run
-    (repro.shard) -- byte-identical output under the determinism gate.
     """
 
     def __init__(
@@ -89,13 +87,11 @@ class EvaluationSuite:
         planetlab_config: Optional[SimulationConfig] = None,
         seeds: Optional[Sequence[int]] = None,
         jobs: int = 1,
-        shards: int = 1,
     ):
         self.config = config or SimulationConfig.default_scale()
         self.planetlab_config = planetlab_config or SimulationConfig.planetlab_scale()
         self.seeds = tuple(int(s) for s in seeds) if seeds else None
         self.jobs = max(1, int(jobs))
-        self.shards = shards
         self._results: Dict[Tuple[str, str], SuiteResult] = {}
 
     def _config_for(self, environment: str) -> SimulationConfig:
@@ -123,7 +119,6 @@ class EvaluationSuite:
             config=cfg,
             environment=environment,
             params=resolve_params(protocol_name, cfg, overrides or None),
-            shards=self.shards,
         )
         seeds = self.seeds or (cfg.seed,)
         return [base.with_seed(seed) for seed in seeds]

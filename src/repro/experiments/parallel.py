@@ -50,15 +50,11 @@ def sweep_specs(
     config: SimulationConfig,
     seeds: Optional[Sequence[int]] = None,
     environment: str = "peersim",
-    shards: int = 1,
 ) -> List[ExperimentSpec]:
     """The ``(protocol, seed)`` cross product, protocol-major order.
 
     All specs share ``config``'s trace recipe (one corpus, many
-    trials); ``seeds`` defaults to the config's own seed.  ``shards``
-    selects community-partitioned execution per run; it is hash-neutral
-    (the determinism gate makes any shard count byte-identical, so
-    dedup and caching by content hash still collapse across it).
+    trials); ``seeds`` defaults to the config's own seed.
     """
     seed_list = [int(s) for s in seeds] if seeds else [config.seed]
     specs: List[ExperimentSpec] = []
@@ -68,7 +64,6 @@ def sweep_specs(
             config=config,
             environment=environment,
             params=resolve_params(name, config),
-            shards=shards,
         )
         specs.extend(base.with_seed(seed) for seed in seed_list)
     return specs

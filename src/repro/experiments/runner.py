@@ -14,17 +14,6 @@ Entry point: :func:`run_spec` -- the canonical call: one frozen
 :class:`ExperimentSpec` in, one :class:`ExperimentResult` out.  This is
 also what sweep workers execute (see :mod:`repro.experiments.parallel`).
 
-``spec.shards > 1`` swaps the event engine for the community-
-partitioned :class:`repro.shard.scheduler.ShardedScheduler`: nodes are
-partitioned by interest community, every event runs on its owning
-shard, cross-shard interactions are logged through the typed mailbox,
-and the lookahead window is bounded by the latency model's minimum
-cross-shard one-way delay.  The determinism gate guarantees the result
-is byte-identical to ``shards=1``; the per-shard attribution rides
-along as ``result.shard_report``.  Sharding never runs shards in
-parallel: the protocol stack shares server/tracker/overlay state across
-shards, so the run stays one process (docs/scaling.md).
-
 Delay model (documented in DESIGN.md section 5):
 
 * peer provider found by flooding: one one-way latency per hop along
@@ -41,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.baselines.protocol import PeerState
 from repro.experiments.config import Environment, environment_by_name
@@ -57,13 +46,10 @@ from repro.net.server import CentralServer, ServerOverloadError
 from repro.obs.perf import NULL_PERF
 from repro.obs.tracer import NULL_TRACER
 from repro.overlay.maintenance import record_link_sample, record_repair_sweep
-from repro.shard.partition import CommunityPartition, primary_interest
-from repro.shard.scheduler import ShardedScheduler, ShardReport
 from repro.sim.churn import ChurnModel, SessionPlan
 from repro.sim.engine import EventScheduler
 from repro.sim.rng import RngStreams
-from repro.sim.scheduler import Scheduler
-from repro.trace.dataset import TraceDataset
+from repro.trace.dataset import TraceDataset, primary_interest
 from repro.workload.selection import VideoSelector
 from repro.workload.session import SessionTracker
 
@@ -113,11 +99,6 @@ class ExperimentResult:
     events_processed: int
     sim_duration_s: float
     prefetch_hit_rate: float
-    #: Per-shard attribution when the run was sharded, else None.
-    #: Deliberately NOT rendered by render_rows: those rows are the
-    #: byte-parity surface across shard counts, and this report
-    #: legitimately names the shard count.
-    shard_report: Optional[ShardReport] = None
 
     def render_rows(self):
         rows = list(self.metrics.render_rows())
@@ -193,31 +174,13 @@ class ExperimentRunner:
         if config.num_nodes > self.dataset.num_users:
             raise ValueError("config.num_nodes exceeds dataset population")
 
-        # The latency model precedes the engine because the sharded
-        # coordinator's lookahead window is bounded by the model's
-        # minimum cross-shard one-way delay (no draws happen at model
-        # construction, so the move is stream-neutral).
         self.latency = self.environment.latency_factory(self._rng_latency)
-        self._partition: Optional[CommunityPartition] = None
-        self.scheduler: Scheduler
-        if spec.shards > 1:
-            self._partition = CommunityPartition.from_dataset(
-                self.dataset, spec.shards, config.num_nodes
-            )
-            self.scheduler = ShardedScheduler(
-                spec.shards,
-                self._shard_owner,
-                lookahead_s=self.latency.min_one_way_s(),
-            )
-        else:
-            self.scheduler = EventScheduler()
+        self.scheduler = EventScheduler()
         # Wall-clock perf telemetry (repro.obs.perf).  NULL_PERF is
-        # falsy, so the engine's hooks reduce to one truthiness check
+        # falsy, so the run's hooks reduce to one truthiness check
         # when perf is off; an armed meter never touches canonical
         # output -- its readings live only in the sidecar perf report.
         self.perf = perf if perf is not None else NULL_PERF
-        if self.perf and isinstance(self.scheduler, ShardedScheduler):
-            self.scheduler.perf = self.perf
         # One tracer flows through every substrate; it reads the
         # scheduler's virtual clock so traces are a pure function of the
         # spec (byte-identical across serial and parallel execution).
@@ -276,27 +239,6 @@ class ExperimentRunner:
             if self.tracer:
                 state.uplink.tracer = self.tracer
             self.protocol.register_peer(state)
-
-    # -- sharding -------------------------------------------------------------
-
-    def _shard_owner(self, fn, args: Tuple) -> Optional[int]:
-        """Owning shard of one scheduled callback (ShardedScheduler hook).
-
-        Runner callbacks are keyed by their first argument: a node id
-        for the per-user lifecycle (requests, finishes, crashes and
-        their repairs -- so crash repair runs on the crashed node's
-        owning shard), or an overlay flood state carrying its
-        ``requester``.  Unkeyed callbacks have no affinity and stay on
-        the shard that scheduled them.
-        """
-        if args:
-            head = args[0]
-            if isinstance(head, int):
-                return self._partition.owner(head)
-            requester = getattr(head, "requester", None)
-            if isinstance(requester, int):
-                return self._partition.owner(requester)
-        return None
 
     # -- delay model ----------------------------------------------------------
 
@@ -884,11 +826,8 @@ class ExperimentRunner:
     def _schedule_infra_faults(self) -> None:
         """Arm the correlated/infrastructure fault families.
 
-        Every family event is scheduled *unkeyed* (no node-id first
-        argument), so under sharded execution it runs as a global event
-        in the exact-mode total order -- the property that keeps
-        ``--shards`` runs byte-identical.  With no family
-        armed this schedules nothing, so fault-free runs are untouched.
+        With no family armed this schedules nothing, so fault-free runs
+        are untouched.
         """
         if not self.faults:
             return
@@ -1111,11 +1050,6 @@ class ExperimentRunner:
         # the collector so the summary (and the regress gate) sees them.
         self.metrics.tracker_lookup_failures = self.server.tracker_lookup_failures
         self.metrics.server_sheds = self.server.requests_shed
-        report = (
-            self.scheduler.shard_report()
-            if isinstance(self.scheduler, ShardedScheduler)
-            else None
-        )
         return ExperimentResult(
             metrics=self.metrics.summarize(),
             server_requests=self.server.requests_served,
@@ -1126,7 +1060,6 @@ class ExperimentRunner:
                 self.metrics.prefetch_hits
                 / max(1, self.metrics.prefetch_hits + self.metrics.prefetch_misses)
             ),
-            shard_report=report,
         )
 
 

@@ -95,12 +95,6 @@ class ExperimentSpec:
     #: canonical payload, so fault-free specs keep their pre-fault
     #: content hashes (and the committed baselines keyed by them).
     faults: Optional[FaultPlan] = None
-    #: Shard count for community-partitioned execution (repro.shard).
-    #: Excluded from the canonical payload: the determinism gate makes
-    #: ``shards`` an execution detail, never an identity -- any shard
-    #: count produces byte-identical results, so baselines and result
-    #: caches keyed by :meth:`content_hash` stay valid across it.
-    shards: int = 1
 
     def __post_init__(self) -> None:
         entry = get_protocol(self.protocol)  # raises ValueError when unknown
@@ -116,8 +110,6 @@ class ExperimentSpec:
             raise TypeError("config must be a SimulationConfig")
         if self.faults is not None and not isinstance(self.faults, FaultPlan):
             raise TypeError("faults must be a FaultPlan or None")
-        if not isinstance(self.shards, int) or self.shards < 1:
-            raise ValueError(f"shards must be an int >= 1, got {self.shards!r}")
 
     # -- derived views -------------------------------------------------------
 
@@ -197,15 +189,6 @@ class ExperimentSpec:
             assert spec.with_faults(FaultPlan()).content_hash() == spec.content_hash()
         """
         return replace(self, faults=faults)
-
-    def with_shards(self, shards: int) -> "ExperimentSpec":
-        """Copy running under ``shards`` community partitions.
-
-        Hash-neutral by design::
-
-            assert spec.with_shards(4).content_hash() == spec.content_hash()
-        """
-        return replace(self, shards=shards)
 
     def label(self) -> str:
         """Compact human-readable identity for logs and progress rows."""

@@ -21,8 +21,8 @@ blow.  The scorecard columns are the graceful-degradation contract:
 
 Every cell replays one :class:`ExperimentSpec` under one family's demo
 plan, so the whole grid is a pure function of ``(seed, scale)``: the
-canonical JSON is byte-identical across ``--jobs``/``--shards``,
-which is exactly what the CI chaos-grid job diffs.
+canonical JSON is byte-identical across ``--jobs``, which is exactly
+what the CI chaos-grid job diffs.
 """
 
 from __future__ import annotations
@@ -109,7 +109,6 @@ def _family_events(family: str, metrics: Any) -> int:
 def grid_specs(
     seed: int = 2014,
     scale: str = "smoke",
-    shards: int = 1,
     protocols: Optional[Tuple[str, ...]] = None,
 ) -> List[Tuple[str, str, ExperimentSpec]]:
     """Every ``(protocol, family, spec)`` cell, protocol-major order."""
@@ -124,8 +123,6 @@ def grid_specs(
             spec = ExperimentSpec(
                 protocol=protocol, config=factory(seed=seed)
             ).with_faults(family_plan(family))
-            if shards != 1:
-                spec = spec.with_shards(shards)
             cells.append((protocol, family, spec))
     return cells
 
@@ -155,7 +152,6 @@ def run_grid(
     seed: int = 2014,
     scale: str = "smoke",
     jobs: int = 1,
-    shards: int = 1,
     protocols: Optional[Tuple[str, ...]] = None,
 ) -> List[GridCell]:
     """Run the full grid; cells come back in protocol-major order.
@@ -163,9 +159,7 @@ def run_grid(
     ``jobs > 1`` fans cells out over worker processes; cell order (and
     therefore the canonical JSON) is identical for any job count.
     """
-    tasks = grid_specs(
-        seed=seed, scale=scale, shards=shards, protocols=protocols
-    )
+    tasks = grid_specs(seed=seed, scale=scale, protocols=protocols)
     if jobs > 1:
         with multiprocessing.Pool(processes=min(jobs, len(tasks))) as pool:
             return pool.map(_cell_worker, tasks, chunksize=1)
@@ -178,7 +172,7 @@ def grid_to_json_bytes(
     """Canonical scorecard JSON: sorted keys, fixed cell order.
 
     The bytes are the grid's parity surface: CI diffs this output
-    across ``--jobs``/``--shards``.
+    across ``--jobs``.
     """
     payload = {
         "schema": GRID_SCHEMA_VERSION,

@@ -1,10 +1,11 @@
 """``# shard:`` ownership annotations.
 
-The community-partitioned PDES refactor (ROADMAP) needs to know, for
-every piece of long-lived state, whether it is
+Sweeps, the trace cache and worker processes execute many runs in one
+interpreter, so module state outlives a run.  The annotations record,
+for every piece of long-lived state, whether it is
 
 ``shard-local``
-    owned by one run/shard; mutating it never races another shard
+    owned by one run; mutating it never leaks into another run
     (per-run collectors, schedulers, overlay tables built per run).
 ``shared-read``
     frozen after import: constants, lookup tables, singletons with no
@@ -13,7 +14,7 @@ every piece of long-lived state, whether it is
     deliberately shared across runs or workers (content-hash-keyed
     caches, the protocol registry).  Mutations are legal only outside
     event-handler code; inside a handler they must go through the
-    ``EventScheduler`` (or the future inter-shard mailbox).
+    ``EventScheduler``.
 
 Two annotation forms, both ordinary comments parsed from real COMMENT
 tokens (prose in docstrings does not register):

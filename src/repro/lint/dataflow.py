@@ -1,4 +1,4 @@
-"""Flow-sensitive and whole-program determinism/shard-safety rules.
+"""Flow-sensitive and whole-program determinism/state-ownership rules.
 
 This is the v2 analyzer layer on top of PR 1's per-file rule runner.
 Three rule families live here (plus the two rules migrated off the
@@ -22,19 +22,19 @@ named :class:`repro.sim.rng.RngStreams` substream:
   block or a ``with ...span(...):`` body (or anywhere in ``repro.obs``)
   would make trace-enabled runs diverge from fault-free hashes.
 
-**Shard safety** -- static race detection against the ``# shard:``
-ownership taxonomy (see :mod:`repro.lint.annotations`):
+**State ownership** -- static checks against the ``# shard:``
+ownership taxonomy (see :mod:`repro.lint.annotations`), which guards
+module state shared across the runs of one process:
 
 * ``shard-missing-annotation`` / ``shard-missing-module-decl`` /
   ``bad-shard-annotation``: coverage of the annotation scheme itself.
 * ``shard-class-mutable-default``: a mutable class-level default is
-  shared by every instance across future shard boundaries.
+  shared by every instance, across every run in the process.
 * ``shard-shared-read-mutated``: function-scope mutation of state
   declared frozen.
 * ``shard-event-mutation`` (program): ``shared-mutable`` state touched
-  from code reachable from an ``EventScheduler`` callback -- the exact
-  worklist the PDES refactor must route through the inter-shard
-  mailbox.
+  from code reachable from an ``EventScheduler`` callback, so one run's
+  handler side effects leak into every later run in the process.
 * ``shard-local-foreign-mutation`` (program): another module mutating
   state declared shard-local.
 
@@ -46,8 +46,8 @@ ownership taxonomy (see :mod:`repro.lint.annotations`):
   (float ``+=``, ``list.append``) leaks hash order into results.
 * ``unsorted-serialization``: ``json.dumps``/``json.dump`` without
   ``sort_keys=True`` outside the canonical encoders.
-* ``mutable-default-arg``: the classic shared-default defect; under
-  sharding the default would also be shared across shard contexts.
+* ``mutable-default-arg``: the classic shared-default defect; the
+  default is also shared by every run in the process.
 """
 
 from __future__ import annotations
@@ -267,8 +267,8 @@ class MutableDefaultArgRule(Rule):
     rule_id = "mutable-default-arg"
     severity = "high"
     description = (
-        "mutable default argument is shared across every call (and, "
-        "after sharding, across shard contexts); default to None"
+        "mutable default argument is shared across every call (and "
+        "every run in the process); default to None"
     )
 
     def check(self, tree: ast.Module, ctx: RuleContext) -> List[Finding]:
@@ -614,7 +614,7 @@ class RngObsHookDrawRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# shard safety (per-file parts)
+# state ownership (per-file parts)
 
 
 #: Packages whose module-level state must carry # shard: annotations.
@@ -625,13 +625,12 @@ SHARD_SCOPE_PACKAGES = (
     "metrics",
     "net",
     "overlay",
-    "shard",
     "sim",
     "workload",
 )
 
-#: The PDES-critical layers that additionally need a module declaration.
-MODULE_DECL_PACKAGES = ("core", "net", "overlay", "shard", "sim")
+#: The simulation layers that additionally need a module declaration.
+MODULE_DECL_PACKAGES = ("core", "net", "overlay", "sim")
 
 #: Method names that mutate their receiver in place.
 _MUTATOR_METHODS = frozenset(
@@ -848,7 +847,7 @@ class ShardAnnotationRule(Rule):
                             "shard-class-mutable-default",
                             f"class attribute '{label}' binds a mutable "
                             "default shared by every instance (and every "
-                            "future shard); use an immutable value or "
+                            "run in the process); use an immutable value or "
                             "initialize per instance",
                         )
                     )
@@ -1088,8 +1087,8 @@ class ShardProgramRule(ProgramRule):
                         "shard-local-foreign-mutation",
                         f"'{owner}.{orig}' is shard-local state but "
                         f"'{info.name}:{func_name}' mutates it ({how}); "
-                        "cross-module mutation crosses a future shard "
-                        "boundary",
+                        "cross-module mutation breaks its one-owner "
+                        "contract",
                     )
                 )
             elif binding.shard_class == "shared-mutable":
@@ -1104,7 +1103,7 @@ class ShardProgramRule(ProgramRule):
                             f"'{qualname}' (reachable from an "
                             "EventScheduler callback) mutates it "
                             f"({how}); route the write through the "
-                            "scheduler or the inter-shard mailbox",
+                            "scheduler or move it to setup code",
                         )
                     )
         return findings
@@ -1184,7 +1183,7 @@ RULE_INFO: Dict[str, Tuple[str, str]] = {
     "shard-class-mutable-default": (
         "high",
         "a mutable class-level default (or a mutable value declared "
-        "shared-read) is shared across instances and future shards",
+        "shared-read) is shared across instances and runs",
     ),
     "shard-shared-read-mutated": (
         "high",
@@ -1193,13 +1192,12 @@ RULE_INFO: Dict[str, Tuple[str, str]] = {
     "shard-event-mutation": (
         "high",
         "shared-mutable state mutated from code reachable from an "
-        "EventScheduler callback without going through the scheduler/"
-        "inter-shard mailbox",
+        "EventScheduler callback without going through the scheduler",
     ),
     "shard-local-foreign-mutation": (
         "high",
-        "shard-local state mutated from another module (crosses a "
-        "future shard boundary)",
+        "shard-local state mutated from another module (breaks its "
+        "one-owner contract)",
     ),
 }
 

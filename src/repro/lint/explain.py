@@ -51,9 +51,9 @@ time-series tables, reports, this linter's own JSON) must pass
 `sort_keys=True`.  Scratch files and tests are exempt.""",
     "mutable-default-arg": """\
 A mutable default (`def f(xs=[])`) is evaluated once and shared by
-every call -- state leaks across calls, and after the PDES sharding
-refactor, across shard contexts.  Default to `None` and construct the
-container inside the body.""",
+every call -- state leaks across calls, and across every run in the
+process.  Default to `None` and construct the container inside the
+body.""",
     "rng-unowned-generator": """\
 `random.Random(seed)` constructed ad hoc bypasses the named-substream
 discipline of `RngStreams`: its draw sequence is invisible to the
@@ -77,18 +77,19 @@ A draw lexically inside an `if ...tracer:` block or a `with
 untraced runs diverge -- the obs layer's zero-perturbation guarantee
 breaks.  Hoist the draw above the hook and pass its result in.""",
     "shard-missing-annotation": """\
-The community-partitioned PDES refactor needs every piece of module
-state classified before work can be sharded.  Module-level bindings in
+Module state outlives a run: sweeps, the trace cache and worker
+processes execute many runs in one interpreter, so every piece of it
+must say who owns it.  Module-level bindings in
 sim/overlay/net/core/workload/experiments/faults/metrics must carry a
 `# shard:` comment on the assignment line: `shard-local` (one run owns
 it), `shared-read` (frozen after import), or `shared-mutable`
 (cross-run caches; see shard-event-mutation).  Type aliases and
 `__all__` are exempt.""",
     "shard-missing-module-decl": """\
-The four PDES-critical packages (sim, overlay, net, core) also declare
+The four simulation packages (sim, overlay, net, core) also declare
 the default ownership of their *instance* state with a module-level
 `# shard: module=<class>` comment, normally `module=shard-local`:
-objects these modules create live and die inside one run/shard.""",
+objects these modules create live and die inside one run.""",
     "bad-shard-annotation": """\
 A `# shard:` marker that names no valid ownership class is probably a
 typo that silently opts state out of the analysis; valid forms are
@@ -96,8 +97,8 @@ typo that silently opts state out of the analysis; valid forms are
 `module=<class>`.""",
     "shard-class-mutable-default": """\
 A mutable class-level attribute (`class C: cache = {}`) is one object
-shared by every instance -- across runs in one process and across
-shards after the PDES refactor.  Use an immutable value
+shared by every instance -- across every run in one process.  Use an
+immutable value
 (tuple/frozenset) or initialize per instance in `__init__`.  Also
 fires when a binding declared `shared-read` holds a mutable value:
 frozen-by-convention is not frozen.""",
@@ -111,13 +112,13 @@ re-classified and routed properly.""",
 `shared-mutable` state (cross-run caches, registries) may be mutated
 only *outside* event-handler code.  This program-level rule walks the
 call graph from every callback passed to `EventScheduler.schedule(...)`
-and flags mutations reachable from one: after sharding, that write
-races other shards' event loops.  Route it through the scheduler (or
-the future inter-shard mailbox), or move it to setup/teardown code.""",
+and flags mutations reachable from one: that write carries one run's
+handler side effects into every later run in the process.  Route it
+through the scheduler, or move it to setup/teardown code.""",
     "shard-local-foreign-mutation": """\
-State declared `shard-local` is owned by one run/shard; a mutation
-from a *different module* is either a mis-classification or a genuine
-cross-shard write that the PDES refactor will turn into a race.""",
+State declared `shard-local` is owned by one run; a mutation from a
+*different module* is either a mis-classification or a write that
+breaks the one-owner contract the annotation promises.""",
     "unused-import": """\
 Dead imports hide real dependencies, slow import time, and rot
 silently.  Names exported via `__all__` and quoted annotations count

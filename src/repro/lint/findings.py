@@ -74,7 +74,7 @@ class RuleContext:
     #: "net", "core", "workload", "experiments", "faults", "metrics"),
     #: or None when the shard-safety rules do not apply to the file.
     shard_package: "str | None" = None
-    #: The four PDES-critical packages additionally require a
+    #: The four simulation packages additionally require a
     #: module-level ``# shard: module=<class>`` ownership declaration.
     requires_module_shard_decl: bool = False
     #: Dotted module name when known ("repro.sim.engine"); program-pass

@@ -20,8 +20,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.core.structure import HierarchicalStructure
     from repro.overlay.links import LinkTable
-    from repro.sim.engine import Event
-    from repro.sim.scheduler import Scheduler
+    from repro.sim.engine import Event, EventScheduler
 
 
 class OverlayInvariantError(AssertionError):
@@ -173,7 +172,7 @@ class InvariantHook:
 
 
 def install_invariant_hook(
-    scheduler: "Scheduler",
+    scheduler: "EventScheduler",
     structure: "HierarchicalStructure",
     period_s: float = 600.0,
     on_violation: Optional[Callable[[List[InvariantViolation]], None]] = None,

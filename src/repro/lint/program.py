@@ -15,8 +15,8 @@ flow-sensitive rules in :mod:`repro.lint.dataflow` consume:
   imported modules/names;
 * the **event-handler set**: every callable passed to an
   ``EventScheduler.schedule(...)``-shaped call, plus everything
-  reachable from one through the call graph -- the code that will run
-  inside a shard's event loop after the PDES refactor;
+  reachable from one through the call graph -- the code that runs
+  inside a run's event loop;
 * every **RNG substream site**: ``streams.stream("name")`` /
   ``streams.fork("name")`` calls with a literal name, attributed to
   their enclosing function.

@@ -37,22 +37,6 @@ class LatencyModel(ABC):
         """Round-trip latency (two independent one-way samples)."""
         return self.sample(src, dst) + self.sample(dst, src)
 
-    def min_one_way_s(self) -> float:
-        """A sound lower bound on any distinct-pair one-way sample.
-
-        This is the conservative *lookahead* of the sharded coordinator
-        (:mod:`repro.shard`): no interaction between nodes on different
-        shards can take effect sooner than this bound, so shards may
-        advance that far between mailbox barriers.  The default is 0.0
-        -- always sound, degenerating to fully serialized windows.
-        Models whose distributions have a positive infimum override it:
-        uniform has one by construction; the planar and WAN models have
-        one only under the bounded-below jitter variant (a positive
-        ``jitter_floor``), because raw lognormal jitter is unbounded
-        below.
-        """
-        return 0.0
-
 
 class UniformLatencyModel(LatencyModel):
     """Latency uniform in ``[low, high]``; handy for unit tests."""
@@ -68,9 +52,6 @@ class UniformLatencyModel(LatencyModel):
         if src == dst:
             return 0.0
         return self._rng.uniform(self.low, self.high)
-
-    def min_one_way_s(self) -> float:
-        return self.low
 
 
 class PlanarLatencyModel(LatencyModel):
@@ -92,25 +73,13 @@ class PlanarLatencyModel(LatencyModel):
         base: float = 0.010,
         distance_scale: float = 0.080,
         jitter_sigma: float = 0.25,
-        jitter_floor: float = 0.0,
     ):
         if base < 0 or distance_scale < 0 or jitter_sigma < 0:
             raise ValueError("latency parameters must be non-negative")
-        if not 0 <= jitter_floor <= 1:
-            raise ValueError("jitter_floor must be in [0, 1]")
         self._rng = rng
         self.base = base
         self.distance_scale = distance_scale
         self.jitter_sigma = jitter_sigma
-        #: Bounded-below jitter variant: clamp the lognormal multiplier
-        #: at this floor, giving the model the positive infimum that
-        #: makes ``min_one_way_s`` (the shard lookahead) nonzero.  At
-        #: the default 0.0 the clamp is a no-op -- the lognormal is
-        #: strictly positive -- so draw sequences are byte-identical to
-        #: the unfloored model.  At 0.25 with sigma 0.25, the clamp
-        #: fires with probability ~2e-8: statistically invisible, but it
-        #: turns serialized windows into a 2.5 ms lookahead.
-        self.jitter_floor = jitter_floor
         self._coords: Dict[int, Tuple[float, float]] = {
             SERVER_NODE_ID: (0.5, 0.5),
         }
@@ -132,14 +101,7 @@ class PlanarLatencyModel(LatencyModel):
             return 0.0
         propagation = self.base + self.distance(src, dst) * self.distance_scale
         jitter = self._rng.lognormvariate(0.0, self.jitter_sigma)
-        if jitter < self.jitter_floor:
-            jitter = self.jitter_floor
         return propagation * jitter
-
-    def min_one_way_s(self) -> float:
-        """``base * jitter_floor``: distance can be 0, jitter cannot
-        drop below the floor -- sound, and positive when floored."""
-        return self.base * self.jitter_floor
 
 
 class WanLatencyModel(LatencyModel):
@@ -177,24 +139,15 @@ class WanLatencyModel(LatencyModel):
         congestion_prob: float = 0.05,
         congestion_factor: float = 6.0,
         site_latency: Sequence[Sequence[float]] = None,
-        jitter_floor: float = 0.0,
     ):
         if not 0 <= congestion_prob <= 1:
             raise ValueError("congestion_prob must be in [0, 1]")
         if congestion_factor < 1:
             raise ValueError("congestion_factor must be >= 1")
-        if not 0 <= jitter_floor <= 1:
-            raise ValueError("jitter_floor must be in [0, 1]")
         self._rng = rng
         self.jitter_sigma = jitter_sigma
         self.congestion_prob = congestion_prob
         self.congestion_factor = congestion_factor
-        #: Bounded-below jitter variant (see
-        #: :class:`PlanarLatencyModel.jitter_floor`): 0.0 keeps draw
-        #: sequences byte-identical to the unfloored model; a positive
-        #: floor gives WAN shards a nonzero lookahead.  Congestion only
-        #: inflates samples, so the bound stays sound under episodes.
-        self.jitter_floor = jitter_floor
         self.site_latency = site_latency or self.DEFAULT_SITE_LATENCY
         self._sites: Dict[int, int] = {SERVER_NODE_ID: 0}
 
@@ -214,15 +167,7 @@ class WanLatencyModel(LatencyModel):
         if src == dst:
             return 0.0
         base = self.site_latency[self.site_of(src)][self.site_of(dst)]
-        jitter = self._rng.lognormvariate(0.0, self.jitter_sigma)
-        if jitter < self.jitter_floor:
-            jitter = self.jitter_floor
-        latency = base * jitter
+        latency = base * self._rng.lognormvariate(0.0, self.jitter_sigma)
         if self._rng.random() < self.congestion_prob:
             latency *= self.congestion_factor
         return latency
-
-    def min_one_way_s(self) -> float:
-        """Smallest matrix entry times the jitter floor (congestion and
-        the congestion factor only inflate, never shrink)."""
-        return min(min(row) for row in self.site_latency) * self.jitter_floor

@@ -245,7 +245,6 @@ def capture_baseline(
     environment: str = "peersim",
     window_s: float = DEFAULT_WINDOW_S,
     faults: Optional[FaultPlan] = None,
-    shards: int = 1,
     variant: Optional[str] = None,
 ) -> Dict[str, Any]:
     """Snapshot one protocol's baseline payload from a fresh run.
@@ -253,11 +252,6 @@ def capture_baseline(
     A nonzero ``faults`` plan produces a *chaos* baseline: the payload
     carries the plan plus the recovery metrics, and lands in a separate
     ``baseline_<protocol>_<environment>_chaos.json`` file.
-
-    ``shards`` selects community-partitioned execution for the capture
-    run.  It is hash-neutral and byte-identical by the determinism gate,
-    so ``regress --shards N`` compares those runs against baselines
-    captured unsharded -- any drift is a real parity bug.
 
     Example::
 
@@ -272,8 +266,6 @@ def capture_baseline(
     )
     if faults is not None:
         spec = spec.with_faults(faults)
-    if shards != 1:
-        spec = spec.with_shards(shards)
     return _capture(spec, scale, window_s, variant=variant)
 
 
@@ -287,7 +279,6 @@ def _capture_worker(task: Dict[str, Any]) -> Dict[str, Any]:
         environment=task.get("environment", "peersim"),
         window_s=task.get("window_s", DEFAULT_WINDOW_S),
         faults=FaultPlan.from_dict(faults) if faults else None,
-        shards=task.get("shards", 1),
         variant=task.get("variant"),
     )
 
@@ -359,7 +350,6 @@ def run_regression(
     update: bool = False,
     quick: bool = False,
     protocols: Optional[Tuple[str, ...]] = None,
-    shards: int = 1,
 ) -> int:
     """The ``python -m repro regress`` entry point; returns the exit code.
 
@@ -370,8 +360,6 @@ def run_regression(
     ``strict`` -- a series-digest mismatch.  ``update=True`` instead
     rewrites the files from the fresh captures (bootstrapping
     :data:`DEFAULT_PROTOCOLS` when the directory is empty).
-    ``shards > 1`` re-runs each baseline community-partitioned; the
-    determinism gate makes the expected drift still exactly zero.
     """
     entries = load_baselines(baseline_dir)
     if quick:
@@ -403,7 +391,6 @@ def run_regression(
             "window_s": payload.get("window_s", DEFAULT_WINDOW_S),
             "faults": payload.get("faults"),
             "variant": payload.get("variant"),
-            "shards": shards,
         }
         for _path, payload in entries
     ]

@@ -5,8 +5,8 @@ sim-clock-only -- traces, time-series, metrics are pure functions of
 the :class:`repro.experiments.spec.ExperimentSpec` and byte-identical
 across machines.  This module is the one sanctioned home of the *other*
 clock: it measures where **wall** time goes (events/s, per-phase
-hotspots, per-shard busy time) so the ROADMAP's "make the engine fast"
-work has numbers to aim at.
+hotspots) so the ROADMAP's "make the engine fast" work has numbers to
+aim at.
 
 Three rules keep the determinism story intact:
 
@@ -17,7 +17,7 @@ Three rules keep the determinism story intact:
    of canonical output (``tests/test_obs_perf.py`` diffs it).
 2. **Zero-cost when off.**  :data:`NULL_PERF` mirrors the
    :data:`repro.obs.tracer.NULL_TRACER` discipline: it is falsy, so
-   every hook in the engine reduces to one truthiness check
+   every hook in the runner reduces to one truthiness check
    (``if perf: ...``) on the inert path.
 3. **Lint-sanctioned namespace.**  The ``wall-clock`` analyzer rule
    bans ``time.perf_counter`` and friends everywhere *except* this
@@ -39,7 +39,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 #: Bumped whenever the perf-report shape changes, mirroring the trace
 #: schema discipline so stale perf artifacts can never be misread.
-PERF_SCHEMA_VERSION = 2
+PERF_SCHEMA_VERSION = 3
 
 
 class NullPerfMeter:
@@ -69,13 +69,6 @@ class NullPerfMeter:
     def run_end(self, events: int) -> None:
         """No-op; accepts and discards the engine's event count."""
 
-    def lane_event_begin(self) -> float:
-        """No-op begin; returns 0.0 (accepted by :meth:`lane_event_end`)."""
-        return 0.0
-
-    def lane_event_end(self, shard: int, began: float) -> None:
-        """No-op end; tolerates the 0.0 its begins hand out."""
-
 
 #: The shared do-nothing perf meter every hook site defaults to.
 NULL_PERF = NullPerfMeter()
@@ -84,8 +77,6 @@ NULL_PERF = NullPerfMeter()
 class PerfMeter:
     """Engine-side wall-clock meter: throughput plus hotspot attribution.
 
-    Two independent feeds:
-
     * :meth:`attach` installs a pass-through tee on a
       :class:`repro.obs.tracer.Tracer` sink, charging the wall-clock
       delta since the previous row to the current row's span/event name
@@ -93,12 +84,8 @@ class PerfMeter:
       the sim-clock trace itself is untouched.  Any previously
       installed sink (the time-series collector) keeps receiving every
       row.
-    * :meth:`lane_event_begin` / :meth:`lane_event_end` bracket one
-      sharded-scheduler event, accumulating per-shard busy wall time
-      for the lane-utilization view.
-
-    :meth:`run_begin` / :meth:`run_end` bracket the whole event loop
-    for the headline events/s number.
+    * :meth:`run_begin` / :meth:`run_end` bracket the whole event loop
+      for the headline events/s number.
     """
 
     __slots__ = (
@@ -109,8 +96,6 @@ class PerfMeter:
         "_by_name",
         "_span_names",
         "_last_row_t",
-        "_lane_busy",
-        "_lane_events",
     )
 
     #: Mirrors :attr:`NullPerfMeter.enabled`; always True here.
@@ -125,8 +110,6 @@ class PerfMeter:
         self._by_name: Dict[str, List[Any]] = {}
         self._span_names: Dict[int, str] = {}
         self._last_row_t: Optional[float] = None
-        self._lane_busy: Dict[int, float] = {}
-        self._lane_events: Dict[int, int] = {}
 
     # -- clock ---------------------------------------------------------------
 
@@ -205,20 +188,6 @@ class PerfMeter:
             self._run_began = None
         self._events += int(events)
 
-    # -- sharded-scheduler lane hooks ----------------------------------------
-
-    def lane_event_begin(self) -> float:
-        """Timestamp one sharded event's start; pair with
-        :meth:`lane_event_end`."""
-        return time.perf_counter()
-
-    def lane_event_end(self, shard: int, began: float) -> None:
-        """Accumulate one sharded event's wall time against its shard."""
-        self._lane_busy[shard] = self._lane_busy.get(shard, 0.0) + (
-            time.perf_counter() - began
-        )
-        self._lane_events[shard] = self._lane_events.get(shard, 0) + 1
-
     # -- read-out ------------------------------------------------------------
 
     @property
@@ -264,19 +233,3 @@ class PerfMeter:
             }
             for name, entry in ranked[: max(0, int(top_k))]
         ]
-
-    def lanes(self) -> List[Dict[str, Any]]:
-        """Per-shard busy wall time collected by the lane hooks.
-
-        Empty on unsharded runs (the classic engine carries no lane
-        hooks; callers synthesize one lane from the engine totals).
-        """
-        return [
-            {
-                "lane": shard,
-                "events": self._lane_events.get(shard, 0),
-                "busy_s": self._lane_busy[shard],
-            }
-            for shard in sorted(self._lane_busy)
-        ]
-

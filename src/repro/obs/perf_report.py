@@ -2,11 +2,11 @@
 
 A perf report is the wall-clock sibling of the canonical trace: one
 JSON document keyed by the spec's ``content_hash`` holding everything
-:class:`repro.obs.perf.PerfMeter` measured -- engine throughput,
-hotspot attribution, per-shard lane utilization.  It lives *next to*
-the trace, never inside it: running ``repro perf`` produces a trace
-byte-identical to ``repro profile``'s plus this separate artifact (the
-perf-smoke CI job diffs the former).
+:class:`repro.obs.perf.PerfMeter` measured -- engine throughput and
+hotspot attribution.  It lives *next to* the trace, never inside it:
+running ``repro perf`` produces a trace byte-identical to ``repro
+profile``'s plus this separate artifact (the perf-smoke CI job diffs
+the former).
 
 Example::
 
@@ -37,10 +37,8 @@ PERF_REPORT_FIELDS: Tuple[str, ...] = (
     "protocol",
     "environment",
     "seed",
-    "shards",
     "engine",
     "hotspots",
-    "lanes",
 )
 
 
@@ -50,23 +48,13 @@ def build_perf_report(
     meter: PerfMeter,
     top_k: int = 10,
 ) -> Dict[str, Any]:
-    """Fold one armed run into the :data:`PERF_REPORT_FIELDS` dict.
-
-    Unsharded runs synthesize a single lane from the engine totals so
-    the lane section is always present.
-    """
-    lanes = meter.lanes()
-    if not lanes:
-        lanes = [
-            {"lane": 0, "events": meter.events, "busy_s": meter.wall_s}
-        ]
+    """Fold one armed run into the :data:`PERF_REPORT_FIELDS` dict."""
     return {
         "schema": PERF_SCHEMA_VERSION,
         "content_hash": spec.content_hash(),
         "protocol": spec.protocol,
         "environment": spec.environment,
         "seed": spec.seed,
-        "shards": spec.shards,
         "engine": {
             "wall_s": meter.wall_s,
             "events": meter.events,
@@ -76,7 +64,6 @@ def build_perf_report(
             "sim_duration_s": result.sim_duration_s,
         },
         "hotspots": meter.hotspots(top_k),
-        "lanes": lanes,
     }
 
 
@@ -110,12 +97,6 @@ def render_perf_report(report: Dict[str, Any]) -> str:
             f"  {spot['name']:<24} {spot['rows']:>9} rows "
             f"{spot['wall_s']:>9.3f} s  {100.0 * spot['share']:>5.1f}%"
         )
-    lines.append("lane utilization (busy wall seconds)")
-    for lane in report["lanes"]:
-        lines.append(
-            f"  lane {lane['lane']:<4} {lane['events']:>9} events "
-            f"{lane['busy_s']:>9.3f} s busy"
-        )
     return "\n".join(lines)
 
 
@@ -138,8 +119,8 @@ def run_perf(spec: ExperimentSpec, top_k: int = 10) -> PerfRun:
 
     Example::
 
-        run = run_perf(spec.with_shards(4))
-        assert run.report["shards"] == 4
+        run = run_perf(spec)
+        assert run.report["content_hash"] == spec.content_hash()
     """
     dataset = shared_trace_cache.dataset_for(spec.config.trace)
     tracer = Tracer()

@@ -22,7 +22,7 @@ from typing import Callable, Dict, Iterable, Optional
 
 from repro.net.latency import LatencyModel
 from repro.overlay.flood import FloodResult
-from repro.sim.scheduler import Scheduler
+from repro.sim.engine import EventScheduler
 
 
 @dataclass
@@ -50,7 +50,7 @@ class AsyncFloodSearch:
 
     def __init__(
         self,
-        scheduler: Scheduler,
+        scheduler: EventScheduler,
         latency: LatencyModel,
         neighbors_of: Callable[[int], Iterable[int]],
         is_holder: Callable[[int], bool],

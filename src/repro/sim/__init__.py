@@ -6,10 +6,7 @@ deterministic, event-driven simulation kernel on which every protocol
 
 Public API:
 
-* :class:`repro.sim.scheduler.Scheduler` -- the structural protocol the
-  rest of the system codes against (engine seam).
-* :class:`repro.sim.engine.EventScheduler` -- the event heap and clock
-  (the reference implementation of the protocol).
+* :class:`repro.sim.engine.EventScheduler` -- the event heap and clock.
 * :class:`repro.sim.engine.Event` -- a cancellable, reschedulable
   scheduled callback handle.
 * :class:`repro.sim.rng.RngStreams` -- named, independently seeded random
@@ -21,12 +18,10 @@ Public API:
 from repro.sim.engine import Event, EventScheduler, SimulationError
 from repro.sim.churn import ChurnModel, SessionPlan
 from repro.sim.rng import RngStreams
-from repro.sim.scheduler import Scheduler
 
 __all__ = [
     "Event",
     "EventScheduler",
-    "Scheduler",
     "SimulationError",
     "ChurnModel",
     "SessionPlan",

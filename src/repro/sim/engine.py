@@ -63,9 +63,7 @@ class Event:
         self._generation = 0
         #: Set by the scheduler that owns the event so ``cancel`` /
         #: ``reschedule`` can update its live pending/cancelled
-        #: accounting.  Duck-typed: any object with ``_note_cancelled``
-        #: and ``_reschedule_event`` (the sharded coordinator wraps an
-        #: inner engine and interposes here for mailbox routing).
+        #: accounting.
         self._scheduler: Optional[Any] = None
 
     def cancel(self) -> bool:
@@ -120,10 +118,7 @@ class EventScheduler:
 
     Time is a float in *seconds* of virtual time.  The engine makes no
     assumption about wall-clock pacing; a 30-day simulation is just a
-    large horizon.  This class is the reference implementation of the
-    :class:`repro.sim.scheduler.Scheduler` protocol; the sharded
-    coordinator (:mod:`repro.shard.scheduler`) implements the same
-    protocol around one of these.
+    large horizon.
     """
 
     def __init__(self, start_time: float = 0.0):
@@ -276,7 +271,7 @@ class EventScheduler:
     def advance_to(self, time: float) -> None:
         """Move the clock forward to ``time`` without firing anything.
 
-        Used by run loops (here and in the sharded coordinator) to park
+        Used by run loops to park
         the clock at the horizon after the heap drains, so periodic
         re-scheduling relative to ``now`` stays consistent across
         successive calls.  Never moves the clock backwards.

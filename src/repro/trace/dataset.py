@@ -243,3 +243,28 @@ class TraceDataset:
         """Read a dataset previously written with :meth:`save`."""
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_json(fh.read())
+
+
+#: Cluster id for users with no subscriptions and no recorded interests.
+UNAFFILIATED = -1
+
+
+def primary_interest(dataset: TraceDataset, user_id: int) -> int:
+    """The category a user's subscriptions concentrate in.
+
+    Majority category over subscribed channels, ties to the lowest
+    category id; falls back to the lowest favorite-video interest, then
+    to :data:`UNAFFILIATED` for users with neither signal.  The
+    community-crash and network-partition fault families group nodes
+    by it.
+    """
+    counts: Dict[int, int] = {}
+    for channel_id in dataset.subscriptions_of_user(user_id):
+        category = dataset.category_of_channel(channel_id)
+        counts[category] = counts.get(category, 0) + 1
+    if counts:
+        return min(counts, key=lambda c: (-counts[c], c))
+    interests = dataset.users[user_id].interest_ids
+    if interests:
+        return min(interests)
+    return UNAFFILIATED

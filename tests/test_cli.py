@@ -21,12 +21,19 @@ RUN_COMMANDS = (
 @pytest.mark.parametrize("command", RUN_COMMANDS, ids=lambda argv: argv[0])
 @pytest.mark.parametrize(
     "bad_flag",
-    (["--workers", "2"], ["--shards", "0"], ["--jobs", "0"], ["--jobs", "-1"]),
+    (
+        ["--workers", "2"],
+        ["--shards", "0"],
+        ["--shards", "4"],
+        ["--jobs", "0"],
+        ["--jobs", "-1"],
+    ),
     ids=lambda flag: "".join(flag).lstrip("-"),
 )
 def test_bad_run_flags_are_usage_errors(command, bad_flag, capsys):
-    # argparse rejects the removed worker-count flag and non-positive
-    # counts before any run starts: exit 2 with a usage message.
+    # argparse rejects the removed worker- and shard-count flags and
+    # non-positive counts before any run starts: exit 2 with a usage
+    # message.
     with pytest.raises(SystemExit) as excinfo:
         main(command + bad_flag)
     assert excinfo.value.code == 2
@@ -99,13 +106,6 @@ class TestCli:
         assert "Fig 17a" in out
         assert "Multi-seed aggregate" in out
 
-    def test_shards_flag_output_matches_unsharded(self, capsys):
-        main(["compare", "--quick"])
-        unsharded = capsys.readouterr().out
-        main(["compare", "--quick", "--shards", "4"])
-        sharded = capsys.readouterr().out
-        assert unsharded == sharded
-
     def test_seed_accepted_after_subcommand(self, capsys):
         # The shared parent parses --seed in subcommand position without
         # clobbering the top-level default when absent.
@@ -122,8 +122,8 @@ class TestCli:
         from repro.cli import _run_flags_parent
 
         parent = _run_flags_parent()
-        args = parent.parse_args(["--seeds", "1,2", "--jobs", "2", "--shards", "4"])
-        assert (args.seeds, args.jobs, args.shards) == ("1,2", 2, 4)
+        args = parent.parse_args(["--seeds", "1,2", "--jobs", "2"])
+        assert (args.seeds, args.jobs) == ("1,2", 2)
         assert not hasattr(args, "seed")  # SUPPRESS: absent unless given
         assert parent.parse_args(["--seed", "9"]).seed == 9
 

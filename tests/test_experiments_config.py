@@ -93,17 +93,3 @@ class TestEnvironments:
         assert env.name == "planetlab"
         assert env.peer_failure_prob > 0
         assert env.latency_factory(rng).sample(1, 2) > 0
-
-    def test_bounded_environments_have_positive_lookahead(self, rng):
-        # The bounded-jitter variants exist to give conservative shard
-        # windows a sound positive lookahead (docs/scaling.md).
-        from repro.experiments.config import ENVIRONMENT_FACTORIES
-
-        for name in ("peersim-bounded", "planetlab-bounded"):
-            env = ENVIRONMENT_FACTORIES[name]()
-            assert env.name == name
-            assert env.latency_factory(rng).min_one_way_s() > 0
-
-    def test_unbounded_environments_have_zero_lookahead(self, rng):
-        for factory in (simulator_environment, planetlab_environment):
-            assert factory().latency_factory(rng).min_one_way_s() == 0.0

@@ -112,7 +112,3 @@ class TestRun:
         text = "\n".join(result.render_rows())
         assert "SocialTube" in text
         assert "server" in text
-
-    def test_unsharded_result_has_no_shard_report(self):
-        result = run_spec(micro_spec())
-        assert result.shard_report is None

@@ -142,20 +142,6 @@ class TestExperimentSpec:
         spec = ExperimentSpec(protocol="socialtube", config=MICRO)
         assert spec.label() == "socialtube/peersim/seed=10"
 
-    def test_shards_are_hash_neutral(self):
-        # Sharding is an execution detail under the determinism gate:
-        # any shard count reproduces the same bytes, so it must never
-        # perturb content hashes (baselines, result-cache keys).
-        spec = ExperimentSpec(protocol="socialtube", config=MICRO)
-        sharded = spec.with_shards(4)
-        assert sharded.shards == 4
-        assert sharded.content_hash() == spec.content_hash()
-        assert sharded != spec  # equality still sees the field
-
-    def test_invalid_shards_rejected(self):
-        with pytest.raises(ValueError):
-            ExperimentSpec(protocol="socialtube", config=MICRO, shards=0)
-
 
 class TestTraceCache:
     def test_identical_recipes_synthesize_once(self):

@@ -77,11 +77,6 @@ class TestGridSpecs:
         for _protocol, family, spec in cells:
             assert spec.faults == family_plan(family)
 
-    def test_shards_ride_on_the_spec(self):
-        cells = grid_specs(seed=2014, scale="smoke", shards=4)
-        for _protocol, _family, spec in cells:
-            assert spec.shards == 4
-
 
 class TestScorecardSerialization:
     def test_json_is_canonical_and_newline_terminated(self):

@@ -67,29 +67,6 @@ class TestPlanarLatencyModel:
         with pytest.raises(ValueError):
             PlanarLatencyModel(random.Random(1), base=-0.1)
 
-    def test_zero_floor_is_draw_identical(self):
-        # jitter_floor=0 is the exact legacy model: lognormal samples
-        # are strictly positive, so the clamp never fires and the draw
-        # sequence is untouched.
-        plain = PlanarLatencyModel(random.Random(7))
-        floored = PlanarLatencyModel(random.Random(7), jitter_floor=0.0)
-        assert [plain.sample(i, i + 1) for i in range(100)] == [
-            floored.sample(i, i + 1) for i in range(100)
-        ]
-        assert plain.min_one_way_s() == 0.0
-
-    def test_positive_floor_bounds_every_sample(self):
-        model = PlanarLatencyModel(random.Random(7), jitter_floor=0.25)
-        bound = model.min_one_way_s()
-        assert bound == pytest.approx(0.010 * 0.25)
-        assert all(model.sample(i, i + 1) >= bound for i in range(300))
-
-    def test_invalid_floor_rejected(self):
-        with pytest.raises(ValueError):
-            PlanarLatencyModel(random.Random(1), jitter_floor=1.5)
-        with pytest.raises(ValueError):
-            PlanarLatencyModel(random.Random(1), jitter_floor=-0.1)
-
 
 class TestWanLatencyModel:
     def test_self_latency_zero(self):
@@ -127,18 +104,3 @@ class TestWanLatencyModel:
     def test_invalid_congestion_factor_rejected(self):
         with pytest.raises(ValueError):
             WanLatencyModel(random.Random(1), congestion_factor=0.5)
-
-    def test_zero_floor_is_draw_identical(self):
-        plain = WanLatencyModel(random.Random(9))
-        floored = WanLatencyModel(random.Random(9), jitter_floor=0.0)
-        assert [plain.sample(i, i + 500) for i in range(100)] == [
-            floored.sample(i, i + 500) for i in range(100)
-        ]
-        assert plain.min_one_way_s() == 0.0
-
-    def test_positive_floor_bounds_every_sample(self):
-        model = WanLatencyModel(random.Random(9), jitter_floor=0.25)
-        bound = model.min_one_way_s()
-        assert bound > 0
-        # Congestion only inflates, so the floor survives the tail.
-        assert all(model.sample(i, i + 500) >= bound for i in range(300))

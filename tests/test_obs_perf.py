@@ -4,15 +4,14 @@ Four guarantees pinned here:
 
 1. **Byte parity** -- arming a :class:`~repro.obs.perf.PerfMeter`
    changes no canonical byte: trace JSONL and metric rows are
-   identical armed vs unarmed, unsharded and sharded.
+   identical armed vs unarmed.
 2. **Inert-path cost** -- the disabled ``if perf:`` guard stays under
    2% of run wall-clock, established constructively like
    ``tests/test_obs_overhead.py`` (per-guard cost measured in
    isolation x guards per event), not by noisy A/B run deltas.
 3. **Report schema stability** -- the sidecar report's top-level keys
-   are exactly ``PERF_REPORT_FIELDS`` at ``PERF_SCHEMA_VERSION``, its
-   non-timing fields are deterministic, and sharded runs report one
-   lane per shard.
+   are exactly ``PERF_REPORT_FIELDS`` at ``PERF_SCHEMA_VERSION`` and
+   its non-timing fields are deterministic.
 4. **Lint carve-out** -- ``repro.obs.perf`` may read the wall clock
    and nothing else may: the ``wall-clock`` rule stays silent for the
    sanctioned path and fires (high severity) everywhere else,
@@ -36,11 +35,9 @@ from repro.obs.perf_report import (
 from repro.obs.tracer import Tracer
 
 
-def _spec(shards: int = 1) -> ExperimentSpec:
+def _spec() -> ExperimentSpec:
     return ExperimentSpec(
-        protocol="socialtube",
-        config=SimulationConfig.smoke_scale(),
-        shards=shards,
+        protocol="socialtube", config=SimulationConfig.smoke_scale()
     )
 
 
@@ -58,12 +55,6 @@ def _trace_bytes(spec: ExperimentSpec, perf=None) -> bytes:
 class TestByteParity:
     def test_serial_trace_bytes_identical_armed_vs_unarmed(self):
         spec = _spec()
-        unarmed = _trace_bytes(spec)
-        armed = _trace_bytes(spec, perf=PerfMeter())
-        assert armed == unarmed
-
-    def test_sharded_trace_bytes_identical_armed_vs_unarmed(self):
-        spec = _spec(shards=4)
         unarmed = _trace_bytes(spec)
         armed = _trace_bytes(spec, perf=PerfMeter())
         assert armed == unarmed
@@ -90,13 +81,11 @@ class TestInertOverhead:
         start = time.perf_counter()
         for _ in range(n):
             if perf:
-                perf.lane_event_begin()
+                perf.run_begin()
         return time.perf_counter() - start
 
     def test_null_perf_is_falsy_and_noop(self):
         assert not NULL_PERF
-        assert NULL_PERF.lane_event_begin() == 0.0
-        NULL_PERF.lane_event_end(0, 0.0)
         NULL_PERF.run_begin()
         NULL_PERF.run_end(0)
 
@@ -117,10 +106,8 @@ class TestInertOverhead:
             min(self._time_guard_checks(batch) for _ in range(3)) / batch
             - loop_s,
         )
-        # Two guards per processed event: the sharded scheduler's fire
-        # pre/post hooks, the densest perf-guard placement in the tree
-        # (the serial engine has only run-level guards, so this
-        # over-counts for it).
+        # Two guards per processed event: a conservative over-count,
+        # since the engine has only run-level ``if perf:`` guards.
         projected_s = 2 * events * guard_s
         assert projected_s < 0.02 * base_s, (
             f"disabled perf guards would add {projected_s:.4f}s over "
@@ -142,8 +129,6 @@ class TestReportSchema:
         assert run.report["protocol"] == "socialtube"
         assert run.report["environment"] == spec.environment
         assert run.report["seed"] == spec.seed
-        assert run.report["shards"] == 1
-        assert len(run.report["lanes"]) == 1
         engine = run.report["engine"]
         assert engine["events"] == run.result.events_processed
         # Hotspot *ranking* is by wall seconds (machine-dependent),
@@ -164,15 +149,6 @@ class TestReportSchema:
         import json
 
         assert json.loads(blob) == run.report
-
-    def test_sharded_report_has_one_lane_per_shard(self):
-        run = run_perf(_spec(shards=2), top_k=3)
-        assert set(run.report) == set(PERF_REPORT_FIELDS)
-        assert [lane["lane"] for lane in run.report["lanes"]] == [0, 1]
-        assert (
-            sum(lane["events"] for lane in run.report["lanes"])
-            == run.report["engine"]["events"]
-        )
 
 
 class TestLintCarveOut:

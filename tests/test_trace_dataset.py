@@ -2,8 +2,14 @@
 
 import pytest
 
-from repro.trace.dataset import DatasetError, TraceDataset
+from repro.trace.dataset import (
+    UNAFFILIATED,
+    DatasetError,
+    TraceDataset,
+    primary_interest,
+)
 from repro.trace.entities import Category, Channel, User, Video
+from repro.trace.synthesizer import TraceConfig, synthesize_trace
 
 
 def _micro_dataset():
@@ -135,3 +141,40 @@ class TestSerialization:
         assert isinstance(restored.users[0].subscribed_channel_ids, set)
         assert isinstance(restored.channels[0].category_mix, dict)
         assert all(isinstance(k, int) for k in restored.channels[0].category_mix)
+
+
+NUM_NODES = 60
+
+
+@pytest.fixture(scope="module")
+def communities():
+    return synthesize_trace(
+        TraceConfig(
+            num_users=NUM_NODES, num_channels=12, num_videos=300,
+            num_categories=4, seed=7,
+        )
+    )
+
+
+class TestPrimaryInterest:
+    def test_deterministic(self, communities):
+        for user_id in range(NUM_NODES):
+            assert primary_interest(communities, user_id) == primary_interest(
+                communities, user_id
+            )
+
+    def test_subscribed_users_land_in_a_real_category(self, communities):
+        categories = {
+            communities.category_of_channel(c)
+            for u in range(NUM_NODES)
+            for c in communities.subscriptions_of_user(u)
+        }
+        for user_id in range(NUM_NODES):
+            if communities.subscriptions_of_user(user_id):
+                assert primary_interest(communities, user_id) in categories
+
+    def test_unaffiliated_fallback(self, communities):
+        # Every cluster id is either a real signal or the sentinel.
+        for user_id in range(NUM_NODES):
+            cluster = primary_interest(communities, user_id)
+            assert cluster == UNAFFILIATED or cluster >= 0
