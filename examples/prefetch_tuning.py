@@ -29,7 +29,7 @@ def main() -> None:
         result = run_spec(ExperimentSpec(protocol="socialtube", config=config))
         metrics = result.metrics
         print(
-            f"{window:>3} {result.prefetch_hit_rate:>9.3f} "
+            f"{window:>3} {metrics.prefetch_hit_fraction:>9.3f} "
             f"{metrics.startup_delay_ms_mean:>16.1f} "
             f"{metrics.startup_delay_ms_p99:>15.1f}"
         )

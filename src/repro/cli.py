@@ -262,6 +262,8 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         run_perf,
     )
 
+    if args.jobs != 1:
+        raise SystemExit("perf times one serial run; --jobs has no effect")
     seed = _single_seed(args, "perf")
     config = (
         SimulationConfig.default_scale(seed=seed)
@@ -408,7 +410,6 @@ def _cmd_regress(args: argparse.Namespace) -> int:
     return run_regression(
         baseline_dir=args.baselines,
         jobs=args.jobs,
-        strict=args.strict,
         update=args.update,
         quick=args.quick,
     )
@@ -575,10 +576,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     p_regress.add_argument(
         "--quick", action="store_true", help="only the smoke-scale baselines"
-    )
-    p_regress.add_argument(
-        "--strict", action="store_true",
-        help="treat series-digest drift as a failure, not a warning",
     )
     p_regress.add_argument(
         "--update", action="store_true",

@@ -27,7 +27,6 @@ lazily, at most once per recipe per process, and never re-synthesize.
 
 from __future__ import annotations
 
-import dataclasses
 import multiprocessing
 import pickle
 from dataclasses import dataclass
@@ -39,7 +38,7 @@ from repro.experiments.registry import resolve_params
 from repro.experiments.runner import ExperimentResult, run_spec
 from repro.experiments.spec import ExperimentSpec, content_digest
 from repro.experiments.trace_cache import shared_trace_cache
-from repro.metrics.collectors import ExperimentMetrics
+from repro.metrics.collectors import ExperimentMetrics, metric_bands
 
 # ---------------------------------------------------------------------------
 # spec construction helpers
@@ -159,12 +158,6 @@ def run_sweep(
 # ---------------------------------------------------------------------------
 # aggregation: means + 95% confidence intervals over seed-sweep siblings
 
-#: ExperimentMetrics fields that are not per-run float scalars.
-_NON_SCALAR_METRIC_FIELDS = frozenset(  # shard: shared-read
-    ("protocol", "environment", "num_requests", "overhead_by_video_index")
-)
-
-
 @dataclass
 class AggregatedResult:
     """Mean + CI summary of one system measured over several seeds.
@@ -172,9 +165,9 @@ class AggregatedResult:
     ``metrics`` is a real :class:`ExperimentMetrics` holding field-wise
     means, so everything downstream that reads ``result.metrics``
     (figures, shape checks, exporters) consumes aggregates and single
-    runs uniformly.  ``intervals`` maps each scalar metric name -- plus
-    the run-level ``prefetch_hit_rate``, ``server_requests`` and
-    ``events_processed`` -- to ``(mean, low, high)`` at 95% confidence.
+    runs uniformly.  ``intervals`` maps each declared metric name (see
+    :func:`repro.metrics.collectors.metric`) -- the scalars plus the
+    run-level counters -- to ``(mean, low, high)`` at 95% confidence.
     """
 
     protocol: str
@@ -228,16 +221,12 @@ def aggregate_runs(
         )
     metrics_list = [result.metrics for result in results]
     intervals: Dict[str, Tuple[float, float, float]] = {}
-    means: Dict[str, float] = {}
-    for field in dataclasses.fields(ExperimentMetrics):
-        if field.name in _NON_SCALAR_METRIC_FIELDS:
-            continue
-        values = [float(getattr(metrics, field.name)) for metrics in metrics_list]
-        intervals[field.name] = mean_confidence_interval(values)
-        means[field.name] = intervals[field.name][0]
-    for name in ("prefetch_hit_rate", "server_requests", "events_processed"):
-        values = [float(getattr(result, name)) for result in results]
-        intervals[name] = mean_confidence_interval(values)
+    for owners, cls in ((metrics_list, ExperimentMetrics), (results, ExperimentResult)):
+        for name in metric_bands(cls):
+            values = [float(getattr(owner, name)) for owner in owners]
+            intervals[name] = mean_confidence_interval(values)
+    means = {name: intervals[name][0] for name in metric_bands(ExperimentMetrics)}
+    means["num_requests"] = int(round(means["num_requests"]))
 
     indices = sorted(
         {idx for metrics in metrics_list for idx in metrics.overhead_by_video_index}
@@ -256,9 +245,6 @@ def aggregate_runs(
     mean_metrics = ExperimentMetrics(
         protocol=first.protocol,
         environment=first.environment,
-        num_requests=int(
-            round(mean([float(metrics.num_requests) for metrics in metrics_list]))
-        ),
         overhead_by_video_index=overhead,
         **means,
     )

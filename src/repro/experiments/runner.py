@@ -38,7 +38,7 @@ from repro.experiments.registry import create_protocol
 from repro.experiments.spec import ExperimentSpec
 from repro.experiments.trace_cache import shared_trace_cache
 from repro.faults.injector import FaultInjector, NULL_INJECTOR
-from repro.metrics.collectors import ExperimentMetrics, MetricsCollector
+from repro.metrics.collectors import ExperimentMetrics, MetricsCollector, metric
 from repro.net.latency import SERVER_NODE_ID
 from repro.net.message import ChunkSource, LookupResult
 from repro.net.streaming import simulate_playback, simulate_resume
@@ -94,11 +94,11 @@ class ExperimentResult:
     """Everything a bench needs from one run."""
 
     metrics: ExperimentMetrics
-    server_requests: int
-    tracker_lookups: int
-    events_processed: int
+    # Run-level counters, gated and aggregated like the metrics' scalars.
+    server_requests: int = metric(0.0, 0.02)
+    tracker_lookups: int = metric(0.0, 0.02)
+    events_processed: int = metric(0.0, 0.02)
     sim_duration_s: float
-    prefetch_hit_rate: float
 
     def render_rows(self):
         rows = list(self.metrics.render_rows())
@@ -311,7 +311,6 @@ class ExperimentRunner:
             and self.environment.peer_failure_prob > 0
             and self._rng_failures.random() < self.environment.peer_failure_prob
         ):
-            self.metrics.record_peer_transfer_failure(user_id)
             if self.tracer:
                 self.tracer.event(
                     "request.peer_failure",
@@ -348,7 +347,7 @@ class ExperimentRunner:
                 lost_retries += 1
                 lookup = self.protocol.locate(user_id, video_id)
             if lost_retries:
-                self.metrics.record_query_retry(user_id, lost_retries)
+                self.metrics.record_count("failover_retries", lost_retries)
 
         prefetch_entry = peer.take_prefetch(video_id)
         if self.tracer:
@@ -507,7 +506,7 @@ class ExperimentRunner:
             # Admission control shed the request (flash crowd).  The
             # client backs off under the shared RetryPolicy and retries
             # the *same* video.
-            self.metrics.record_shed_retry(user_id)
+            self.metrics.record_count("shed_retries")
             self.scheduler.schedule(
                 self.faults.retry.backoff_delay(shed_attempts),
                 self._request_next_video,
@@ -622,7 +621,7 @@ class ExperimentRunner:
         terminates; the node returns after a normal off period.
         """
         self._crash_events.pop(user_id, None)
-        self.metrics.record_crash(user_id)
+        self.metrics.record_count("crashes")
         if self.tracer:
             self.tracer.event("churn.crash", node=user_id)
         watch = self._watches.get(user_id)
@@ -686,7 +685,7 @@ class ExperimentRunner:
         if watch.grant is not None:
             watch.grant.release()
         self._drop_watch(user_id)
-        self.metrics.record_interruption(user_id)
+        self.metrics.record_count("interrupted_transfers")
         if self.tracer:
             self.tracer.event(
                 "failover.interrupted",
@@ -919,7 +918,7 @@ class ExperimentRunner:
                 pending.cancel()  # the burst preempts the churn crash
             self._crash_node(victim)
             killed += 1
-        self.metrics.record_burst(killed)
+        self.metrics.record_count("burst_crashes", killed)
         if self.tracer:
             self.tracer.event(
                 "fault.community_crash",
@@ -944,7 +943,7 @@ class ExperimentRunner:
         reports = 0
         for node_id in self._node_ids:
             reports += self.protocol.reannounce(node_id)
-        self.metrics.record_reregistrations(reports)
+        self.metrics.record_count("reregistrations", reports)
         self.metrics.note_recovery_action(self.scheduler.now)
         if self.tracer:
             self.tracer.event("tracker.reregister", count=reports)
@@ -991,7 +990,7 @@ class ExperimentRunner:
                 self._interrupt_transfer(consumer, provider_id=watch.provider_id)
                 if consumer in self._failovers:
                     interrupted += 1
-        self.metrics.record_partition_interrupts(interrupted)
+        self.metrics.record_count("partition_interrupts", interrupted)
 
     def _partition_end(self) -> None:
         """Heal the partition: restore reachability, re-probe overlays.
@@ -1010,7 +1009,7 @@ class ExperimentRunner:
             if self.protocol.state(node_id).online:
                 self.protocol.on_maintenance(node_id)
                 healed += 1
-        self.metrics.record_heal(healed)
+        self.metrics.record_count("healed_nodes", healed)
         self.metrics.note_recovery_action(self.scheduler.now)
         if self.tracer:
             self.tracer.event("partition.healed", nodes=healed)
@@ -1048,18 +1047,16 @@ class ExperimentRunner:
             perf.run_end(self.scheduler.events_processed)
         # Server-side fault counters live on the server; fold them into
         # the collector so the summary (and the regress gate) sees them.
-        self.metrics.tracker_lookup_failures = self.server.tracker_lookup_failures
-        self.metrics.server_sheds = self.server.requests_shed
+        self.metrics.record_count(
+            "tracker_lookup_failures", self.server.tracker_lookup_failures
+        )
+        self.metrics.record_count("server_sheds", self.server.requests_shed)
         return ExperimentResult(
             metrics=self.metrics.summarize(),
             server_requests=self.server.requests_served,
             tracker_lookups=self.server.tracker_lookups,
             events_processed=self.scheduler.events_processed,
             sim_duration_s=self.scheduler.now,
-            prefetch_hit_rate=(
-                self.metrics.prefetch_hits
-                / max(1, self.metrics.prefetch_hits + self.metrics.prefetch_misses)
-            ),
         )
 
 

@@ -18,59 +18,93 @@ Definitions follow Section V verbatim:
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis.stats import mean, percentile
 from repro.net.message import ChunkSource
 
 
+def metric(
+    abs_tol: float, rel_tol: float, faults: bool = False, default: Any = MISSING
+) -> Any:
+    """Declare one run metric as a dataclass field.
+
+    ``(abs_tol, rel_tol)`` is its regress band: the gate allows
+    ``|observed - baseline| <= abs_tol + rel_tol * |baseline|``.
+    Deterministic replays make zero the expected drift; the band bounds
+    how far an *intentional* change may move the metric before the gate
+    demands a baseline update in the same commit.  ``faults`` marks a
+    metric captured only under a fault plan, so fault-free baselines
+    keep their bytes.
+    """
+    return field(
+        default=default, metadata={"band": (abs_tol, rel_tol), "faults": faults}
+    )
+
+
+def metric_bands(cls: type, faults: bool = True) -> Dict[str, Tuple[float, float]]:
+    """Name -> regress band of every metric ``cls`` declares, in field
+    order; ``faults=False`` leaves out the fault-only ones."""
+    return {
+        f.name: f.metadata["band"]
+        for f in fields(cls)
+        if "band" in f.metadata and (faults or not f.metadata["faults"])
+    }
+
+
 @dataclass
 class ExperimentMetrics:
-    """Summary of one experiment run (one protocol, one environment)."""
+    """Summary of one experiment run (one protocol, one environment).
+
+    Every scalar is declared with :func:`metric`; the regress gate, the
+    seed aggregation and the chaos baselines read these declarations.
+    Fractions get a small absolute band, time/count metrics a relative
+    one; fault counts replay exactly.
+    """
 
     protocol: str
     environment: str
-    num_requests: int
+    num_requests: int = metric(0.0, 0.0)
     # Startup delay (milliseconds).
-    startup_delay_ms_mean: float
-    startup_delay_ms_p50: float
-    startup_delay_ms_p99: float
+    startup_delay_ms_mean: float = metric(1.0, 0.05)
+    startup_delay_ms_p50: float = metric(1.0, 0.05)
+    startup_delay_ms_p99: float = metric(1.0, 0.10)
     # Normalized peer bandwidth percentiles across nodes (Fig 16).
-    peer_bandwidth_p1: float
-    peer_bandwidth_p50: float
-    peer_bandwidth_p99: float
+    peer_bandwidth_p1: float = metric(0.02, 0.0)
+    peer_bandwidth_p50: float = metric(0.02, 0.0)
+    peer_bandwidth_p99: float = metric(0.02, 0.0)
     # Maintenance overhead by within-session video index (Fig 18).
     overhead_by_video_index: Dict[int, float]
     # Playback continuity (chunk-level streaming model).
-    mean_continuity_index: float
-    stall_fraction: float
-    mean_stall_ms: float
+    mean_continuity_index: float = metric(0.01, 0.0)
+    stall_fraction: float = metric(0.02, 0.0)
+    mean_stall_ms: float = metric(5.0, 0.05)
     # Supporting counters.
-    server_fallback_fraction: float
-    cache_hit_fraction: float
-    prefetch_hit_fraction: float
-    mean_search_hops: float
-    mean_peers_contacted: float
+    server_fallback_fraction: float = metric(0.02, 0.0)
+    cache_hit_fraction: float = metric(0.02, 0.0)
+    prefetch_hit_fraction: float = metric(0.02, 0.0)
+    mean_search_hops: float = metric(0.05, 0.05)
+    mean_peers_contacted: float = metric(0.1, 0.05)
     # Fault recovery (repro.faults; all zero on fault-free runs).
-    crashes: int = 0
-    interrupted_transfers: int = 0
-    failover_peer_resumes: int = 0
-    failover_server_fallbacks: int = 0
-    failover_latency_ms_mean: float = 0.0
-    retries_per_serve: float = 0.0
-    degraded_serve_fraction: float = 0.0
+    crashes: int = metric(0.0, 0.0, faults=True, default=0)
+    interrupted_transfers: int = metric(0.0, 0.0, faults=True, default=0)
+    failover_peer_resumes: int = metric(0.0, 0.0, faults=True, default=0)
+    failover_server_fallbacks: int = metric(0.0, 0.0, faults=True, default=0)
+    failover_latency_ms_mean: float = metric(1.0, 0.05, faults=True, default=0.0)
+    retries_per_serve: float = metric(0.01, 0.0, faults=True, default=0.0)
+    degraded_serve_fraction: float = metric(0.02, 0.0, faults=True, default=0.0)
     # Correlated & infrastructure faults (repro.faults v2; all zero on
     # fault-free runs *and* on pre-v2 plans, so summaries and baselines
     # captured before these families existed keep their bytes).
-    burst_crashes: int = 0
-    tracker_lookup_failures: int = 0
-    reregistrations: int = 0
-    partition_interrupts: int = 0
-    healed_nodes: int = 0
-    server_sheds: int = 0
-    shed_retries: int = 0
-    recovery_time_s: float = 0.0
+    burst_crashes: int = metric(0.0, 0.0, faults=True, default=0)
+    tracker_lookup_failures: int = metric(0.0, 0.0, faults=True, default=0)
+    reregistrations: int = metric(0.0, 0.0, faults=True, default=0)
+    partition_interrupts: int = metric(0.0, 0.0, faults=True, default=0)
+    healed_nodes: int = metric(0.0, 0.0, faults=True, default=0)
+    server_sheds: int = metric(0.0, 0.0, faults=True, default=0)
+    shed_retries: int = metric(0.0, 0.0, faults=True, default=0)
+    recovery_time_s: float = metric(1.0, 0.05, faults=True, default=0.0)
 
     def overhead_series(self) -> List[Tuple[int, float]]:
         """Fig 18 series: (videos watched, mean links maintained).
@@ -166,6 +200,16 @@ class ExperimentMetrics:
         return rows
 
 
+#: Counters :meth:`MetricsCollector.record_count` accepts: the integer
+#: fault fields of :class:`ExperimentMetrics`, which ``summarize`` copies
+#: by name, plus the retry total behind ``retries_per_serve``.
+COUNTERS: Tuple[str, ...] = tuple(  # shard: shared-read
+    f.name
+    for f in fields(ExperimentMetrics)
+    if f.metadata.get("faults") and isinstance(f.default, int)
+) + ("failover_retries",)
+
+
 class MetricsCollector:
     """Accumulates raw observations during a run."""
 
@@ -183,29 +227,15 @@ class MetricsCollector:
         self.server_fallbacks = 0
         self.cache_hits = 0
         self.prefetch_hits = 0
-        self.prefetch_misses = 0
-        self.peer_transfer_failures = 0
-        self._peer_failures_by_user: Dict[int, int] = defaultdict(int)
         self._continuity: List[float] = []
         self._stall_ms: List[float] = []
         self.stalled_watches = 0
-        # Fault recovery (repro.faults): crash-churn + failover ledger.
-        self.crashes = 0
-        self.interrupted_transfers = 0
-        self.failover_peer_resumes = 0
-        self.failover_server_fallbacks = 0
-        self.failover_retries = 0
+        # Fault recovery (repro.faults): crash-churn, failover and
+        # infrastructure-fault counters, by name.  The server-side ones
+        # (lookup failures, sheds) are added by the runner after the
+        # event loop drains.
+        self._counts: Dict[str, int] = dict.fromkeys(COUNTERS, 0)
         self._failover_latencies_ms: List[float] = []
-        # Infrastructure faults (repro.faults v2).  The server-side
-        # counters (lookup failures, sheds) are copied onto the
-        # collector by the runner after the event loop drains.
-        self.burst_crashes = 0
-        self.tracker_lookup_failures = 0
-        self.reregistrations = 0
-        self.partition_interrupts = 0
-        self.healed_nodes = 0
-        self.server_sheds = 0
-        self.shed_retries = 0
         #: Instant the first armed infrastructure fault strikes (set by
         #: the runner); 0.0 disables recovery-time measurement.
         self.fault_onset_t = 0.0
@@ -231,8 +261,6 @@ class MetricsCollector:
             self.cache_hits += 1
         if prefetch_hit:
             self.prefetch_hits += 1
-        else:
-            self.prefetch_misses += 1
         self._hops.append(hops)
         self._contacted.append(peers_contacted)
 
@@ -249,34 +277,13 @@ class MetricsCollector:
     def record_overhead(self, user_id: int, video_index: int, links: int) -> None:
         self._overhead[video_index].append(links)
 
-    def record_peer_transfer_failure(self, user_id: int) -> None:
-        """Count one peer-transfer failure, attributed to ``user_id``.
-
-        The per-user attribution keeps the metrics ledger in agreement
-        with the obs trace's ``request.peer_failure`` events (both key
-        failures by the *requesting* node).
-        """
-        self.peer_transfer_failures += 1
-        self._peer_failures_by_user[user_id] += 1
-
-    def peer_transfer_failures_by_user(self) -> Dict[int, int]:
-        """Per-requester failure counts; sum equals
-        :attr:`peer_transfer_failures`."""
-        return dict(self._peer_failures_by_user)
-
-    def record_crash(self, user_id: int) -> None:
-        """Count one crash-churn event (the node died mid-session)."""
-        self.crashes += 1
-
-    def record_interruption(self, user_id: int) -> None:
-        """Count one mid-transfer interruption (provider crashed)."""
-        self.interrupted_transfers += 1
-
-    def record_query_retry(self, user_id: int, retries: int) -> None:
-        """Count lost-query retries spent on one serve."""
-        if retries < 0:
-            raise ValueError("retries must be >= 0")
-        self.failover_retries += retries
+    def record_count(self, name: str, n: int = 1) -> None:
+        """Add ``n`` to the fault counter ``name`` (one of :data:`COUNTERS`)."""
+        if n < 0:
+            raise ValueError("n must be >= 0")
+        if name not in self._counts:
+            raise KeyError(f"unknown counter {name!r}")
+        self._counts[name] += n
 
     def record_failover(
         self, user_id: int, latency_s: float, retries: int, to_peer: bool
@@ -292,39 +299,11 @@ class MetricsCollector:
         if retries < 0:
             raise ValueError("retries must be >= 0")
         if to_peer:
-            self.failover_peer_resumes += 1
+            self._counts["failover_peer_resumes"] += 1
         else:
-            self.failover_server_fallbacks += 1
-        self.failover_retries += retries
+            self._counts["failover_server_fallbacks"] += 1
+        self._counts["failover_retries"] += retries
         self._failover_latencies_ms.append(latency_s * 1000.0)
-
-    def record_burst(self, victims: int) -> None:
-        """Record one correlated community-crash burst."""
-        if victims < 0:
-            raise ValueError("victims must be >= 0")
-        self.burst_crashes += victims
-
-    def record_reregistrations(self, reports: int) -> None:
-        """Record the tracker-recovery re-registration sweep."""
-        if reports < 0:
-            raise ValueError("reports must be >= 0")
-        self.reregistrations += reports
-
-    def record_partition_interrupts(self, count: int) -> None:
-        """Record transfers severed when a partition began."""
-        if count < 0:
-            raise ValueError("count must be >= 0")
-        self.partition_interrupts += count
-
-    def record_heal(self, nodes: int) -> None:
-        """Record the heal sweep run when a partition ended."""
-        if nodes < 0:
-            raise ValueError("nodes must be >= 0")
-        self.healed_nodes += nodes
-
-    def record_shed_retry(self, user_id: int) -> None:
-        """Count one client-side backoff after an admission-control shed."""
-        self.shed_retries += 1
 
     def note_recovery_action(self, now: float) -> None:
         """Timestamp a recovery action (resume, repair, reannounce, heal).
@@ -373,9 +352,10 @@ class MetricsCollector:
             idx: mean([float(v) for v in values])
             for idx, values in self._overhead.items()
         }
-        prefetch_total = self.prefetch_hits + self.prefetch_misses
         continuity = self._continuity or [1.0]
         stall_ms = self._stall_ms or [0.0]
+        counts = dict(self._counts)
+        retries = counts.pop("failover_retries")
         return ExperimentMetrics(
             protocol=self.protocol,
             environment=self.environment,
@@ -396,34 +376,20 @@ class MetricsCollector:
             mean_stall_ms=mean(stall_ms),
             server_fallback_fraction=self.server_fallbacks / self.requests,
             cache_hit_fraction=self.cache_hits / self.requests,
-            prefetch_hit_fraction=(
-                self.prefetch_hits / prefetch_total if prefetch_total else 0.0
-            ),
+            prefetch_hit_fraction=self.prefetch_hits / self.requests,
             mean_search_hops=mean([float(h) for h in self._hops]),
             mean_peers_contacted=mean([float(c) for c in self._contacted]),
-            crashes=self.crashes,
-            interrupted_transfers=self.interrupted_transfers,
-            failover_peer_resumes=self.failover_peer_resumes,
-            failover_server_fallbacks=self.failover_server_fallbacks,
             failover_latency_ms_mean=(
                 mean(self._failover_latencies_ms)
                 if self._failover_latencies_ms
                 else 0.0
             ),
-            retries_per_serve=self.failover_retries / self.requests,
-            degraded_serve_fraction=(
-                self.failover_server_fallbacks / self.requests
-            ),
-            burst_crashes=self.burst_crashes,
-            tracker_lookup_failures=self.tracker_lookup_failures,
-            reregistrations=self.reregistrations,
-            partition_interrupts=self.partition_interrupts,
-            healed_nodes=self.healed_nodes,
-            server_sheds=self.server_sheds,
-            shed_retries=self.shed_retries,
+            retries_per_serve=retries / self.requests,
+            degraded_serve_fraction=counts["failover_server_fallbacks"] / self.requests,
             recovery_time_s=(
                 max(0.0, self._last_recovery_t - self.fault_onset_t)
                 if self.fault_onset_t > 0 and self._last_recovery_t is not None
                 else 0.0
             ),
+            **counts,
         )

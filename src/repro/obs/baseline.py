@@ -16,8 +16,8 @@ smuggle in without updating the baselines in the same commit.
 
 The series digest (the SHA-256 of the windowed table's canonical JSON)
 is compared too: a digest mismatch with in-band scalar metrics means
-the run's *shape over time* moved even though the endpoints agree --
-a warning by default, fatal under ``--strict``.
+the run's *shape over time* moved even though the endpoints agree,
+and fails the gate like an out-of-band metric.
 
 ``--update`` regenerates the files from fresh runs (bootstrapping the
 three paper protocols when none exist); commit the diff alongside the
@@ -33,9 +33,11 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.experiments.config import SimulationConfig
+from repro.experiments.runner import ExperimentResult
 from repro.experiments.spec import ExperimentSpec
 from repro.experiments.trace_cache import shared_trace_cache
 from repro.faults.plan import FaultPlan
+from repro.metrics.collectors import ExperimentMetrics, metric_bands
 from repro.obs.timeseries import DEFAULT_WINDOW_S, run_with_timeseries
 
 #: Bumped when the baseline file layout changes.
@@ -47,74 +49,15 @@ DEFAULT_BASELINE_DIR = "baselines"
 #: The protocols bootstrapped by ``regress --update`` on an empty dir.
 DEFAULT_PROTOCOLS: Tuple[str, ...] = ("pavod", "nettube", "socialtube")
 
-#: Per-metric tolerance bands ``(abs_tol, rel_tol)``.  Deterministic
-#: replays make zero the expected drift; the bands bound how far an
-#: *intentional* change may move a metric before the gate demands a
-#: baseline update in the same commit.  Fractions get a small absolute
-#: band, time/count metrics a relative one.
-DEFAULT_TOLERANCES: Dict[str, Tuple[float, float]] = {
-    "startup_delay_ms_mean": (1.0, 0.05),
-    "startup_delay_ms_p50": (1.0, 0.05),
-    "startup_delay_ms_p99": (1.0, 0.10),
-    "peer_bandwidth_p1": (0.02, 0.0),
-    "peer_bandwidth_p50": (0.02, 0.0),
-    "peer_bandwidth_p99": (0.02, 0.0),
-    "server_fallback_fraction": (0.02, 0.0),
-    "cache_hit_fraction": (0.02, 0.0),
-    "prefetch_hit_fraction": (0.02, 0.0),
-    "mean_search_hops": (0.05, 0.05),
-    "mean_peers_contacted": (0.1, 0.05),
-    "mean_continuity_index": (0.01, 0.0),
-    "stall_fraction": (0.02, 0.0),
-    "mean_stall_ms": (5.0, 0.05),
-    "num_requests": (0.0, 0.0),
-    "server_requests": (0.0, 0.02),
-    "tracker_lookups": (0.0, 0.02),
-    "events_processed": (0.0, 0.02),
-    "prefetch_hit_rate": (0.02, 0.0),
-    # Fault-recovery metrics (present only in chaos baselines).  Counts
-    # are fully deterministic replays; latency gets the usual time band.
-    "crashes": (0.0, 0.0),
-    "interrupted_transfers": (0.0, 0.0),
-    "failover_peer_resumes": (0.0, 0.0),
-    "failover_server_fallbacks": (0.0, 0.0),
-    "failover_latency_ms_mean": (1.0, 0.05),
-    "retries_per_serve": (0.01, 0.0),
-    "degraded_serve_fraction": (0.02, 0.0),
-    # Infrastructure-fault metrics (repro.faults v2; chaos baselines
-    # only).  Counts replay deterministically; the recovery clock gets
-    # the usual time band.
-    "burst_crashes": (0.0, 0.0),
-    "tracker_lookup_failures": (0.0, 0.0),
-    "reregistrations": (0.0, 0.0),
-    "partition_interrupts": (0.0, 0.0),
-    "healed_nodes": (0.0, 0.0),
-    "server_sheds": (0.0, 0.0),
-    "shed_retries": (0.0, 0.0),
-    "recovery_time_s": (1.0, 0.05),
+#: Regress band of every declared run metric: the scalar fields of
+#: :class:`ExperimentMetrics` and the run-level counters of
+#: :class:`ExperimentResult` (see :func:`repro.metrics.collectors.metric`).
+BANDS: Dict[str, Tuple[float, float]] = {  # shard: shared-read
+    **metric_bands(ExperimentMetrics),
+    **metric_bands(ExperimentResult),
 }
 
-#: Recovery metrics captured only under a nonzero fault plan; all are
-#: attributes of :class:`repro.metrics.collectors.ExperimentMetrics`.
-CHAOS_METRICS: Tuple[str, ...] = (
-    "crashes",
-    "interrupted_transfers",
-    "failover_peer_resumes",
-    "failover_server_fallbacks",
-    "failover_latency_ms_mean",
-    "retries_per_serve",
-    "degraded_serve_fraction",
-    "burst_crashes",
-    "tracker_lookup_failures",
-    "reregistrations",
-    "partition_interrupts",
-    "healed_nodes",
-    "server_sheds",
-    "shed_retries",
-    "recovery_time_s",
-)
-
-#: Band applied to a metric missing from :data:`DEFAULT_TOLERANCES`.
+#: Band applied to a metric missing from :data:`BANDS`.
 FALLBACK_TOLERANCE: Tuple[float, float] = (0.0, 0.05)
 
 _SCALES = {"smoke": SimulationConfig.smoke_scale, "default": SimulationConfig.default_scale}
@@ -191,34 +134,13 @@ def _capture(
         window_s=window_s,
         dataset=shared_trace_cache.dataset_for(spec.config.trace),
     )
-    metrics = run.result.metrics
+    # Only chaos baselines carry the fault-only metrics: fault-free
+    # capture payloads stay byte-identical to pre-fault ones.
     values: Dict[str, float] = {
-        "startup_delay_ms_mean": metrics.startup_delay_ms_mean,
-        "startup_delay_ms_p50": metrics.startup_delay_ms_p50,
-        "startup_delay_ms_p99": metrics.startup_delay_ms_p99,
-        "peer_bandwidth_p1": metrics.peer_bandwidth_p1,
-        "peer_bandwidth_p50": metrics.peer_bandwidth_p50,
-        "peer_bandwidth_p99": metrics.peer_bandwidth_p99,
-        "server_fallback_fraction": metrics.server_fallback_fraction,
-        "cache_hit_fraction": metrics.cache_hit_fraction,
-        "prefetch_hit_fraction": metrics.prefetch_hit_fraction,
-        "mean_search_hops": metrics.mean_search_hops,
-        "mean_peers_contacted": metrics.mean_peers_contacted,
-        "mean_continuity_index": metrics.mean_continuity_index,
-        "stall_fraction": metrics.stall_fraction,
-        "mean_stall_ms": metrics.mean_stall_ms,
-        "num_requests": float(metrics.num_requests),
-        "server_requests": float(run.result.server_requests),
-        "tracker_lookups": float(run.result.tracker_lookups),
-        "events_processed": float(run.result.events_processed),
-        "prefetch_hit_rate": run.result.prefetch_hit_rate,
+        name: float(getattr(owner, name))
+        for owner in (run.result.metrics, run.result)
+        for name in metric_bands(type(owner), faults=spec.has_faults())
     }
-    if spec.has_faults():
-        # Only chaos baselines carry the recovery metrics: fault-free
-        # capture payloads stay byte-identical to pre-fault ones.
-        values.update(
-            {name: float(getattr(metrics, name)) for name in CHAOS_METRICS}
-        )
     payload = {
         "schema": BASELINE_SCHEMA_VERSION,
         "protocol": spec.protocol,
@@ -330,7 +252,7 @@ def compare_to_baseline(
     names = sorted(set(baseline["metrics"]) | set(fresh["metrics"]))
     deviations = []
     for name in names:
-        abs_tol, rel_tol = DEFAULT_TOLERANCES.get(name, FALLBACK_TOLERANCE)
+        abs_tol, rel_tol = BANDS.get(name, FALLBACK_TOLERANCE)
         deviations.append(
             Deviation(
                 metric=name,
@@ -346,7 +268,6 @@ def compare_to_baseline(
 def run_regression(
     baseline_dir: str = DEFAULT_BASELINE_DIR,
     jobs: int = 1,
-    strict: bool = False,
     update: bool = False,
     quick: bool = False,
     protocols: Optional[Tuple[str, ...]] = None,
@@ -356,8 +277,8 @@ def run_regression(
     Re-runs every committed baseline spec (``--quick`` keeps only the
     smoke-scale ones) and prints a per-metric drift table.  Exit 1 on:
     an out-of-band metric, a content-hash mismatch (the spec itself
-    changed -- the baseline no longer describes this code), or -- under
-    ``strict`` -- a series-digest mismatch.  ``update=True`` instead
+    changed -- the baseline no longer describes this code), or a
+    series-digest mismatch.  ``update=True`` instead
     rewrites the files from the fresh captures (bootstrapping
     :data:`DEFAULT_PROTOCOLS` when the directory is empty).
     """
@@ -425,13 +346,11 @@ def run_regression(
             if not deviation.ok:
                 failures += 1
         if payload.get("series_digest") != fresh["series_digest"]:
-            marker = "FAIL" if strict else "warn"
             print(
-                f"  {marker} series digest drift: {payload.get('series_digest', '?')[:16]} "
+                f"  FAIL series digest drift: {payload.get('series_digest', '?')[:16]} "
                 f"-> {fresh['series_digest'][:16]} (shape-over-time changed)"
             )
-            if strict:
-                failures += 1
+            failures += 1
         else:
             print(f"  series digest ok ({fresh['series_digest'][:16]})")
     if failures:

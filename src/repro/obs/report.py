@@ -119,16 +119,7 @@ class DashboardRun:
 
 def _scalars_of(result) -> Dict[str, float]:
     """Headline scalars of an :class:`ExperimentResult` for the tiles/table."""
-    metrics = result.metrics
-    return {
-        "startup_delay_ms_mean": metrics.startup_delay_ms_mean,
-        "peer_bandwidth_p50": metrics.peer_bandwidth_p50,
-        "server_fallback_fraction": metrics.server_fallback_fraction,
-        "prefetch_hit_fraction": metrics.prefetch_hit_fraction,
-        "mean_continuity_index": metrics.mean_continuity_index,
-        "stall_fraction": metrics.stall_fraction,
-        "mean_stall_ms": metrics.mean_stall_ms,
-    }
+    return {key: getattr(result.metrics, key) for key, _label in SCALAR_COLUMNS}
 
 
 def dashboard_run(spec: ExperimentSpec, window_s: float = DEFAULT_WINDOW_S) -> DashboardRun:

@@ -131,6 +131,12 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["regress", "--seeds", "1,2"])
 
+    def test_perf_rejects_jobs(self, capsys):
+        # perf times one serial run, so a worker count would be ignored.
+        with pytest.raises(SystemExit, match="--jobs"):
+            main(["perf", "socialtube", "--jobs", "2"])
+        assert capsys.readouterr().out == ""
+
     def test_single_run_commands_reject_multi_seed(self):
         with pytest.raises(SystemExit):
             main(["profile", "socialtube", "--seeds", "1,2"])

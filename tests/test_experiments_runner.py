@@ -105,7 +105,7 @@ class TestRun:
 
     def test_prefetch_disabled_means_no_hits(self):
         result = run_spec(micro_spec(enable_prefetch=False))
-        assert result.prefetch_hit_rate == 0.0
+        assert result.metrics.prefetch_hit_fraction == 0.0
 
     def test_render_rows(self):
         result = run_spec(micro_spec())

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.metrics.collectors import MetricsCollector
+from repro.metrics.collectors import COUNTERS, MetricsCollector
 from repro.net.message import ChunkSource
 
 
@@ -31,21 +31,29 @@ class TestRecording:
         with pytest.raises(ValueError):
             _collector().record_chunks(1, ChunkSource.PEER, -1)
 
-    def test_peer_transfer_failures_by_user(self):
+    def test_record_count_rejects_negative_and_unknown(self):
         collector = _collector()
-        assert collector.peer_transfer_failures_by_user() == {}
-        for user_id in (3, 1, 3, 3, 7):
-            collector.record_peer_transfer_failure(user_id)
-        by_user = collector.peer_transfer_failures_by_user()
-        assert by_user == {1: 1, 3: 3, 7: 1}
-        assert sum(by_user.values()) == collector.peer_transfer_failures
+        with pytest.raises(ValueError):
+            collector.record_count("crashes", -1)
+        with pytest.raises(KeyError):
+            collector.record_count("no_such_counter")
 
-    def test_peer_transfer_failures_snapshot_is_detached(self):
+    def test_every_counter_reaches_its_summary_field(self):
         collector = _collector()
-        collector.record_peer_transfer_failure(5)
-        snapshot = collector.peer_transfer_failures_by_user()
-        snapshot[5] = 99
-        assert collector.peer_transfer_failures_by_user() == {5: 1}
+        collector.record_request(
+            user_id=1, startup_delay_s=0.1, from_server=False, from_cache=False,
+            hops=1, peers_contacted=1, prefetch_hit=False,
+        )
+        for n, name in enumerate(COUNTERS, start=2):
+            collector.record_count(name)
+            collector.record_count(name, n)
+        metrics = collector.summarize()
+        for n, name in enumerate(COUNTERS, start=2):
+            if name == "failover_retries":
+                # one request: the retry total is retries per serve
+                assert metrics.retries_per_serve == n + 1
+            else:
+                assert getattr(metrics, name) == n + 1, name
 
     def test_fractions(self):
         collector = _collector()

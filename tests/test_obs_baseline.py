@@ -8,13 +8,15 @@ and the ``--update`` bootstrap.  One fresh capture per module keeps
 this inside the tier-1 budget.
 """
 
+import dataclasses
 import json
 
 import pytest
 
+from repro.experiments.runner import ExperimentResult
+from repro.faults.plan import FaultPlan
+from repro.metrics.collectors import ExperimentMetrics, metric_bands
 from repro.obs.baseline import (
-    CHAOS_METRICS,
-    DEFAULT_TOLERANCES,
     Deviation,
     baseline_path,
     capture_baseline,
@@ -84,9 +86,33 @@ def test_capture_payload_shape(payload):
     assert payload["scale"] == "smoke"
     assert len(payload["series_digest"]) == 64
     assert payload["num_windows"] > 0
-    # fault-free captures carry every banded metric except the
-    # chaos-only recovery set (those appear only under a fault plan)
-    assert set(payload["metrics"]) == set(DEFAULT_TOLERANCES) - set(CHAOS_METRICS)
+    # fault-free captures carry every declared metric except the
+    # fault-only ones (those appear only under a fault plan)
+    assert set(payload["metrics"]) == set(
+        metric_bands(ExperimentMetrics, faults=False)
+    ) | set(metric_bands(ExperimentResult))
+
+
+def test_chaos_capture_adds_exactly_the_fault_only_metrics(payload):
+    chaos = capture_baseline("socialtube", scale="smoke", faults=FaultPlan.demo())
+    fault_only = set(metric_bands(ExperimentMetrics)) - set(
+        metric_bands(ExperimentMetrics, faults=False)
+    )
+    assert fault_only
+    assert set(chaos["metrics"]) == set(payload["metrics"]) | fault_only
+    assert chaos["faults"] == FaultPlan.demo().to_dict()
+
+
+def test_every_metric_field_declares_a_band():
+    """A scalar without a band would skip the gate and the seed means."""
+    unbanded = {
+        field.name
+        for field in dataclasses.fields(ExperimentMetrics)
+        if "band" not in field.metadata
+    }
+    assert unbanded == {"protocol", "environment", "overhead_by_video_index"}
+    for abs_tol, rel_tol in metric_bands(ExperimentMetrics).values():
+        assert abs_tol >= 0.0 and rel_tol >= 0.0
 
 
 def test_spec_roundtrips_through_payload(payload):
@@ -133,13 +159,11 @@ def test_regress_fails_on_content_hash_mismatch(tmp_path, payload, capsys):
     assert "content_hash mismatch" in capsys.readouterr().out
 
 
-def test_series_digest_drift_warns_unless_strict(tmp_path, payload, capsys):
+def test_series_digest_drift_fails(tmp_path, payload, capsys):
     drifted = json.loads(json.dumps(payload))
     drifted["series_digest"] = "f" * 64
     write_baseline(baseline_path(str(tmp_path), drifted), drifted)
-    assert run_regression(baseline_dir=str(tmp_path)) == 0
-    assert "warn series digest drift" in capsys.readouterr().out
-    assert run_regression(baseline_dir=str(tmp_path), strict=True) == 1
+    assert run_regression(baseline_dir=str(tmp_path)) == 1
     assert "FAIL series digest drift" in capsys.readouterr().out
 
 

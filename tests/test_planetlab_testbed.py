@@ -39,7 +39,7 @@ class TestPlanetLabTestbed:
 
     def test_protocol_overrides_forwarded(self, tiny_testbed):
         result = tiny_testbed.run("socialtube", enable_prefetch=False)
-        assert result.prefetch_hit_rate == 0.0
+        assert result.metrics.prefetch_hit_fraction == 0.0
 
     def test_compare_protocols_keys(self, tiny_testbed):
         results = tiny_testbed.compare_protocols(names=("pavod", "socialtube"))
