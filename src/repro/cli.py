@@ -21,6 +21,7 @@ Commands
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
@@ -63,6 +64,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    """argparse ``type=`` for widths that must be finite and above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
 def _run_flags_parent() -> argparse.ArgumentParser:
     """The shared flag surface of every run-executing subcommand.
 
@@ -72,7 +84,9 @@ def _run_flags_parent() -> argparse.ArgumentParser:
     text and validation everywhere instead of drifting per-subcommand
     copies.  ``--seed`` defaults to ``argparse.SUPPRESS`` so a
     subcommand-position ``--seed`` overrides the top-level one without
-    clobbering its default when absent.
+    clobbering its default when absent.  The single-run commands
+    (``profile``, ``perf``, ``chaos <protocol>``) reject ``--jobs`` other
+    than 1 through :func:`_reject_jobs`.
     """
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument(
@@ -85,8 +99,8 @@ def _run_flags_parent() -> argparse.ArgumentParser:
     )
     parent.add_argument(
         "--jobs", type=_positive_int, default=1,
-        help="worker processes (1 = serial, the default); results are "
-        "byte-identical for any value",
+        help="worker processes for multi-run commands (1 = serial, the "
+        "default); results are byte-identical for any value",
     )
     return parent
 
@@ -106,6 +120,15 @@ def _single_seed(args: argparse.Namespace, command: str) -> int:
             f"pass --seed N (got --seeds {args.seeds})"
         )
     return seeds[0]
+
+
+def _reject_jobs(args: argparse.Namespace, command: str) -> None:
+    """Single-run commands execute in-process, so ``--jobs`` must stay 1."""
+    if args.jobs != 1:
+        raise SystemExit(
+            f"{command} runs one spec in-process; --jobs applies only to "
+            "multi-run commands"
+        )
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -233,6 +256,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         write_trace,
     )
 
+    _reject_jobs(args, "profile")
     seed = _single_seed(args, "profile")
     config = (
         SimulationConfig.default_scale(seed=seed)
@@ -242,7 +266,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     spec = ExperimentSpec(
         protocol=args.protocol, config=config, environment=args.environment
     )
-    profiled = run_profiled(spec, jobs=args.jobs)
+    profiled = run_profiled(spec)
     path = os.path.join(args.outdir, trace_filename(spec))
     write_trace(path, profiled.jsonl)
     print(render_profile(profiled.summary))
@@ -262,8 +286,7 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         run_perf,
     )
 
-    if args.jobs != 1:
-        raise SystemExit("perf times one serial run; --jobs has no effect")
+    _reject_jobs(args, "perf")
     seed = _single_seed(args, "perf")
     config = (
         SimulationConfig.default_scale(seed=seed)
@@ -321,27 +344,13 @@ def _cmd_dashboard(args: argparse.Namespace) -> int:
     return 0
 
 
-def _chaos_worker(task) -> "tuple":
-    """Pool worker: one fault-injected spec -> (canonical table bytes, report)."""
-    from repro.experiments.trace_cache import shared_trace_cache
-    from repro.obs.timeseries import run_with_timeseries
-
-    spec, window_s = task
-    run = run_with_timeseries(
-        spec,
-        window_s=window_s,
-        dataset=shared_trace_cache.dataset_for(spec.config.trace),
-    )
-    return run.table.to_canonical_json(), "\n".join(run.result.render_rows())
-
-
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    import multiprocessing
     import os
 
     from repro.experiments.spec import ExperimentSpec
     from repro.faults.grid import family_plan
     from repro.faults.plan import FaultPlan
+    from repro.obs.timeseries import run_with_timeseries
 
     seed = _single_seed(args, "chaos")
     if args.grid:
@@ -368,6 +377,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         return 0
     if args.protocol is None:
         raise SystemExit("chaos needs a protocol (or --grid for the full grid)")
+    _reject_jobs(args, "chaos <protocol>")
     config = (
         SimulationConfig.default_scale(seed=seed)
         if args.full
@@ -380,12 +390,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     spec = ExperimentSpec(
         protocol=args.protocol, config=config, environment=args.environment
     ).with_faults(plan)
-    task = (spec, args.window)
-    if args.jobs > 1:
-        with multiprocessing.Pool(processes=min(args.jobs, 2)) as pool:
-            payload, report = pool.map(_chaos_worker, [task], chunksize=1)[0]
-    else:
-        payload, report = _chaos_worker(task)
+    run = run_with_timeseries(spec, window_s=args.window)
+    payload = run.table.to_canonical_json()
     path = args.out or os.path.join(
         args.outdir, f"chaos_{spec.protocol}_{spec.content_hash()[:16]}.json"
     )
@@ -394,7 +400,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         os.makedirs(parent, exist_ok=True)
     with open(path, "wb") as handle:
         handle.write(payload)
-    print(report)
+    print("\n".join(run.result.render_rows()))
     print(f"timeseries: {path} ({len(payload)} bytes)")
     return 0
 
@@ -532,7 +538,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "to 'repro profile' output; the perf-smoke CI job diffs them)",
     )
     p_perf.add_argument(
-        "--top", type=int, default=10, help="hotspot table size (default 10)"
+        "--top", type=_positive_int, default=10, help="hotspot table size (default 10)"
     )
     p_perf.set_defaults(func=_cmd_perf)
 
@@ -556,7 +562,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="render at the paper's full scale (default: smoke scale)",
     )
     p_dash.add_argument(
-        "--window", type=float, default=600.0,
+        "--window", type=_positive_float, default=600.0,
         help="window width in virtual seconds (default: 600)",
     )
     p_dash.add_argument(
@@ -615,7 +621,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="run at the paper's full scale (default: smoke scale)",
     )
     p_chaos.add_argument(
-        "--window", type=float, default=600.0,
+        "--window", type=_positive_float, default=600.0,
         help="window width in virtual seconds (default: 600)",
     )
     p_chaos.add_argument(

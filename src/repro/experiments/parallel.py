@@ -1,23 +1,26 @@
-"""Process-pool fan-out of multi-seed experiment sweeps.
+"""The one process pool: fan-out of multi-run commands, plus seed means.
 
 Every figure of Section V is a mean over repeated randomized trials,
-yet single-run execution is bottlenecked on one core.  This module
-fans a list of :class:`ExperimentSpec` across worker processes and
-folds the per-run metrics into means with 95% confidence intervals --
-the CliqueStream-style statistically honest reporting the evaluation
-methodology calls for.
+yet single-run execution is bottlenecked on one core.
+:func:`run_sweep` is the only place in ``repro`` that spreads runs over
+worker processes: it maps any per-spec task (by default
+:func:`repro.experiments.runner.run_spec`; the dashboard, the regress
+gate and the fault grid pass their own) over a list of
+:class:`ExperimentSpec`.  This module also folds per-run metrics into
+means with 95% confidence intervals -- the CliqueStream-style
+statistically honest reporting the evaluation methodology calls for.
 
 Determinism contract (tested by ``tests/test_experiments_parallel.py``):
 
-* a run's result is a pure function of its spec -- every run owns an
+* a task's result is a pure function of its spec -- every run owns an
   independent ``RngStreams.for_run(spec.seed)`` family, shares no
   mutable state with other runs, and reads the trace corpus only;
 * duplicate specs (equal :meth:`ExperimentSpec.content_hash`) execute
   once and share their result;
 * results return in spec order regardless of completion order.
 
-Together these make ``run_sweep(specs, jobs=N)`` byte-identical to
-``run_sweep(specs, jobs=1)`` for any N.
+Together these make ``run_sweep(specs, jobs=N, task=t)`` byte-identical
+to ``run_sweep(specs, jobs=1, task=t)`` for any N.
 
 Trace sharing: the parent synthesizes each distinct trace recipe once
 (through :data:`shared_trace_cache`), pickles it once, and ships the
@@ -30,7 +33,8 @@ from __future__ import annotations
 import multiprocessing
 import pickle
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.stats import mean, mean_confidence_interval
 from repro.experiments.config import SimulationConfig
@@ -96,7 +100,7 @@ def _init_worker(trace_blobs: Dict[str, bytes]) -> None:
     _WORKER_DATASETS.clear()
 
 
-def _run_in_worker(spec: ExperimentSpec) -> ExperimentResult:
+def _run_in_worker(task: Callable[..., Any], spec: ExperimentSpec) -> Any:
     key = spec.trace_hash()
     dataset = _WORKER_DATASETS.get(key)
     if dataset is None:
@@ -104,7 +108,7 @@ def _run_in_worker(spec: ExperimentSpec) -> ExperimentResult:
         if blob is not None:
             dataset = pickle.loads(blob)
             _WORKER_DATASETS[key] = dataset
-    return run_spec(spec, dataset=dataset)
+    return task(spec, dataset=dataset)
 
 
 # ---------------------------------------------------------------------------
@@ -112,15 +116,18 @@ def _run_in_worker(spec: ExperimentSpec) -> ExperimentResult:
 
 
 def run_sweep(
-    specs: Iterable[ExperimentSpec], jobs: int = 1
-) -> List[ExperimentResult]:
-    """Execute specs, one result per spec, in spec order.
+    specs: Iterable[ExperimentSpec],
+    jobs: int = 1,
+    task: Callable[..., Any] = run_spec,
+) -> List[Any]:
+    """Apply ``task(spec, dataset=...)`` to each spec; results in spec order.
 
-    ``jobs=1`` (the default) runs serially in-process -- no pool, no
-    pickling -- so existing single-run paths are unchanged.  ``jobs>1``
-    fans the distinct specs across a process pool.  Either way,
-    duplicate specs execute once and identical seed lists produce
-    byte-identical aggregates (see the module docstring).
+    ``task`` must pickle by reference: a module-level function or a
+    :func:`functools.partial` of one.  ``jobs=1`` (the default) runs
+    serially in-process -- no pool, no pickling -- and so does a list
+    with one distinct spec.  ``jobs>1`` fans the distinct specs across
+    a process pool.  Either way, duplicate specs execute once and
+    share their result (see the module docstring).
     """
     spec_list = list(specs)
     if not spec_list:
@@ -134,9 +141,7 @@ def run_sweep(
 
     if jobs <= 1 or len(unique_specs) == 1:
         outcomes = [
-            run_spec(
-                spec, dataset=shared_trace_cache.dataset_for(spec.config.trace)
-            )
+            task(spec, dataset=shared_trace_cache.dataset_for(spec.config.trace))
             for spec in unique_specs
         ]
     else:
@@ -149,7 +154,9 @@ def run_sweep(
         with multiprocessing.Pool(
             processes=workers, initializer=_init_worker, initargs=(blobs,)
         ) as pool:
-            outcomes = pool.map(_run_in_worker, unique_specs, chunksize=1)
+            outcomes = pool.map(
+                partial(_run_in_worker, task), unique_specs, chunksize=1
+            )
 
     results_by_key = dict(zip(unique.keys(), outcomes))
     return [results_by_key[key] for key in order]

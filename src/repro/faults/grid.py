@@ -28,11 +28,11 @@ what the CI chaos-grid job diffs.
 from __future__ import annotations
 
 import json
-import multiprocessing
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.experiments.config import SimulationConfig
+from repro.experiments.parallel import run_sweep
 from repro.experiments.spec import ExperimentSpec
 from repro.faults.plan import FaultPlan
 
@@ -127,27 +127,6 @@ def grid_specs(
     return cells
 
 
-def _cell_worker(task: Tuple[str, str, ExperimentSpec]) -> GridCell:
-    """Pool worker: one grid cell -> its scorecard entry."""
-    from repro.experiments.runner import run_spec
-    from repro.experiments.trace_cache import shared_trace_cache
-
-    protocol, family, spec = task
-    result = run_spec(
-        spec, dataset=shared_trace_cache.dataset_for(spec.config.trace)
-    )
-    metrics = result.metrics
-    return GridCell(
-        protocol=protocol,
-        family=family,
-        continuity=metrics.mean_continuity_index,
-        failover_latency_ms=metrics.failover_latency_ms_mean,
-        server_fallback_fraction=metrics.server_fallback_fraction,
-        recovery_time_s=metrics.recovery_time_s,
-        fault_events=_family_events(family, metrics),
-    )
-
-
 def run_grid(
     seed: int = 2014,
     scale: str = "smoke",
@@ -156,14 +135,24 @@ def run_grid(
 ) -> List[GridCell]:
     """Run the full grid; cells come back in protocol-major order.
 
-    ``jobs > 1`` fans cells out over worker processes; cell order (and
+    ``jobs > 1`` fans cells out through
+    :func:`repro.experiments.parallel.run_sweep`; cell order (and
     therefore the canonical JSON) is identical for any job count.
     """
-    tasks = grid_specs(seed=seed, scale=scale, protocols=protocols)
-    if jobs > 1:
-        with multiprocessing.Pool(processes=min(jobs, len(tasks))) as pool:
-            return pool.map(_cell_worker, tasks, chunksize=1)
-    return [_cell_worker(task) for task in tasks]
+    cells = grid_specs(seed=seed, scale=scale, protocols=protocols)
+    results = run_sweep([spec for _protocol, _family, spec in cells], jobs=jobs)
+    return [
+        GridCell(
+            protocol=protocol,
+            family=family,
+            continuity=result.metrics.mean_continuity_index,
+            failover_latency_ms=result.metrics.failover_latency_ms_mean,
+            server_fallback_fraction=result.metrics.server_fallback_fraction,
+            recovery_time_s=result.metrics.recovery_time_s,
+            fault_events=_family_events(family, result.metrics),
+        )
+        for (protocol, family, _spec), result in zip(cells, results)
+    ]
 
 
 def grid_to_json_bytes(

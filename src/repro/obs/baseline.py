@@ -27,15 +27,15 @@ behaviour change that motivated it.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.experiments.config import SimulationConfig
+from repro.experiments.parallel import run_sweep
 from repro.experiments.runner import ExperimentResult
 from repro.experiments.spec import ExperimentSpec
-from repro.experiments.trace_cache import shared_trace_cache
 from repro.faults.plan import FaultPlan
 from repro.metrics.collectors import ExperimentMetrics, metric_bands
 from repro.obs.timeseries import DEFAULT_WINDOW_S, run_with_timeseries
@@ -115,25 +115,13 @@ def spec_for_baseline(payload: Dict[str, Any]) -> ExperimentSpec:
     return spec
 
 
-def _capture(
+def _measure(
     spec: ExperimentSpec,
-    scale: str,
-    window_s: float,
-    variant: Optional[str] = None,
+    window_s: float = DEFAULT_WINDOW_S,
+    dataset: Optional[object] = None,
 ) -> Dict[str, Any]:
-    """Run one spec and snapshot its baseline payload.
-
-    ``variant`` distinguishes multiple chaos baselines of the same
-    protocol/environment (e.g. the ``infra`` grid scenarios from the
-    classic crash-churn demo); it feeds the filename via
-    :func:`baseline_path` and rides in the payload so ``regress
-    --update`` rewrites the right file.
-    """
-    run = run_with_timeseries(
-        spec,
-        window_s=window_s,
-        dataset=shared_trace_cache.dataset_for(spec.config.trace),
-    )
+    """Run one spec; the measured half of its baseline payload."""
+    run = run_with_timeseries(spec, window_s=window_s, dataset=dataset)
     # Only chaos baselines carry the fault-only metrics: fault-free
     # capture payloads stay byte-identical to pre-fault ones.
     values: Dict[str, float] = {
@@ -141,17 +129,35 @@ def _capture(
         for owner in (run.result.metrics, run.result)
         for name in metric_bands(type(owner), faults=spec.has_faults())
     }
-    payload = {
+    return {
+        "content_hash": spec.content_hash(),
+        "series_digest": run.table.digest(),
+        "num_windows": run.table.num_windows,
+        "metrics": values,
+    }
+
+
+def _identity(
+    spec: ExperimentSpec,
+    scale: str,
+    window_s: float,
+    variant: Optional[str] = None,
+) -> Dict[str, Any]:
+    """The identity half of a baseline payload.
+
+    ``variant`` distinguishes multiple chaos baselines of the same
+    protocol/environment (e.g. the ``infra`` grid scenarios from the
+    classic crash-churn demo); it feeds the filename via
+    :func:`baseline_path` and rides in the payload so ``regress
+    --update`` rewrites the right file.
+    """
+    payload: Dict[str, Any] = {
         "schema": BASELINE_SCHEMA_VERSION,
         "protocol": spec.protocol,
         "environment": spec.environment,
         "seed": spec.seed,
         "scale": scale,
         "window_s": window_s,
-        "content_hash": spec.content_hash(),
-        "series_digest": run.table.digest(),
-        "num_windows": run.table.num_windows,
-        "metrics": values,
     }
     if spec.has_faults():
         payload["faults"] = spec.faults.to_dict()
@@ -188,21 +194,7 @@ def capture_baseline(
     )
     if faults is not None:
         spec = spec.with_faults(faults)
-    return _capture(spec, scale, window_s, variant=variant)
-
-
-def _capture_worker(task: Dict[str, Any]) -> Dict[str, Any]:
-    """Pool worker: one baseline identity -> one fresh capture payload."""
-    faults = task.get("faults")
-    return capture_baseline(
-        protocol=task["protocol"],
-        scale=task.get("scale", "smoke"),
-        seed=task["seed"],
-        environment=task.get("environment", "peersim"),
-        window_s=task.get("window_s", DEFAULT_WINDOW_S),
-        faults=FaultPlan.from_dict(faults) if faults else None,
-        variant=task.get("variant"),
-    )
+    return {**_identity(spec, scale, window_s, variant), **_measure(spec, window_s)}
 
 
 def baseline_path(baseline_dir: str, payload: Dict[str, Any]) -> str:
@@ -303,23 +295,31 @@ def run_regression(
             )
             for name in (protocols or DEFAULT_PROTOCOLS)
         ]
-    tasks = [
+    specs = [spec_for_baseline(payload) for _path, payload in entries]
+    windows = [payload.get("window_s", DEFAULT_WINDOW_S) for _path, payload in entries]
+    # One sweep per window width: the task fixes the width, while
+    # run_sweep dedupes on the spec alone.
+    measured: Dict[int, Dict[str, Any]] = {}
+    for window_s in dict.fromkeys(windows):
+        picks = [i for i, width in enumerate(windows) if width == window_s]
+        runs = run_sweep(
+            [specs[i] for i in picks],
+            jobs=jobs,
+            task=partial(_measure, window_s=window_s),
+        )
+        measured.update(zip(picks, runs))
+    captures = [
         {
-            "protocol": payload["protocol"],
-            "environment": payload.get("environment", "peersim"),
-            "seed": payload["seed"],
-            "scale": payload.get("scale", "smoke"),
-            "window_s": payload.get("window_s", DEFAULT_WINDOW_S),
-            "faults": payload.get("faults"),
-            "variant": payload.get("variant"),
+            **_identity(
+                specs[i],
+                payload.get("scale", "smoke"),
+                windows[i],
+                payload.get("variant"),
+            ),
+            **measured[i],
         }
-        for _path, payload in entries
+        for i, (_path, payload) in enumerate(entries)
     ]
-    if jobs > 1:
-        with multiprocessing.Pool(processes=min(jobs, len(tasks))) as pool:
-            captures = pool.map(_capture_worker, tasks, chunksize=1)
-    else:
-        captures = [_capture_worker(task) for task in tasks]
 
     if update:
         for (_old_path, _payload), fresh in zip(entries, captures):

@@ -6,7 +6,8 @@ seed, environment), the span/event rows in emission order, and footer
 rows summarising counters and histograms.  Serialization is canonical
 -- sorted keys, compact separators, ``repr``-stable floats -- so the
 bytes of a trace are a pure function of its spec: running the same
-spec twice, or through the process-pool path, produces byte-identical
+spec twice, in-process or in a worker of
+:func:`repro.experiments.parallel.run_sweep`, produces byte-identical
 files (tested by ``tests/test_obs_determinism.py``).
 
 The profile summary folds a trace into the table behind
@@ -26,7 +27,6 @@ Example::
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
@@ -236,7 +236,7 @@ class ProfiledRun:
     """One traced experiment: its result, trace bytes, and summary."""
 
     spec: ExperimentSpec
-    result: Optional[ExperimentResult]
+    result: ExperimentResult
     jsonl: bytes
     summary: ProfileSummary
 
@@ -260,48 +260,23 @@ def run_traced(
     return result, tracer
 
 
-def _profile_worker(spec: ExperimentSpec) -> bytes:
-    """Pool worker: trace one spec and return the canonical JSONL bytes."""
-    _result, tracer = run_traced(
-        spec, dataset=shared_trace_cache.dataset_for(spec.config.trace)
-    )
-    return trace_to_jsonl_bytes(
-        trace_header(spec), tracer.rows(), tracer.counters(), tracer.histograms()
-    )
-
-
-def run_profiled(spec: ExperimentSpec, jobs: int = 1) -> ProfiledRun:
-    """Trace one spec and fold the trace into a profile summary.
-
-    ``jobs=1`` runs in-process; ``jobs>1`` routes the run through a
-    process pool (the same execution shape as
-    :func:`repro.experiments.parallel.run_sweep`), which must -- and
-    does -- produce byte-identical trace artifacts, because a trace is
-    a pure function of its spec.
+def run_profiled(spec: ExperimentSpec) -> ProfiledRun:
+    """Trace one spec in-process and fold the trace into a profile summary.
 
     Example::
 
-        profiled = run_profiled(spec, jobs=2)
+        profiled = run_profiled(spec)
         print(render_profile(profiled.summary))
     """
-    if jobs <= 1:
-        result, tracer = run_traced(
-            spec, dataset=shared_trace_cache.dataset_for(spec.config.trace)
-        )
-        payload = trace_to_jsonl_bytes(
-            trace_header(spec), tracer.rows(), tracer.counters(), tracer.histograms()
-        )
-        return ProfiledRun(
-            spec=spec,
-            result=result,
-            jsonl=payload,
-            summary=ProfileSummary.from_rows(parse_jsonl_bytes(payload)),
-        )
-    with multiprocessing.Pool(processes=min(jobs, 2)) as pool:
-        payload = pool.map(_profile_worker, [spec], chunksize=1)[0]
+    result, tracer = run_traced(
+        spec, dataset=shared_trace_cache.dataset_for(spec.config.trace)
+    )
+    payload = trace_to_jsonl_bytes(
+        trace_header(spec), tracer.rows(), tracer.counters(), tracer.histograms()
+    )
     return ProfiledRun(
         spec=spec,
-        result=None,
+        result=result,
         jsonl=payload,
         summary=ProfileSummary.from_rows(parse_jsonl_bytes(payload)),
     )

@@ -28,13 +28,13 @@ Rendering discipline:
 from __future__ import annotations
 
 import html
-import multiprocessing
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Sequence, Tuple
+from functools import partial
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.experiments.parallel import run_sweep
 from repro.experiments.spec import ExperimentSpec
-from repro.experiments.trace_cache import shared_trace_cache
 from repro.obs.timeseries import (
     DEFAULT_WINDOW_S,
     TimeSeriesTable,
@@ -122,13 +122,13 @@ def _scalars_of(result) -> Dict[str, float]:
     return {key: getattr(result.metrics, key) for key, _label in SCALAR_COLUMNS}
 
 
-def dashboard_run(spec: ExperimentSpec, window_s: float = DEFAULT_WINDOW_S) -> DashboardRun:
+def dashboard_run(
+    spec: ExperimentSpec,
+    window_s: float = DEFAULT_WINDOW_S,
+    dataset: Optional[object] = None,
+) -> DashboardRun:
     """Execute one spec and fold it into a :class:`DashboardRun`."""
-    run = run_with_timeseries(
-        spec,
-        window_s=window_s,
-        dataset=shared_trace_cache.dataset_for(spec.config.trace),
-    )
+    run = run_with_timeseries(spec, window_s=window_s, dataset=dataset)
     return DashboardRun(
         protocol=spec.protocol,
         environment=spec.environment,
@@ -139,12 +139,6 @@ def dashboard_run(spec: ExperimentSpec, window_s: float = DEFAULT_WINDOW_S) -> D
     )
 
 
-def _dashboard_worker(task: Tuple[ExperimentSpec, float]) -> DashboardRun:
-    """Pool worker: one spec -> one picklable :class:`DashboardRun`."""
-    spec, window_s = task
-    return dashboard_run(spec, window_s=window_s)
-
-
 def collect_dashboard_runs(
     specs: Sequence[ExperimentSpec],
     window_s: float = DEFAULT_WINDOW_S,
@@ -152,16 +146,14 @@ def collect_dashboard_runs(
 ) -> List[DashboardRun]:
     """Collect dashboard payloads for several specs, serially or pooled.
 
-    ``jobs>1`` uses the same process-pool shape as
-    :func:`repro.experiments.parallel.run_sweep`; each payload is a
-    pure function of its spec, so the worker layout cannot change the
-    rendered dashboard (CI diffs the HTML across ``--jobs 1/2``).
+    ``jobs>1`` fans out through :func:`repro.experiments.parallel.run_sweep`;
+    each payload is a pure function of its spec, so the worker layout
+    cannot change the rendered dashboard (CI diffs the HTML across
+    ``--jobs 1/2``).
     """
-    tasks = [(spec, window_s) for spec in specs]
-    if jobs <= 1:
-        return [_dashboard_worker(task) for task in tasks]
-    with multiprocessing.Pool(processes=min(jobs, len(tasks))) as pool:
-        return pool.map(_dashboard_worker, tasks, chunksize=1)
+    return run_sweep(
+        specs, jobs=jobs, task=partial(dashboard_run, window_s=window_s)
+    )
 
 
 # ---------------------------------------------------------------------------

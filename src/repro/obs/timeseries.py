@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -230,8 +231,8 @@ class TimeSeriesCollector:
     def __init__(
         self, window_s: float = DEFAULT_WINDOW_S, include_faults: bool = False
     ):
-        if window_s <= 0:
-            raise ValueError("window_s must be positive")
+        if not (math.isfinite(window_s) and window_s > 0):
+            raise ValueError("window_s must be finite and positive")
         self.window_s = float(window_s)
         #: Fault-recovery columns appear only when the run was fault-
         #: injected; the per-instance dispatch map keeps the hot path

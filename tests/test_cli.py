@@ -40,6 +40,25 @@ def test_bad_run_flags_are_usage_errors(command, bad_flag, capsys):
     assert "usage:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [command, "socialtube", "--window", value]
+        for command in ("dashboard", "chaos")
+        for value in ("0", "-5", "nan", "inf")
+    ]
+    + [["perf", "socialtube", "--top", value] for value in ("0", "-3")],
+    ids=lambda argv: f"{argv[0]}{argv[2]}={argv[3]}",
+)
+def test_bad_values_are_usage_errors(argv, capsys):
+    # A window must be finite and positive and a table size at least
+    # 1; argparse rejects anything else before the run starts.
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
 class TestCli:
     def test_requires_command(self, capsys):
         with pytest.raises(SystemExit):
@@ -132,10 +151,12 @@ class TestCli:
             main(["regress", "--seeds", "1,2"])
 
     def test_perf_rejects_jobs(self, capsys):
-        # perf times one serial run, so a worker count would be ignored.
-        with pytest.raises(SystemExit, match="--jobs"):
-            main(["perf", "socialtube", "--jobs", "2"])
-        assert capsys.readouterr().out == ""
+        # perf, profile and chaos <protocol> execute their one spec
+        # in-process, so a worker count would be ignored.
+        for command in ("perf", "profile", "chaos"):
+            with pytest.raises(SystemExit, match="--jobs"):
+                main([command, "socialtube", "--jobs", "2"])
+            assert capsys.readouterr().out == ""
 
     def test_single_run_commands_reject_multi_seed(self):
         with pytest.raises(SystemExit):

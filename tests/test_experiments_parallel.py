@@ -20,7 +20,7 @@ from repro.experiments.parallel import (
     sweep_specs,
 )
 from repro.experiments.registry import resolve_params
-from repro.experiments.runner import ExperimentResult
+from repro.experiments.runner import ExperimentResult, run_spec
 from repro.experiments.spec import ExperimentSpec
 from repro.trace.synthesizer import TraceConfig
 
@@ -33,6 +33,11 @@ MICRO = SimulationConfig(
     mean_off_time_s=60.0,
     seed=10,
 )
+
+
+def describe_spec(spec, dataset=None):
+    """A custom per-spec task: the spec's identity, and whether it got a corpus."""
+    return (spec.protocol, spec.seed, dataset is not None)
 
 
 class TestSweepSpecs:
@@ -89,12 +94,17 @@ class TestRunSweepDeterminism:
         assert [r.metrics.protocol for r in results] == [
             "PA-VoD", "PA-VoD", "SocialTube", "SocialTube",
         ]
+        assert run_sweep(specs, jobs=2, task=describe_spec) == [
+            ("pavod", 1, True), ("pavod", 2, True),
+            ("socialtube", 1, True), ("socialtube", 2, True),
+        ]
 
     def test_duplicate_specs_run_once(self):
         spec = ExperimentSpec(protocol="socialtube", config=MICRO)
-        results = run_sweep([spec, spec], jobs=1)
-        assert len(results) == 2
-        assert results[0] is results[1]
+        for task in (run_spec, describe_spec):
+            results = run_sweep([spec, spec], jobs=1, task=task)
+            assert len(results) == 2
+            assert results[0] is results[1]
 
     def test_empty_sweep(self):
         assert run_sweep([], jobs=4) == []

@@ -2,15 +2,17 @@
 
 The heart of the observability contract (DESIGN.md §8): same spec +
 seed ⇒ byte-identical JSONL, whether the run executes in-process or
-through the process-pool path.  These tests use the smoke-scale config
-so they stay in tier-1 budget.
+in a worker of :func:`repro.experiments.parallel.run_sweep`.  These
+tests use the smoke-scale config so they stay in tier-1 budget.
 """
 
 import pytest
 
 from repro.experiments.config import SimulationConfig
+from repro.experiments.parallel import run_sweep
 from repro.experiments.spec import ExperimentSpec
 from repro.obs.export import parse_jsonl_bytes, run_profiled
+from repro.obs.timeseries import run_with_timeseries
 
 
 @pytest.fixture(scope="module")
@@ -22,19 +24,26 @@ def spec():
 
 @pytest.fixture(scope="module")
 def serial_payload(spec):
-    return run_profiled(spec, jobs=1).jsonl
+    return run_profiled(spec).jsonl
 
 
 def test_repeat_runs_are_byte_identical(spec, serial_payload):
-    assert run_profiled(spec, jobs=1).jsonl == serial_payload
+    assert run_profiled(spec).jsonl == serial_payload
 
 
-def test_pool_path_matches_serial(spec, serial_payload):
-    assert run_profiled(spec, jobs=4).jsonl == serial_payload
+def test_pool_path_matches_serial(spec):
+    # Two distinct specs: a sweep with one unique spec never forks.
+    specs = [spec, spec.with_seed(spec.seed + 1)]
+    serial = run_sweep(specs, jobs=1, task=run_with_timeseries)
+    pooled = run_sweep(specs, jobs=2, task=run_with_timeseries)
+    assert [run.jsonl for run in pooled] == [run.jsonl for run in serial]
+    assert [run.table.to_canonical_json() for run in pooled] == [
+        run.table.to_canonical_json() for run in serial
+    ]
 
 
 def test_different_seed_different_trace(spec, serial_payload):
-    other = run_profiled(spec.with_seed(spec.seed + 1), jobs=1).jsonl
+    other = run_profiled(spec.with_seed(spec.seed + 1)).jsonl
     assert other != serial_payload
 
 

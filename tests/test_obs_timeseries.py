@@ -17,9 +17,9 @@ import time
 import pytest
 
 from repro.experiments.config import SimulationConfig
+from repro.experiments.parallel import run_sweep
 from repro.experiments.runner import run_spec
 from repro.experiments.spec import ExperimentSpec
-from repro.obs.export import run_profiled
 from repro.obs.timeseries import (
     DEFAULT_WINDOW_S,
     TimeSeriesCollector,
@@ -52,13 +52,17 @@ def test_replay_matches_live_bytes(live_run):
 
 
 def test_pooled_and_serial_traces_replay_identically(spec):
-    """Traces exported through the jobs=1 and jobs=2 profile paths
-    replay to byte-identical tables -- worker layout is invisible.
-    (These runs carry no ``engine.tick`` gauge rows, so they are
-    compared to each other, not to the tick-enabled live run.)"""
-    serial = series_from_trace(run_profiled(spec, jobs=1).jsonl)
-    pooled = series_from_trace(run_profiled(spec, jobs=2).jsonl)
-    assert pooled.to_canonical_json() == serial.to_canonical_json()
+    """Runs through the jobs=1 and jobs=2 ``run_sweep`` paths export
+    byte-identical traces, and the pooled traces replay to the serial
+    live tables -- worker layout is invisible.  (Two distinct specs:
+    a sweep with one unique spec never forks.)"""
+    specs = [spec, spec.with_seed(spec.seed + 1)]
+    serial = run_sweep(specs, jobs=1, task=run_with_timeseries)
+    pooled = run_sweep(specs, jobs=2, task=run_with_timeseries)
+    for serial_run, pooled_run in zip(serial, pooled):
+        assert pooled_run.jsonl == serial_run.jsonl
+        replayed = series_from_trace(pooled_run.jsonl)
+        assert replayed.to_canonical_json() == serial_run.table.to_canonical_json()
 
 
 def test_repeat_live_runs_are_identical(spec, live_run):
@@ -207,10 +211,9 @@ def test_empty_stream_yields_empty_table():
 
 
 def test_window_s_must_be_positive():
-    with pytest.raises(ValueError):
-        TimeSeriesCollector(window_s=0.0)
-    with pytest.raises(ValueError):
-        TimeSeriesCollector(window_s=-5.0)
+    for window_s in (0.0, -5.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            TimeSeriesCollector(window_s=window_s)
 
 
 # ---------------------------------------------------------------------------
