@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from random import Random
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Set
 
 from repro.core.cache import PrefetchStore, PrefetchedChunk, VideoCache
 from repro.net.bandwidth import SharedUploadLink
@@ -31,6 +31,9 @@ class PeerState:
     * ``prefetched`` -- first chunks fetched ahead of demand, bounded
       ("The value of M is determined by each node's cache size").
     * ``uplink`` -- the peer's shared upload link.
+    * ``online`` -- membership of ``user_id`` in an online-peer set:
+      the peer's own until :meth:`VodProtocol.register_peer` hands it
+      the protocol's, whose ``__contains__`` is the liveness probe.
     """
 
     def __init__(
@@ -41,13 +44,24 @@ class PeerState:
         cache_capacity: Optional[int] = None,
     ):
         self.user_id = user_id
-        self.online = False
+        self._online_ids: Set[int] = set()
         self.cache = VideoCache(max_videos=cache_capacity)
         self.prefetched = PrefetchStore(capacity=prefetch_capacity)
         self.uplink = SharedUploadLink(upload_capacity_bps, owner_id=user_id)
         self.current_video: Optional[int] = None
         self.videos_watched_total = 0
         self.sessions_completed = 0
+
+    @property
+    def online(self) -> bool:
+        return self.user_id in self._online_ids
+
+    @online.setter
+    def online(self, value: bool) -> None:
+        if value:
+            self._online_ids.add(self.user_id)
+        else:
+            self._online_ids.discard(self.user_id)
 
     def cache_video(self, video_id: int) -> None:
         self.cache.add(video_id)
@@ -82,6 +96,11 @@ class VodProtocol(ABC):
         self.server = server
         self.rng = rng
         self.peers: Dict[int, PeerState] = {}
+        #: Ids of the registered peers that are online; each peer's
+        #: ``online`` flag reads and writes this set.
+        self._online: Set[int] = set()
+        #: Whether the peer is registered and online (liveness probe).
+        self.is_alive: Callable[[int], bool] = self._online.__contains__
         #: Virtual-clock accessor, wired to the event scheduler by the
         #: runner; protocols needing time (e.g. PA-VoD's download
         #: progress) call ``self.now_fn()``.
@@ -114,14 +133,12 @@ class VodProtocol(ABC):
     def register_peer(self, state: PeerState) -> None:
         """Called once per user by the runner before the simulation starts."""
         self.peers[state.user_id] = state
+        if state.online:
+            self._online.add(state.user_id)
+        state._online_ids = self._online
 
     def state(self, user_id: int) -> PeerState:
         return self.peers[user_id]
-
-    def is_alive(self, user_id: int) -> bool:
-        """Whether the peer is registered and online (liveness probe)."""
-        peer = self.peers.get(user_id)
-        return peer is not None and peer.online
 
     def is_online_holder(self, user_id: int, video_id: int) -> bool:
         """Holder predicate used by flooding searches."""
@@ -219,8 +236,7 @@ class VodProtocol(ABC):
         Returns the number of re-registration reports filed, presence
         included.  Only ever called on fault-injected runs.
         """
-        peer = self.peers.get(user_id)
-        if peer is None or not peer.online:
+        if not self.is_alive(user_id):
             return 0
         self.server.node_online(user_id)
         return 1

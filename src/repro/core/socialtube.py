@@ -69,13 +69,19 @@ class SocialTubeProtocol(VodProtocol):
         dropped: the peer is alive, only unreachable, and the link is
         live again the moment the partition heals.
         """
+        online = self._online
+        guard = self.partition_guard
         alive = []
         for neighbor in neighbors:
-            if not self.is_alive(neighbor):
+            if neighbor not in online:
                 self.structure.drop_dead_neighbor(node_id, neighbor)
-            elif self.can_reach(node_id, neighbor):
+            elif guard is None or guard(node_id, neighbor):
                 alive.append(neighbor)
         return alive
+
+    def _alive_inner_neighbors(self, node_id: int) -> List[int]:
+        """The node's live, reachable inner-neighbors (a flood's next hops)."""
+        return self._alive_neighbors(node_id, self.structure.inner_neighbors(node_id))
 
     # -- lifecycle --------------------------------------------------------------
 
@@ -139,18 +145,22 @@ class SocialTubeProtocol(VodProtocol):
         if peer.has_video(video_id):
             return LookupResult(video_id=video_id, from_cache=True)
 
+        # Both floods walk channel overlays and look for the same video.
+        neighbors_of = self._alive_inner_neighbors
+
+        def is_holder(node_id: int) -> bool:
+            return self.is_online_holder(node_id, video_id)
+
         # Phase 1: flood the channel overlay over inner-links.
-        inner = self._alive_neighbors(user_id, self.structure.inner_neighbors(user_id))
+        inner = neighbors_of(user_id)
         with self.tracer.span(
             "flood.search", node=user_id, video=video_id, level="inner"
         ):
             result = ttl_flood(
                 requester=user_id,
                 start_neighbors=inner,
-                neighbors_of=lambda n: self._alive_neighbors(
-                    n, self.structure.inner_neighbors(n)
-                ),
-                is_holder=lambda n: self.is_online_holder(n, video_id),
+                neighbors_of=neighbors_of,
+                is_holder=is_holder,
                 ttl=self.ttl,
                 tracer=self.tracer,
             )
@@ -176,10 +186,8 @@ class SocialTubeProtocol(VodProtocol):
             result = ttl_flood(
                 requester=user_id,
                 start_neighbors=inter,
-                neighbors_of=lambda n: self._alive_neighbors(
-                    n, self.structure.inner_neighbors(n)
-                ),
-                is_holder=lambda n: self.is_online_holder(n, video_id),
+                neighbors_of=neighbors_of,
+                is_holder=is_holder,
                 ttl=self.ttl + 1,
                 tracer=self.tracer,
             )
@@ -230,7 +238,7 @@ class SocialTubeProtocol(VodProtocol):
 
     def on_maintenance(self, user_id: int) -> None:
         """Probe-cycle repair: drop dead neighbors, top links back up."""
-        if self.state(user_id).online:
+        if self.is_alive(user_id):
             self.structure.maintain(user_id, self.is_alive)
 
     def reannounce(self, user_id: int) -> int:

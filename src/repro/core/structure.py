@@ -411,6 +411,16 @@ class HierarchicalStructure:
         picks = self.server.random_members_per_channel_in_category(
             category_id, exclude=node_id, limit=3 * budget
         )
+        inter = self.inter
+        # A pick at capacity that is not yet a neighbor is one that
+        # ``connect(evict=False)`` refuses (the node's own links stay
+        # below capacity while ``added < budget``), so it goes straight
+        # to the eviction fallback.  The refused call's one side effect,
+        # an empty entry for a node that had none, needs no stand-in:
+        # a skip is always followed by a ``connect`` from ``node_id`` in
+        # this call, which creates that entry before any other.
+        table = inter._table
+        capacity = inter.capacity
         added = 0
         full_targets: List[int] = []
         for pick in picks:
@@ -420,12 +430,14 @@ class HierarchicalStructure:
                 continue
             if self.channel_of.get(pick) == channel_id:
                 continue  # inter-links go to *other* channels
-            if self.inter.connect(node_id, pick, evict=False):
+            if len(table.get(pick, ())) >= capacity and pick not in table.get(node_id, ()):
+                full_targets.append(pick)
+            elif inter.connect(node_id, pick, evict=False):
                 added += 1
             else:
                 full_targets.append(pick)
         for pick in full_targets:
             if added >= budget:
                 break
-            if self.inter.connect(node_id, pick, evict=True):
+            if inter.connect(node_id, pick, evict=True):
                 added += 1

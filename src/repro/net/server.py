@@ -27,6 +27,32 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.net.bandwidth import SharedUploadLink
 from repro.obs.tracer import NULL_TRACER
+from repro.sim.rng import sample_from_pool
+
+
+def rounds_to_reach(sizes: List[int], limit: Optional[int]) -> int:
+    """The fewest round-robin rounds over pools of ``sizes`` that hand
+    out ``limit`` picks: the smallest ``R`` with
+    ``sum(min(size, R) for size in sizes) >= limit``.  When the pools
+    hold fewer than ``limit`` members, or ``limit`` is None, that is
+    every round the largest pool holds.
+
+    One pass over the sorted sizes: between two consecutive sizes the
+    sum grows by one per pool not yet exhausted per round, so the
+    crossing round is a ceiling division.
+    """
+    if limit is None or sum(sizes) < limit:
+        return max(sizes, default=0)
+    rounds = 0
+    handed = 0  # members of the pools exhausted before ``rounds``
+    remaining = len(sizes)
+    for size in sorted(sizes):
+        rounds = -(-(limit - handed) // remaining)
+        if rounds <= size:
+            break
+        handed += size
+        remaining -= 1
+    return rounds
 
 
 class ServerOverloadError(Exception):
@@ -206,7 +232,8 @@ class CentralServer:
             candidates.remove(exclude)
         if not candidates:
             return None
-        return self._rng.choice(candidates)
+        # ``choice`` without the method call: the same single draw.
+        return candidates[self._rng._randbelow(len(candidates))]
 
     def _occupied_channels(self, category_id: int, exclude: Optional[int]) -> List[Set[int]]:
         """Member sets of the category's channels that hold anyone but
@@ -247,31 +274,27 @@ class CentralServer:
             return []
         self._count_lookup("category-bootstrap")
         pools = self._occupied_channels(category_id, exclude)
-        if limit is not None:
-            del pools[limit:]
+        # The stdlib draws inlined (repro.sim.rng.sample_from_pool): the
+        # same ``_randbelow`` calls as ``choice`` and ``sample``.
+        randbelow = self._rng._randbelow
+        if limit is not None and len(pools) >= limit:
+            # One member from each of the first ``limit`` channels
+            # already makes ``limit``: a single round of ``choice``.
+            picks = []
+            for members in pools[:limit]:
+                candidates = list(members)
+                if exclude in members:
+                    candidates.remove(exclude)
+                picks.append(candidates[randbelow(len(candidates))])
+            return picks
         sizes = [len(members) - (exclude in members) for members in pools]
-        if len(pools) == limit:
-            # One member from each kept channel already makes ``limit``.
-            rounds = 1
-        else:
-            rounds = max(sizes, default=0)
-            if limit is not None:
-                # The fewest rounds that hand out ``limit`` picks.
-                reached = 0
-                for round_index in range(1, rounds + 1):
-                    reached += sum(size >= round_index for size in sizes)
-                    if reached >= limit:
-                        rounds = round_index
-                        break
+        rounds = rounds_to_reach(sizes, limit)
         draws = []
         for members, size in zip(pools, sizes):
             candidates = list(members)
             if size < len(candidates):
                 candidates.remove(exclude)
-            if rounds == 1:
-                draws.append((self._rng.choice(candidates),))
-            else:
-                draws.append(self._rng.sample(candidates, min(size, rounds)))
+            draws.append(sample_from_pool(randbelow, candidates, min(size, rounds)))
         picks = [
             draw[round_index]
             for round_index in range(rounds)

@@ -9,14 +9,48 @@ master seed keeps streams decoupled: adding one extra draw in the latency
 model does not perturb the workload sequence.
 
 ``RngStreams`` hands out per-name streams; the same ``(seed, name)`` pair
-always yields the same sequence.
+always yields the same sequence.  ``sample_from_pool`` is the draw-parity
+stand-in for ``Random.sample`` that hot paths use (DESIGN.md §6).
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict
+from math import ceil, log
+from typing import Any, Callable, Dict, List
+
+
+def sample_from_pool(randbelow: Callable[[int], int], pool: List[Any], k: int) -> List[Any]:
+    """``Random.sample(pool, k)`` without the method's overhead.
+
+    ``randbelow`` is the stream's bound ``_randbelow``.  The helper makes
+    exactly the ``randbelow`` calls the stdlib ``sample`` makes -- the
+    same ``setsize`` rule picks between its swap-out (small pool) and
+    rejection-set (large pool) branches -- so it returns the same list
+    and leaves the stream in the same state.  ``pool`` is a scratch
+    list the caller gives up: the small-pool branch reorders it in
+    place.  ``0 <= k <= len(pool)`` is the caller's contract.
+    """
+    n = len(pool)
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** ceil(log(k * 3, 4))
+    result = []
+    if n <= setsize:
+        for i in range(k):
+            j = randbelow(n - i)
+            result.append(pool[j])
+            pool[j] = pool[n - i - 1]
+    else:
+        selected = set()
+        for _ in range(k):
+            j = randbelow(n)
+            while j in selected:
+                j = randbelow(n)
+            selected.add(j)
+            result.append(pool[j])
+    return result
 
 
 def derive_seed(master_seed: int, name: str) -> int:

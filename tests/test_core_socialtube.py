@@ -3,6 +3,7 @@
 import pytest
 
 from helpers import make_protocol
+from repro.baselines.protocol import PeerState
 from repro.core.socialtube import SocialTubeProtocol
 from repro.net.message import ChunkSource
 
@@ -22,6 +23,17 @@ class TestLifecycle:
         proto.on_session_start(1)
         assert proto.state(1).online
         assert proto.server.is_online(1)
+
+    def test_online_flag_and_liveness_probe_are_one_set(self, proto):
+        peer = PeerState(99, upload_capacity_bps=2e6)
+        peer.online = True
+        proto.register_peer(peer)
+        assert proto.is_alive(99)
+        peer.online = False
+        assert not proto.is_alive(99)
+        proto.on_session_start(99)
+        assert peer.online and proto.is_alive(99)
+        assert not proto.is_alive(1000)  # never registered
 
     def test_session_end_leaves_overlays(self, proto, tiny_dataset):
         video = _any_video_of_channel(tiny_dataset, 0)

@@ -200,3 +200,110 @@ class TestValidation:
         assert structure.link_count(1) == (
             structure.inner.degree(1) + structure.inter.degree(1)
         )
+
+
+class ConnectEveryPickStructure(HierarchicalStructure):
+    """A twin whose inter bootstrap calls ``connect(evict=False)`` for
+    every pick, full targets included, and lets the refusal route them
+    to the eviction fallback."""
+
+    def _bootstrap_inter(self, node_id, channel_id, category_id, is_alive):
+        budget = min(
+            self.bootstrap_inter_links,
+            self.inter_link_limit - self.inter.degree(node_id),
+        )
+        if budget <= 0:
+            return
+        picks = self.server.random_members_per_channel_in_category(
+            category_id, exclude=node_id, limit=3 * budget
+        )
+        added = 0
+        full_targets = []
+        for pick in picks:
+            if added >= budget:
+                break
+            if pick == node_id or not is_alive(pick):
+                continue
+            if self.channel_of.get(pick) == channel_id:
+                continue
+            if self.inter.connect(node_id, pick, evict=False):
+                added += 1
+            else:
+                full_targets.append(pick)
+        for pick in full_targets:
+            if added >= budget:
+                break
+            if self.inter.connect(node_id, pick, evict=True):
+                added += 1
+
+
+def table_state(table):
+    """Every entry of a link table, in table order, each in link order."""
+    return [(node, list(links)) for node, links in table._table.items()]
+
+
+class TestFullTargetSkip:
+    """Skipping ``connect`` for a full inter target leaves every table
+    exactly as the refused call would, key order included."""
+
+    def _twins(self, dataset, inter_link_limit=2):
+        return [
+            cls(
+                dataset,
+                CentralServer(dataset, capacity_bps=50e6, rng=random.Random(3)),
+                random.Random(4),
+                inner_link_limit=2,
+                inter_link_limit=inter_link_limit,
+                bootstrap_inner_links=1,
+            )
+            for cls in (HierarchicalStructure, ConnectEveryPickStructure)
+        ]
+
+    def test_node_without_entry_gets_the_refused_calls_entry(self, tiny_dataset):
+        skipping, connecting = self._twins(tiny_dataset, inter_link_limit=1)
+        channels = tiny_dataset.channels_of_category(1)
+        for twin in (skipping, connecting):
+            # Channel 0 of the category: a pair whose only inter slot is
+            # taken; channel 1: the newcomer, alone, so it makes no
+            # inner link and enters the inter table through the skip.
+            for node, channel in ((10, channels[0]), (11, channels[0]), (12, channels[2])):
+                twin.enter_channel(node, channel, _always_alive)
+            twin.inter.connect(10, 12, evict=True)
+            twin.inter.connect(11, 13, evict=True)
+            assert 20 not in twin.inter._table
+            twin.enter_channel(20, channels[1], lambda n: n != 12)
+        assert 20 in skipping.inter._table
+        assert table_state(skipping.inter) == table_state(connecting.inter)
+        assert table_state(skipping.inner) == table_state(connecting.inner)
+
+    def test_random_sequences_match_connecting_every_pick(self, tiny_dataset):
+        channels = [
+            *tiny_dataset.channels_of_category(1),
+            *tiny_dataset.channels_of_category(0)[:2],
+        ]
+        for seed in range(30):
+            rng = random.Random(seed)
+            twins = self._twins(tiny_dataset)
+            online = set()
+            for _ in range(150):
+                node = rng.randrange(40)
+                roll = rng.random()
+                if roll < 0.6:
+                    op, args = "enter_channel", (node, rng.choice(channels), online.__contains__)
+                    online.add(node)
+                elif roll < 0.75:
+                    op, args = "leave", (node,)
+                    online.discard(node)
+                elif roll < 0.85:
+                    op, args = "crash", (node,)
+                    online.discard(node)
+                elif roll < 0.92:
+                    op, args = "repair_crashed", (node, online.__contains__)
+                else:
+                    op, args = "maintain", (node, online.__contains__)
+                for twin in twins:
+                    getattr(twin, op)(*args)
+                skipping, connecting = twins
+                assert table_state(skipping.inter) == table_state(connecting.inter), seed
+                assert table_state(skipping.inner) == table_state(connecting.inner), seed
+                assert skipping.server._rng.getstate() == connecting.server._rng.getstate()

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from repro.net.server import CentralServer
+from repro.net.server import CentralServer, rounds_to_reach
 
 
 class TestPresence:
@@ -239,21 +239,76 @@ def parent_category_picks(server, category_id, rng, exclude=None, limit=None):
     return picks[:limit]
 
 
-class TestCategoryBootstrapDraws:
-    """Setting one round when ``limit`` channels are occupied draws
-    exactly what counting the rounds did."""
+def parent_channel_member(server, channel_id, rng, exclude=None):
+    """``random_channel_member`` as a stdlib ``choice``."""
+    candidates = [m for m in server.channel_members(channel_id) if m != exclude]
+    return rng.choice(candidates) if candidates else None
 
-    #: Same layout as TestCategoryBootstrapDistribution: four channels
-    #: hold someone besides node 9, five hold someone at all.
-    LAYOUT = TestCategoryBootstrapDistribution.LAYOUT
+
+def parent_holder_in_category(server, category_id, is_holder, rng, exclude=None, scan_limit=200):
+    """``find_holder_in_category`` as a stdlib ``shuffle`` of the occupied
+    channels, each scanned in tracker order."""
+    pools = []
+    for channel_id in server.catalog.channels_of_category(category_id):
+        members = server._channel_members.get(channel_id)
+        if members and (len(members) > 1 or exclude not in members):
+            pools.append(members)
+    rng.shuffle(pools)
+    scanned = 0
+    for members in pools:
+        for member in members:
+            if member == exclude:
+                continue
+            scanned += 1
+            if is_holder(member):
+                return member
+            if scanned >= scan_limit:
+                return None
+    return None
+
+
+def populate(server, layout):
+    for channel, members in layout.items():
+        for member in members:
+            server.register_channel_member(channel, member)
+
+
+#: Four channels hold someone besides node 9, five hold someone at all
+#: (the layout of TestCategoryBootstrapDistribution).
+SMALL_LAYOUT = TestCategoryBootstrapDistribution.LAYOUT
+#: Pools of 90 and 30 members: with the limits below the round count
+#: passes 5, so ``sample`` takes both of its branches under the larger
+#: ``setsize`` as well as the smaller one.
+LARGE_LAYOUT = {
+    3: tuple(range(100, 190)),
+    4: tuple(range(200, 230)),
+    6: tuple(range(300, 308)),
+    9: (9, 10),
+    11: (9,),
+}
+
+
+class TestCategoryBootstrapDraws:
+    """The inlined draws (``choice`` as ``_randbelow``, ``sample`` as
+    ``sample_from_pool``, the closed-form round count) make exactly the
+    stdlib draws of the reference implementations above."""
+
     CATEGORY = TestCategoryBootstrapDistribution.CATEGORY
 
+    LIMITS = [1, 3, 4, 5, 6, 12, 20, 40, 100, None]
+
     @pytest.mark.parametrize("exclude", [9, None])
-    @pytest.mark.parametrize("limit", [1, 3, 4, 5, 6, 12, None])
+    @pytest.mark.parametrize("limit", LIMITS)
     def test_same_picks_and_rng_state_as_parent(self, server, exclude, limit):
-        for channel, members in self.LAYOUT.items():
-            for member in members:
-                server.register_channel_member(channel, member)
+        self._check_category_picks(server, SMALL_LAYOUT, exclude, limit)
+
+    @pytest.mark.parametrize("exclude", [9, None])
+    @pytest.mark.parametrize("limit", LIMITS)
+    def test_large_pools_same_picks_and_rng_state_as_parent(self, server, exclude, limit):
+        self._check_category_picks(server, LARGE_LAYOUT, exclude, limit)
+
+    def _check_category_picks(self, server, layout, exclude, limit):
+        populate(server, layout)
         for seed in range(40):
             server._rng = random.Random(seed)
             reference_rng = random.Random(seed)
@@ -265,6 +320,48 @@ class TestCategoryBootstrapDraws:
             )
             assert picks == expected, (seed, exclude, limit)
             assert server._rng.getstate() == reference_rng.getstate()
+
+    @pytest.mark.parametrize("exclude", [9, 100, 555, None])
+    def test_channel_member_same_pick_and_rng_state_as_choice(self, server, exclude):
+        populate(server, LARGE_LAYOUT)
+        for seed in range(40):
+            for channel in (*LARGE_LAYOUT, 0):
+                server._rng = random.Random(seed)
+                reference_rng = random.Random(seed)
+                pick = server.random_channel_member(channel, exclude=exclude)
+                assert pick == parent_channel_member(server, channel, reference_rng, exclude)
+                assert server._rng.getstate() == reference_rng.getstate()
+
+    @pytest.mark.parametrize("exclude", [9, None])
+    @pytest.mark.parametrize("scan_limit", [1, 50, 200])
+    def test_holder_same_pick_and_rng_state_as_shuffle(self, server, exclude, scan_limit):
+        populate(server, LARGE_LAYOUT)
+        for seed in range(40):
+            holders = set(random.Random(-seed).sample(range(100, 308), 3))
+            server._rng = random.Random(seed)
+            reference_rng = random.Random(seed)
+            found = server.find_holder_in_category(
+                self.CATEGORY, holders.__contains__, exclude=exclude, scan_limit=scan_limit
+            )
+            expected = parent_holder_in_category(
+                server, self.CATEGORY, holders.__contains__, reference_rng, exclude, scan_limit
+            )
+            assert found == expected, (seed, exclude, scan_limit)
+            assert server._rng.getstate() == reference_rng.getstate()
+
+
+def test_rounds_to_reach_matches_counting_rounds():
+    rng = random.Random(5)
+    for _ in range(5000):
+        sizes = [rng.randint(1, rng.choice([3, 10, 40])) for _ in range(rng.randint(0, 8))]
+        limit = rng.choice([None, rng.randint(1, 60)])
+        rounds = max(sizes, default=0)
+        if limit is not None:
+            for candidate in range(1, rounds + 1):
+                if sum(min(size, candidate) for size in sizes) >= limit:
+                    rounds = candidate
+                    break
+        assert rounds_to_reach(sizes, limit) == rounds, (sizes, limit)
 
 
 class FullScanPurgeServer(CentralServer):

@@ -1,6 +1,10 @@
 """Unit tests for the deterministic RNG streams."""
 
-from repro.sim.rng import RngStreams, derive_seed
+import random
+
+import pytest
+
+from repro.sim.rng import RngStreams, derive_seed, sample_from_pool
 
 
 class TestDeriveSeed:
@@ -59,3 +63,23 @@ class TestRngStreams:
         parent = RngStreams(3)
         child = parent.fork("node:1")
         assert parent.master_seed != child.master_seed
+
+
+class TestSampleFromPool:
+    """``sample_from_pool`` makes exactly ``Random.sample``'s draws."""
+
+    #: Both ``setsize`` branches: pools up to 21 always take the swap-out
+    #: branch; 80 to 400 cross the larger thresholds ``k > 5`` brings
+    #: (85 for k = 6..21, 277 for k = 22..85).
+    SIZES = [*range(1, 41), 80, 85, 86, 90, 200, 400]
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_same_picks_and_rng_state_as_stdlib(self, n):
+        population = [f"m{i}" for i in range(n)]
+        for k in range(min(n, 25) + 1):
+            for seed in range(30):
+                rng = random.Random(seed)
+                reference = random.Random(seed)
+                picks = sample_from_pool(rng._randbelow, list(population), k)
+                assert picks == reference.sample(population, k), (n, k, seed)
+                assert rng.getstate() == reference.getstate(), (n, k, seed)
