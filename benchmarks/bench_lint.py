@@ -11,8 +11,7 @@ shipped ``src/repro`` tree --
   :class:`~repro.lint.program.ProgramIndex` (symbol tables, import
   graph, call graph, event reachability, substream sites);
 * ``full_analysis`` -- everything ``lint_paths`` does: per-file AST +
-  flow rules, the program pass, suppression matching, fingerprinting,
-  baseline split;
+  flow rules, the program pass, suppression matching;
 * ``render_json``   -- serializing the report (the CI artifact).
 
 Measurements go to ``BENCH_lint.json`` at the repo root (same schema
@@ -29,7 +28,6 @@ import sys
 
 import harness
 
-from repro.lint.baseline import discover_baseline_path, load_baseline
 from repro.lint.program import build_program
 from repro.lint.runner import default_lint_root, lint_paths, render_json
 
@@ -40,12 +38,9 @@ OUTPUT = "BENCH_lint.json"
 
 def main() -> int:
     root = default_lint_root()
-    baseline = load_baseline(discover_baseline_path(root))
 
     index_s, index = harness.best_of(lambda: build_program(root), repeats=REPEATS)
-    analysis_s, report = harness.best_of(
-        lambda: lint_paths([root], baseline=baseline), repeats=REPEATS
-    )
+    analysis_s, report = harness.best_of(lambda: lint_paths([root]), repeats=REPEATS)
     render_s, blob = harness.best_of(lambda: render_json(report), repeats=REPEATS)
 
     if not report.ok:
@@ -82,9 +77,8 @@ def main() -> int:
             "full_analysis is the complete lint_paths pipeline CI runs: "
             "per-file AST + flow-sensitive rules over every module, the "
             "whole-program pass (substream ownership, cross-module shard "
-            "mutation, event-reachability), suppression matching, "
-            "fingerprint assignment and the baseline split.  index_build "
-            "isolates the parse + ProgramIndex construction that "
+            "mutation, event-reachability) and suppression matching.  "
+            "index_build isolates the parse + ProgramIndex construction that "
             "dominates it.  The 10 s bar keeps the analyzer cheap enough "
             "to sit inside tier-1 (tests/test_lint_clean.py) and run on "
             "every push."

@@ -87,12 +87,7 @@ def main() -> None:
         feed_s = min(feed_s, time.perf_counter() - t0)
 
     t0 = time.perf_counter()
-    jsonl = trace_to_jsonl_bytes(
-        trace_header(spec),
-        ts_tracer.rows(),
-        ts_tracer.counters(),
-        ts_tracer.histograms(),
-    )
+    jsonl = trace_to_jsonl_bytes(trace_header(spec), ts_tracer.rows())
     export_s = time.perf_counter() - t0
 
     table = collector.finalize(content_hash=spec.content_hash())

@@ -9,6 +9,7 @@ Commands
 ``lint``       determinism/invariant static analysis over the source tree
 ``profile``    run one protocol under the tracer; write a JSONL trace
                and print the profile summary (see docs/tracing.md)
+``perf``       wall-clock perf report for one protocol: throughput, hotspots
 ``dashboard``  render the self-contained HTML time-series dashboard
                for one protocol or a protocol comparison
 ``regress``    compare fresh runs against the committed baselines
@@ -16,6 +17,7 @@ Commands
 ``chaos``      run one protocol under the demo fault plan (crash
                churn, query loss, slow peers, brownouts) and write the
                canonical recovery time-series (see docs/tracing.md)
+``export``     write every figure's data as CSV/JSON files
 """
 
 from __future__ import annotations
@@ -235,14 +237,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             return 2
         print(text)
         return 0
-    output_format = "json" if args.json else args.format
-    return run_lint(
-        paths=args.paths or None,
-        output_format=output_format,
-        baseline_path=args.baseline,
-        use_baseline=not args.no_baseline,
-        update_baseline=args.update_baseline,
-    )
+    return run_lint(paths=args.paths or None, output_format=args.format)
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
@@ -470,27 +465,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--format", choices=("text", "json"), default="text", help="output format"
     )
     p_lint.add_argument(
-        "--json", action="store_true", help="shorthand for --format json"
-    )
-    p_lint.add_argument(
         "--list-rules", action="store_true", help="print every rule id and exit"
     )
     p_lint.add_argument(
         "--explain", metavar="RULE",
         help="print the long-form explanation for one rule id and exit",
-    )
-    p_lint.add_argument(
-        "--baseline", default=None,
-        help="explicit baseline file (default: discover tools/lint_baseline.json "
-        "above the lint root)",
-    )
-    p_lint.add_argument(
-        "--no-baseline", action="store_true",
-        help="report every finding, ignoring the checked-in baseline",
-    )
-    p_lint.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline from the current finding set and exit 0",
     )
     p_lint.set_defaults(func=_cmd_lint)
 

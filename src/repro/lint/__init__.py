@@ -21,15 +21,13 @@ honest:
   link symmetry, no self-links, no dangling links to departed nodes),
   callable from tests and as a periodic in-sim hook.
 
-Findings carry severities and drift-stable fingerprints
-(:mod:`repro.lint.fingerprint`); known findings are suppressed by the
-checked-in baseline ``tools/lint_baseline.json``
-(:mod:`repro.lint.baseline`).
+Findings carry severities for the report's rollup.  The only waiver
+is a per-line ``# lint: disable=<rule>`` comment.
 
-CLI: ``python -m repro lint [--json] [--explain RULE] [--baseline F]
-[--no-baseline] [--update-baseline] [paths...]`` exits non-zero when
-any non-baselined finding survives per-line suppression;
-``tests/test_lint_clean.py`` enforces the clean state in tier-1.
+CLI: ``python -m repro lint [--format json] [--list-rules]
+[--explain RULE] [paths...]`` exits non-zero when any finding survives
+per-line suppression; ``tests/test_lint_clean.py`` enforces the clean
+state in tier-1.
 """
 
 from repro.lint.annotations import SHARD_CLASSES, ShardIndex
@@ -40,12 +38,6 @@ from repro.lint.ast_rules import (
     collect_findings,
 )
 from repro.lint.base import SEVERITY_LEVELS, Rule, severity_rank
-from repro.lint.baseline import (
-    Baseline,
-    discover_baseline_path,
-    load_baseline,
-    write_baseline,
-)
 from repro.lint.dataflow import (
     FLOW_RULES,
     PROGRAM_RULES,
@@ -54,7 +46,6 @@ from repro.lint.dataflow import (
 )
 from repro.lint.explain import explain_rule
 from repro.lint.findings import Finding, RuleContext
-from repro.lint.fingerprint import assign_fingerprints, compute_fingerprint
 from repro.lint.invariants import (
     InvariantHook,
     InvariantViolation,
@@ -85,10 +76,6 @@ __all__ = [
     "SEVERITY_LEVELS",
     "Rule",
     "severity_rank",
-    "Baseline",
-    "discover_baseline_path",
-    "load_baseline",
-    "write_baseline",
     "FLOW_RULES",
     "PROGRAM_RULES",
     "collect_flow_findings",
@@ -96,8 +83,6 @@ __all__ = [
     "explain_rule",
     "Finding",
     "RuleContext",
-    "assign_fingerprints",
-    "compute_fingerprint",
     "InvariantHook",
     "InvariantViolation",
     "OverlayInvariantError",

@@ -3,9 +3,8 @@ levels, and small AST helpers used by both the single-pass rules
 (:mod:`repro.lint.ast_rules`) and the flow/program passes
 (:mod:`repro.lint.dataflow`).
 
-Severities order findings for the baseline gate: ``high`` findings fail
-CI even when older ``medium``/``low`` findings are still being burned
-down through ``tools/lint_baseline.json``.
+Severities grade findings for the report's rollup; every finding,
+whatever its severity, fails the run.
 """
 
 from __future__ import annotations

@@ -17,10 +17,7 @@ class Finding:
     """One rule violation at a source location.
 
     ``severity`` is one of ``high``/``medium``/``low`` (see
-    :mod:`repro.lint.base`); ``fingerprint`` is a location-drift-stable
-    id assigned by :mod:`repro.lint.fingerprint` when a report is
-    assembled (empty for findings constructed in isolation, e.g. by
-    :func:`repro.lint.runner.lint_source` unit tests).
+    :mod:`repro.lint.base`).
     """
 
     path: str
@@ -29,7 +26,6 @@ class Finding:
     rule: str
     message: str
     severity: str = "medium"
-    fingerprint: str = ""
 
     def render(self) -> str:
         """``path:line:col: rule-id: message`` -- the text-format row."""
@@ -43,7 +39,6 @@ class Finding:
             "rule": self.rule,
             "message": self.message,
             "severity": self.severity,
-            "fingerprint": self.fingerprint,
         }
 
 

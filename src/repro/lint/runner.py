@@ -11,10 +11,8 @@ Three passes run over a tree (in one parse per file):
 
 Per-line ``# lint: disable=<rule>`` suppression applies uniformly,
 including to program-pass findings (matched back to their file's
-suppression index).  Surviving findings get stable fingerprints
-(:mod:`repro.lint.fingerprint`) and are split against the checked-in
-baseline (``tools/lint_baseline.json``); only *non-baselined* findings
-fail the run.
+suppression index).  That comment is the only waiver: every finding
+that survives it fails the run, whatever its severity.
 
 ``lint_paths`` is the programmatic entry (used by the tier-1 clean-tree
 test); ``run_lint`` backs ``python -m repro lint``.  Output is stable:
@@ -32,19 +30,12 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.lint.ast_rules import collect_findings
-from repro.lint.baseline import (
-    Baseline,
-    discover_baseline_path,
-    load_baseline,
-    write_baseline,
-)
 from repro.lint.dataflow import (
     MODULE_DECL_PACKAGES,
     SHARD_SCOPE_PACKAGES,
     collect_flow_findings,
     collect_program_findings,
 )
-from repro.lint.fingerprint import assign_fingerprints
 from repro.lint.findings import Finding, RuleContext
 from repro.lint.program import ProgramIndex, build_program
 from repro.lint.suppressions import SuppressionIndex
@@ -61,21 +52,14 @@ def default_lint_root() -> str:
 class LintReport:
     """Outcome of one lint run.
 
-    ``findings`` holds only the *new* (non-baselined) findings -- the
-    set that decides :attr:`ok` and the exit code.  ``baselined`` counts
-    known findings suppressed by ``tools/lint_baseline.json``;
-    ``stale_baseline`` lists baseline fingerprints that no longer match
-    anything (entries to delete).
+    ``findings`` holds every finding that survived per-line
+    suppression -- the set that decides :attr:`ok` and the exit code.
     """
 
     findings: List[Finding] = field(default_factory=list)
     files_checked: int = 0
     #: Count of findings silenced by ``# lint: disable`` comments.
     suppressed: int = 0
-    #: Count of findings suppressed by the checked-in baseline.
-    baselined: int = 0
-    #: Baseline fingerprints matching no current finding.
-    stale_baseline: List[str] = field(default_factory=list)
     #: Size counters from the whole-program index (None when the run
     #: had no directory root to index).
     program_stats: Optional[Dict[str, int]] = None
@@ -85,7 +69,7 @@ class LintReport:
         return not self.findings
 
     def severity_counts(self) -> Dict[str, int]:
-        """Finding count per severity level (over new findings)."""
+        """Finding count per severity level."""
         counts: Dict[str, int] = {}
         for finding in self.findings:
             counts[finding.severity] = counts.get(finding.severity, 0) + 1
@@ -93,12 +77,10 @@ class LintReport:
 
     def to_dict(self) -> Dict[str, Any]:
         return {
-            "schema": 2,
+            "schema": 3,
             "ok": self.ok,
             "files_checked": self.files_checked,
             "suppressed": self.suppressed,
-            "baselined": self.baselined,
-            "stale_baseline": sorted(self.stale_baseline),
             "severity_counts": self.severity_counts(),
             "program": self.program_stats,
             "findings": [f.to_dict() for f in self.findings],
@@ -284,22 +266,11 @@ def _lint_root(paths: Sequence[str]) -> Optional[str]:
     return None
 
 
-def _fingerprint_root(paths: Sequence[str], root: Optional[str]) -> str:
-    if root is not None:
-        return root
-    first = next(iter(paths), ".")
-    return os.path.dirname(os.path.abspath(first)) or "."
-
-
-def lint_paths(
-    paths: Sequence[str],
-    baseline: Optional[Baseline] = None,
-) -> LintReport:
+def lint_paths(paths: Sequence[str]) -> LintReport:
     """Lint every ``.py`` file under the given files/directories.
 
     When the first path is a directory, the whole-program pass runs
-    over it as well.  ``baseline`` (if given) splits findings into new
-    vs. known; pass ``None`` to report everything as new.
+    over it as well.
     """
     report = LintReport()
     root = _lint_root(paths)
@@ -359,16 +330,7 @@ def lint_paths(
                 report.suppressed += 1
                 continue
             all_findings.append(finding)
-    all_findings = assign_fingerprints(
-        all_findings, _fingerprint_root(paths, root)
-    )
-    if baseline is not None:
-        new, known, stale = baseline.split(all_findings)
-        report.findings = sorted(new)
-        report.baselined = len(known)
-        report.stale_baseline = stale
-    else:
-        report.findings = sorted(all_findings)
+    report.findings = sorted(all_findings)
     return report
 
 
@@ -377,17 +339,8 @@ def render_text(report: LintReport) -> str:
     summary = (
         f"{len(report.findings)} finding(s) in {report.files_checked} file(s)"
         + (f", {report.suppressed} suppressed" if report.suppressed else "")
-        + (f", {report.baselined} baselined" if report.baselined else "")
     )
     lines.append(summary)
-    if report.stale_baseline:
-        lines.append(
-            f"{len(report.stale_baseline)} stale baseline entr"
-            f"{'y' if len(report.stale_baseline) == 1 else 'ies'} "
-            "(fingerprints match nothing; remove them from "
-            "tools/lint_baseline.json): "
-            + ", ".join(report.stale_baseline)
-        )
     return "\n".join(lines)
 
 
@@ -398,38 +351,15 @@ def render_json(report: LintReport) -> str:
 def run_lint(
     paths: Optional[Sequence[str]] = None,
     output_format: str = "text",
-    baseline_path: Optional[str] = None,
-    use_baseline: bool = True,
-    update_baseline: bool = False,
 ) -> int:
     """Lint and print; the ``python -m repro lint`` backend.
 
     Returns the process exit code: 0 on a clean tree, 1 when any
-    non-baselined finding survives suppression.  ``--update-baseline``
-    rewrites ``tools/lint_baseline.json`` from the current finding set
-    and exits 0.
+    finding survives suppression.
     """
     if output_format not in ("text", "json"):
         raise ValueError(f"unknown lint output format {output_format!r}")
     target_paths = list(paths) if paths else [default_lint_root()]
-    root = _lint_root(target_paths)
-    baseline: Optional[Baseline] = None
-    resolved_baseline_path = baseline_path
-    if use_baseline and root is not None:
-        if resolved_baseline_path is None:
-            resolved_baseline_path = discover_baseline_path(root)
-        if not update_baseline:
-            baseline = load_baseline(resolved_baseline_path)
-    report = lint_paths(target_paths, baseline=baseline)
-    if update_baseline:
-        if resolved_baseline_path is None:
-            print("no baseline path: pass --baseline or lint a directory")
-            return 2
-        write_baseline(resolved_baseline_path, report.findings)
-        print(
-            f"wrote {len(report.findings)} fingerprint(s) to "
-            f"{resolved_baseline_path}"
-        )
-        return 0
+    report = lint_paths(target_paths)
     print(render_json(report) if output_format == "json" else render_text(report))
     return 0 if report.ok else 1

@@ -1,6 +1,6 @@
 """Observability: deterministic tracing and profiling (`repro.obs`).
 
-* :mod:`repro.obs.tracer` -- the span/event/counter/histogram API with
+* :mod:`repro.obs.tracer` -- the span/event API with
   sim-clock timestamps and a zero-cost :data:`NULL_TRACER` no-op mode.
 * :mod:`repro.obs.export` -- canonical JSONL trace export keyed by
   ``ExperimentSpec.content_hash`` plus the profile summary behind

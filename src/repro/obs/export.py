@@ -2,18 +2,17 @@
 
 A trace artifact is a JSON-Lines file: one header row identifying the
 run (schema version, :meth:`ExperimentSpec.content_hash`, protocol,
-seed, environment), the span/event rows in emission order, and footer
-rows summarising counters and histograms.  Serialization is canonical
--- sorted keys, compact separators, ``repr``-stable floats -- so the
-bytes of a trace are a pure function of its spec: running the same
-spec twice, in-process or in a worker of
+seed, environment), then the span/event rows in emission order.
+Serialization is canonical -- sorted keys, compact separators,
+``repr``-stable floats -- so the bytes of a trace are a pure function
+of its spec: running the same spec twice, in-process or in a worker of
 :func:`repro.experiments.parallel.run_sweep`, produces byte-identical
 files (tested by ``tests/test_obs_determinism.py``).
 
 The profile summary folds a trace into the table behind
 ``python -m repro profile``: simulated time per span name
 ("time-in-phase"), row counts by name ("events-by-type"), per-node
-hotspots, and counter totals.
+and per-node hotspots.
 
 Example::
 
@@ -68,42 +67,15 @@ def _canonical_row(row: Dict[str, Any]) -> str:
     return json.dumps(row, sort_keys=True, separators=(",", ":"), default=str)
 
 
-def trace_to_jsonl_bytes(
-    header: Dict[str, Any],
-    rows: List[Dict[str, Any]],
-    counters: Optional[Dict[str, float]] = None,
-    histograms: Optional[Dict[str, List[float]]] = None,
-) -> bytes:
-    """Serialize header + rows + footer summaries to canonical JSONL.
-
-    Counter and histogram footers are emitted in sorted-name order, so
-    the byte stream never depends on dict insertion history.
-    """
+def trace_to_jsonl_bytes(header: Dict[str, Any], rows: List[Dict[str, Any]]) -> bytes:
+    """Serialize the header row and the trace rows to canonical JSONL."""
     lines = [_canonical_row(header)]
     lines.extend(_canonical_row(row) for row in rows)
-    for name in sorted(counters or {}):
-        lines.append(
-            _canonical_row({"kind": "counter", "name": name, "value": counters[name]})
-        )
-    for name in sorted(histograms or {}):
-        values = histograms[name]
-        lines.append(
-            _canonical_row(
-                {
-                    "kind": "hist",
-                    "name": name,
-                    "count": len(values),
-                    "min": min(values) if values else 0.0,
-                    "max": max(values) if values else 0.0,
-                    "sum": sum(values),
-                }
-            )
-        )
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def parse_jsonl_bytes(payload: bytes) -> List[Dict[str, Any]]:
-    """Inverse of :func:`trace_to_jsonl_bytes` (header and footers included)."""
+    """Inverse of :func:`trace_to_jsonl_bytes` (header row included)."""
     return [json.loads(line) for line in payload.decode("utf-8").splitlines() if line]
 
 
@@ -144,18 +116,17 @@ class ProfileSummary:
     children).  ``events_by_type`` counts every named row.
     ``node_hotspots`` ranks nodes by how many rows carry their
     ``node`` attribute -- the per-node instrumentation cost/activity
-    view.  ``counters`` holds the footer counter totals.
+    view.
     """
 
     phases: Dict[str, PhaseStat] = field(default_factory=dict)
     events_by_type: Dict[str, int] = field(default_factory=dict)
     node_hotspots: List[Tuple[int, int]] = field(default_factory=list)
-    counters: Dict[str, float] = field(default_factory=dict)
     total_rows: int = 0
 
     @classmethod
     def from_rows(cls, rows: List[Dict[str, Any]], top_nodes: int = 10) -> "ProfileSummary":
-        """Fold parsed trace rows (header/footers tolerated) into a summary.
+        """Fold parsed trace rows (header tolerated) into a summary.
 
         Example::
 
@@ -170,12 +141,6 @@ class ProfileSummary:
             if kind in ("header",):
                 continue
             summary.total_rows += 1
-            if kind == "counter":
-                summary.counters[row["name"]] = row["value"]
-                continue
-            if kind == "hist":
-                summary.events_by_type[f"hist:{row['name']}"] = row["count"]
-                continue
             name = row.get("name")
             if kind == "span_begin":
                 span_names[row["span"]] = name
@@ -215,10 +180,6 @@ def render_profile(summary: ProfileSummary) -> str:
     lines.append("events by type")
     for name in sorted(summary.events_by_type):
         lines.append(f"  {name:<24} {summary.events_by_type[name]:>8} rows")
-    if summary.counters:
-        lines.append("counters")
-        for name in sorted(summary.counters):
-            lines.append(f"  {name:<24} {summary.counters[name]:>8g}")
     if summary.node_hotspots:
         lines.append("busiest nodes (trace rows)")
         for node, count in summary.node_hotspots:
@@ -271,9 +232,7 @@ def run_profiled(spec: ExperimentSpec) -> ProfiledRun:
     result, tracer = run_traced(
         spec, dataset=shared_trace_cache.dataset_for(spec.config.trace)
     )
-    payload = trace_to_jsonl_bytes(
-        trace_header(spec), tracer.rows(), tracer.counters(), tracer.histograms()
-    )
+    payload = trace_to_jsonl_bytes(trace_header(spec), tracer.rows())
     return ProfiledRun(
         spec=spec,
         result=result,

@@ -127,8 +127,6 @@ def run_perf(spec: ExperimentSpec, top_k: int = 10) -> PerfRun:
     meter = PerfMeter()
     meter.attach(tracer)
     result = run_spec(spec, dataset=dataset, tracer=tracer, perf=meter)
-    jsonl = trace_to_jsonl_bytes(
-        trace_header(spec), tracer.rows(), tracer.counters(), tracer.histograms()
-    )
+    jsonl = trace_to_jsonl_bytes(trace_header(spec), tracer.rows())
     report = build_perf_report(spec, result, meter, top_k=top_k)
     return PerfRun(spec=spec, result=result, report=report, jsonl=jsonl)

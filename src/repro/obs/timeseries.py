@@ -141,8 +141,8 @@ class TimeSeriesTable:
 
 #: Name -> dispatch code for :meth:`TimeSeriesCollector.observe_row`.
 #: A single dict probe decides whether a row carries a windowed metric
-#: at all -- rows outside this map (``flood.hop``, span ends, counter
-#: footers, ...) exit after two comparisons, which is what holds the
+#: at all -- rows outside this map (``flood.hop``, span ends, the
+#: header, ...) exit after two comparisons, which is what holds the
 #: streaming sink under the <5%-of-run overhead bar asserted in
 #: ``tests/test_obs_timeseries.py``.  The code is also the row's slot in
 #: the per-window tally list, so every metric-bearing row costs one
@@ -462,9 +462,7 @@ def run_with_timeseries(
         dataset=dataset or shared_trace_cache.dataset_for(spec.config.trace),
         tracer=tracer,
     )
-    jsonl = trace_to_jsonl_bytes(
-        trace_header(spec), tracer.rows(), tracer.counters(), tracer.histograms()
-    )
+    jsonl = trace_to_jsonl_bytes(trace_header(spec), tracer.rows())
     table = collector.finalize(content_hash=spec.content_hash())
     return TimeseriesRun(spec=spec, result=result, jsonl=jsonl, table=table)
 

@@ -25,7 +25,6 @@ Example::
     tracer.bind_clock(lambda: scheduler.now)
     with tracer.span("flood.search", node=3, video=77):
         tracer.event("flood.ttl_exhausted", requester=3, ttl=2)
-    tracer.count("requests")
     rows = tracer.rows()          # list of dict rows, in emission order
 """
 
@@ -75,7 +74,7 @@ class NullTracer(int):
         tracer = NULL_TRACER
         if tracer:                       # False -- branch not taken
             tracer.event("never", x=1)
-        tracer.count("still-a-no-op")    # direct calls are no-ops too
+        tracer.event("still-a-no-op")    # direct calls are no-ops too
     """
 
     __slots__ = ()
@@ -114,12 +113,6 @@ class NullTracer(int):
     def event(self, name: str, **attrs: Any) -> None:
         """No-op point event."""
 
-    def count(self, name: str, delta: float = 1) -> None:
-        """No-op counter increment."""
-
-    def observe(self, name: str, value: float) -> None:
-        """No-op histogram observation."""
-
 
 #: The shared do-nothing tracer every instrumented component defaults to.
 NULL_TRACER = NullTracer()
@@ -157,7 +150,7 @@ class SpanHandle:
 
 
 class Tracer:
-    """Collects spans, events, counters, and histograms in memory.
+    """Collects spans and events in memory.
 
     All timestamps come from the bound ``clock`` callable -- wire it to
     ``EventScheduler.now`` via :meth:`bind_clock` (the experiment
@@ -170,12 +163,11 @@ class Tracer:
         tracer = Tracer(clock=lambda: scheduler.now)
         with tracer.span("flood.search", node=1, video=9, level="inner"):
             tracer.event("flood.hop", depth=1, peer=4)
-        tracer.observe("flood.contacted", 7)
         assert tracer.rows()[0]["kind"] == "span_begin"
     """
 
-    __slots__ = ("_clock", "_rows", "_counters", "_hists", "_stack",
-                 "_next_span", "_begin_times", "_sink", "tick_every_s")
+    __slots__ = ("_clock", "_rows", "_stack", "_next_span", "_begin_times",
+                 "_sink", "tick_every_s")
 
     #: Mirrors :attr:`NullTracer.enabled`; always True here.
     enabled = True
@@ -188,8 +180,6 @@ class Tracer:
     ):
         self._clock: Callable[[], float] = clock or (lambda: 0.0)
         self._rows: List[Dict[str, Any]] = []
-        self._counters: Dict[str, float] = {}
-        self._hists: Dict[str, List[float]] = {}
         self._stack: List[int] = []
         self._next_span = 0
         self._begin_times: Dict[int, float] = {}
@@ -293,7 +283,7 @@ class Tracer:
         if span_id in self._stack:
             self._stack.remove(span_id)
 
-    # -- events, counters, histograms ---------------------------------------
+    # -- events --------------------------------------------------------------
 
     def event(self, name: str, **attrs: Any) -> None:
         """Record one point-in-time row under the innermost open span.
@@ -311,27 +301,11 @@ class Tracer:
         if self._sink is not None:
             self._sink(row)
 
-    def count(self, name: str, delta: float = 1) -> None:
-        """Add ``delta`` to a named counter (aggregated, not per-row)."""
-        self._counters[name] = self._counters.get(name, 0) + delta
-
-    def observe(self, name: str, value: float) -> None:
-        """Append one observation to a named histogram."""
-        self._hists.setdefault(name, []).append(float(value))
-
     # -- read-out ------------------------------------------------------------
 
     def rows(self) -> List[Dict[str, Any]]:
         """The recorded rows, in emission order (a shallow copy)."""
         return list(self._rows)
-
-    def counters(self) -> Dict[str, float]:
-        """Snapshot of every counter's current value."""
-        return dict(self._counters)
-
-    def histograms(self) -> Dict[str, List[float]]:
-        """Snapshot of every histogram's raw observations."""
-        return {name: list(values) for name, values in self._hists.items()}
 
     def open_spans(self) -> int:
         """Number of spans begun but not yet ended (0 after a clean run)."""

@@ -48,32 +48,16 @@ class TestSerialization:
         tracer = Tracer(clock=lambda: 1.0)
         with tracer.span("a", node=1):
             tracer.event("b", node=1)
-        tracer.count("reqs", 3)
-        tracer.observe("lat", 2.0)
-        payload = trace_to_jsonl_bytes(
-            trace_header(spec), tracer.rows(), tracer.counters(), tracer.histograms()
-        )
+        payload = trace_to_jsonl_bytes(trace_header(spec), tracer.rows())
         rows = parse_jsonl_bytes(payload)
         assert rows[0]["kind"] == "header"
         kinds = [r["kind"] for r in rows]
-        assert kinds == ["header", "span_begin", "event", "span_end", "counter", "hist"]
-        assert rows[-2] == {"kind": "counter", "name": "reqs", "value": 3}
-        assert rows[-1] == {
-            "kind": "hist", "name": "lat", "count": 1, "min": 2.0, "max": 2.0,
-            "sum": 2.0,
-        }
+        assert kinds == ["header", "span_begin", "event", "span_end"]
 
     def test_canonical_bytes_sorted_keys(self, spec):
         payload = trace_to_jsonl_bytes(trace_header(spec), [{"t": 0.0, "kind": "event", "name": "x", "attrs": {"b": 1, "a": 2}}])
         line = payload.decode().splitlines()[1]
         assert line == '{"attrs":{"a":2,"b":1},"kind":"event","name":"x","t":0.0}'
-
-    def test_footer_order_is_sorted_not_insertion(self, spec):
-        payload = trace_to_jsonl_bytes(
-            trace_header(spec), [], counters={"zz": 1, "aa": 2}
-        )
-        names = [r["name"] for r in parse_jsonl_bytes(payload)[1:]]
-        assert names == ["aa", "zz"]
 
     def test_write_trace_creates_parents(self, spec, tmp_path):
         path = os.path.join(str(tmp_path), "nested", "dir", trace_filename(spec))
@@ -133,11 +117,9 @@ class TestProfileSummary:
         assert summary.node_hotspots == [(3, 1), (5, 1)]
 
     def test_header_and_footers_tolerated(self, spec):
-        payload = trace_to_jsonl_bytes(
-            trace_header(spec), self._rows(), counters={"reqs": 5}
-        )
+        payload = trace_to_jsonl_bytes(trace_header(spec), self._rows())
         summary = ProfileSummary.from_rows(parse_jsonl_bytes(payload))
-        assert summary.counters == {"reqs": 5}
+        assert summary.total_rows == len(self._rows())
         assert summary.phases["outer"].total_sim_s == 10.0
 
     def test_render_profile_sections(self):

@@ -47,9 +47,7 @@ def _trace_bytes(spec: ExperimentSpec, perf=None) -> bytes:
     if perf is not None:
         perf.attach(tracer)
     run_spec(spec, dataset=dataset, tracer=tracer, perf=perf)
-    return trace_to_jsonl_bytes(
-        trace_header(spec), tracer.rows(), tracer.counters(), tracer.histograms()
-    )
+    return trace_to_jsonl_bytes(trace_header(spec), tracer.rows())
 
 
 class TestByteParity:

@@ -1,4 +1,4 @@
-"""Unit tests for the span/event/counter tracer primitives."""
+"""Unit tests for the span/event tracer primitives."""
 
 import pytest
 
@@ -41,8 +41,6 @@ class TestNullTracer:
         assert NULL_TRACER.begin("z") is None
         assert NULL_TRACER.begin_detached("z") is None
         NULL_TRACER.end(None)
-        NULL_TRACER.count("c")
-        NULL_TRACER.observe("h", 3.0)
 
     def test_shared_singleton_holds_no_state(self):
         assert isinstance(NULL_TRACER, NullTracer)
@@ -116,17 +114,6 @@ class TestEventsCountersHistograms:
         assert tracer.rows() == [
             {"t": 2.0, "kind": "event", "name": "tick", "attrs": {"node": 3}}
         ]
-
-    def test_counters_accumulate(self, tracer):
-        tracer.count("reqs")
-        tracer.count("reqs", 2)
-        assert tracer.counters() == {"reqs": 3}
-        assert tracer.rows() == []  # counters are aggregates, not rows
-
-    def test_histograms_collect(self, tracer):
-        tracer.observe("lat", 1.5)
-        tracer.observe("lat", 2.5)
-        assert tracer.histograms() == {"lat": [1.5, 2.5]}
 
     def test_readouts_are_copies(self, tracer):
         tracer.event("x")
