@@ -73,12 +73,11 @@ class GridCastProtocol(VodProtocol):
         if peer.has_video(video_id):
             return LookupResult(video_id=video_id, from_cache=True)
         self.server.tracker_lookups += 1
+        is_holder = self.online_holder(video_id)
         holders = [
             h
             for h in self._replicas.get(video_id, ())
-            if h != user_id
-            and self.can_reach(user_id, h)
-            and self.is_online_holder(h, video_id)
+            if h != user_id and self.can_reach(user_id, h) and is_holder(h)
         ]
         if holders:
             candidates = (

@@ -159,6 +159,7 @@ class NetTubeProtocol(VodProtocol):
         peer = self.state(user_id)
         if peer.has_video(video_id):
             return LookupResult(video_id=video_id, from_cache=True)
+        is_holder = self.online_holder(video_id)
 
         # A node's *first* request after login goes to the server, which
         # directs it to providers in the video's overlay ("When a node
@@ -170,9 +171,7 @@ class NetTubeProtocol(VodProtocol):
                 video_id, 2, exclude=user_id
             )
             for member in members:
-                if self.can_reach(user_id, member) and self.is_online_holder(
-                    member, video_id
-                ):
+                if self.can_reach(user_id, member) and is_holder(member):
                     return LookupResult(
                         video_id=video_id,
                         provider_id=member,
@@ -191,7 +190,7 @@ class NetTubeProtocol(VodProtocol):
                 requester=user_id,
                 start_neighbors=self._union_neighbors(user_id),
                 neighbors_of=self._union_neighbors,
-                is_holder=lambda n: self.is_online_holder(n, video_id),
+                is_holder=is_holder,
                 ttl=self.search_hops,
                 tracer=self.tracer,
             )
@@ -274,8 +273,9 @@ class NetTubeProtocol(VodProtocol):
 
     def prefetch_source(self, user_id: int, video_id: int) -> ChunkSource:
         """Prefetch pulls from the neighbor whose cache offered the video."""
+        is_holder = self.online_holder(video_id)
         for neighbor in self._union_neighbors(user_id):
-            if self.is_online_holder(neighbor, video_id):
+            if is_holder(neighbor):
                 return ChunkSource.PREFETCH_PEER
         return ChunkSource.PREFETCH_SERVER
 

@@ -101,6 +101,9 @@ class VodProtocol(ABC):
         self._online: Set[int] = set()
         #: Whether the peer is registered and online (liveness probe).
         self.is_alive: Callable[[int], bool] = self._online.__contains__
+        #: Per registered peer, the dict behind its ``VideoCache``
+        #: (``VideoCache.videos``), read in place by :meth:`online_holder`.
+        self._cache_of: Dict[int, Dict[int, None]] = {}
         #: Virtual-clock accessor, wired to the event scheduler by the
         #: runner; protocols needing time (e.g. PA-VoD's download
         #: progress) call ``self.now_fn()``.
@@ -133,6 +136,7 @@ class VodProtocol(ABC):
     def register_peer(self, state: PeerState) -> None:
         """Called once per user by the runner before the simulation starts."""
         self.peers[state.user_id] = state
+        self._cache_of[state.user_id] = state.cache.videos
         if state.online:
             self._online.add(state.user_id)
         state._online_ids = self._online
@@ -140,9 +144,21 @@ class VodProtocol(ABC):
     def state(self, user_id: int) -> PeerState:
         return self.peers[user_id]
 
-    def is_online_holder(self, user_id: int, video_id: int) -> bool:
-        """Holder predicate used by flooding searches."""
-        return self.is_alive(user_id) and self.peers[user_id].has_video(video_id)
+    def online_holder(self, video_id: int) -> Callable[[int], bool]:
+        """The holder predicate of every search for ``video_id``.
+
+        A peer holds the video when it is online and its cache has a
+        full copy.  The predicate reads the online set and the peer's
+        cache dict in place, so one test is one Python call; build it
+        once per search and hand it to the flood or the scan loop.
+        """
+        online = self._online
+        cache_of = self._cache_of
+
+        def is_online_holder(user_id: int) -> bool:
+            return user_id in online and video_id in cache_of[user_id]
+
+        return is_online_holder
 
     # -- lifecycle hooks -------------------------------------------------------
 

@@ -36,6 +36,16 @@ class VideoCache:
         self._videos: Dict[int, None] = {}
         self.evictions = 0
 
+    @property
+    def videos(self) -> Dict[int, None]:
+        """The cached ids as the live dict behind the cache, oldest first.
+
+        Read-only to callers: it is the same object for the cache's
+        whole life (every method mutates it in place), so a hot path
+        may hold it and test ``video_id in videos`` without a call.
+        """
+        return self._videos
+
     def __len__(self) -> int:
         return len(self._videos)
 

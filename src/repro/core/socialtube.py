@@ -19,7 +19,7 @@ Algorithm 1 (per node ``u_i`` requesting video ``v_i``)::
 from __future__ import annotations
 
 from random import Random
-from typing import List
+from typing import Collection, List
 
 from repro.baselines.protocol import VodProtocol
 from repro.core.prefetch import ChannelPrefetcher
@@ -58,30 +58,35 @@ class SocialTubeProtocol(VodProtocol):
             inter_link_limit=inter_link_limit,
         )
         self.prefetcher = ChannelPrefetcher(server, window=prefetch_window)
+        #: Every node's inner / inter link dict, read in place.
+        self._inner_links = self.structure.inner.table
+        self._inter_links = self.structure.inter.table
 
     # -- helpers ------------------------------------------------------------
 
-    def _alive_neighbors(self, node_id: int, neighbors: List[int]) -> List[int]:
+    def _alive_neighbors(self, node_id: int, links: Collection[int]) -> List[int]:
         """Filter dead neighbors, repairing links lazily (Section IV-A:
         failed neighbors are removed and replaced).
 
-        A neighbor cut off by a network partition is *skipped*, not
-        dropped: the peer is alive, only unreachable, and the link is
-        live again the moment the partition heals.
+        ``links`` is the node's link dict, in link order.  A neighbor
+        cut off by a network partition is *skipped*, not dropped: the
+        peer is alive, only unreachable, and the link is live again the
+        moment the partition heals.
         """
         online = self._online
-        guard = self.partition_guard
-        alive = []
-        for neighbor in neighbors:
-            if neighbor not in online:
+        alive = [neighbor for neighbor in links if neighbor in online]
+        if len(alive) < len(links):
+            # ``drop_dead_neighbor`` deletes from ``links``: gather first.
+            for neighbor in [n for n in links if n not in online]:
                 self.structure.drop_dead_neighbor(node_id, neighbor)
-            elif guard is None or guard(node_id, neighbor):
-                alive.append(neighbor)
+        guard = self.partition_guard
+        if guard is not None:
+            alive = [neighbor for neighbor in alive if guard(node_id, neighbor)]
         return alive
 
     def _alive_inner_neighbors(self, node_id: int) -> List[int]:
         """The node's live, reachable inner-neighbors (a flood's next hops)."""
-        return self._alive_neighbors(node_id, self.structure.inner_neighbors(node_id))
+        return self._alive_neighbors(node_id, self._inner_links.get(node_id, ()))
 
     # -- lifecycle --------------------------------------------------------------
 
@@ -147,9 +152,7 @@ class SocialTubeProtocol(VodProtocol):
 
         # Both floods walk channel overlays and look for the same video.
         neighbors_of = self._alive_inner_neighbors
-
-        def is_holder(node_id: int) -> bool:
-            return self.is_online_holder(node_id, video_id)
+        is_holder = self.online_holder(video_id)
 
         # Phase 1: flood the channel overlay over inner-links.
         inner = neighbors_of(user_id)
@@ -179,7 +182,7 @@ class SocialTubeProtocol(VodProtocol):
         # floods inside its own channel overlay with a fresh TTL
         # ("Within each channel overlay, the request is forwarded along
         # TTL hops"), so total depth is 1 (the inter hop) + TTL.
-        inter = self._alive_neighbors(user_id, self.structure.inter_neighbors(user_id))
+        inter = self._alive_neighbors(user_id, self._inter_links.get(user_id, ()))
         with self.tracer.span(
             "flood.search", node=user_id, video=video_id, level="inter"
         ):
@@ -214,8 +217,7 @@ class SocialTubeProtocol(VodProtocol):
                 # The tracker sees both partition sides; a referral the
                 # requester cannot reach is worthless, so reachability
                 # joins the holder predicate.
-                is_holder=lambda n: self.can_reach(user_id, n)
-                and self.is_online_holder(n, video_id),
+                is_holder=lambda n: self.can_reach(user_id, n) and is_holder(n),
                 exclude=user_id,
             )
             if holder is not None:
@@ -276,12 +278,11 @@ class SocialTubeProtocol(VodProtocol):
 
     def prefetch_source(self, user_id: int, video_id: int) -> ChunkSource:
         """First chunks come from a neighbor when one holds the video."""
-        for neighbor in self.structure.inner_neighbors(user_id):
-            if self.is_online_holder(neighbor, video_id):
-                return ChunkSource.PREFETCH_PEER
-        for neighbor in self.structure.inter_neighbors(user_id):
-            if self.is_online_holder(neighbor, video_id):
-                return ChunkSource.PREFETCH_PEER
+        is_holder = self.online_holder(video_id)
+        for links in (self._inner_links, self._inter_links):
+            for neighbor in links.get(user_id, ()):
+                if is_holder(neighbor):
+                    return ChunkSource.PREFETCH_PEER
         return ChunkSource.PREFETCH_SERVER
 
     # -- metrics -------------------------------------------------------------------------

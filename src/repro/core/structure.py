@@ -84,12 +84,6 @@ class HierarchicalStructure:
             return None
         return self.dataset.category_of_channel(channel)
 
-    def inner_neighbors(self, node_id: int) -> List[int]:
-        return self.inner.neighbors(node_id)
-
-    def inter_neighbors(self, node_id: int) -> List[int]:
-        return self.inter.neighbors(node_id)
-
     def link_count(self, node_id: int) -> int:
         """Total links the node maintains (the Fig 18 metric)."""
         return self.inner.degree(node_id) + self.inter.degree(node_id)
@@ -411,7 +405,6 @@ class HierarchicalStructure:
         picks = self.server.random_members_per_channel_in_category(
             category_id, exclude=node_id, limit=3 * budget
         )
-        inter = self.inter
         # A pick at capacity that is not yet a neighbor is one that
         # ``connect(evict=False)`` refuses (the node's own links stay
         # below capacity while ``added < budget``), so it goes straight
@@ -419,8 +412,10 @@ class HierarchicalStructure:
         # an empty entry for a node that had none, needs no stand-in:
         # a skip is always followed by a ``connect`` from ``node_id`` in
         # this call, which creates that entry before any other.
-        table = inter._table
-        capacity = inter.capacity
+        links_of = self.inter.table.get
+        connect = self.inter.connect
+        channel_of = self.channel_of.get
+        capacity = self.inter.capacity
         added = 0
         full_targets: List[int] = []
         for pick in picks:
@@ -428,16 +423,16 @@ class HierarchicalStructure:
                 break
             if pick == node_id or not is_alive(pick):
                 continue
-            if self.channel_of.get(pick) == channel_id:
+            if channel_of(pick) == channel_id:
                 continue  # inter-links go to *other* channels
-            if len(table.get(pick, ())) >= capacity and pick not in table.get(node_id, ()):
+            if len(links_of(pick, ())) >= capacity and pick not in links_of(node_id, ()):
                 full_targets.append(pick)
-            elif inter.connect(node_id, pick, evict=False):
+            elif connect(node_id, pick, evict=False):
                 added += 1
             else:
                 full_targets.append(pick)
         for pick in full_targets:
             if added >= budget:
                 break
-            if inter.connect(node_id, pick, evict=True):
+            if connect(node_id, pick, evict=True):
                 added += 1

@@ -37,7 +37,7 @@ from repro.lint.ast_rules import (
     RULE_SEVERITIES,
     collect_findings,
 )
-from repro.lint.base import SEVERITY_LEVELS, Rule, severity_rank
+from repro.lint.base import SEVERITY_LEVELS, Rule
 from repro.lint.dataflow import (
     FLOW_RULES,
     PROGRAM_RULES,
@@ -75,7 +75,6 @@ __all__ = [
     "collect_findings",
     "SEVERITY_LEVELS",
     "Rule",
-    "severity_rank",
     "FLOW_RULES",
     "PROGRAM_RULES",
     "collect_flow_findings",

@@ -14,19 +14,12 @@ from typing import Iterable, Iterator, List, Optional
 
 from repro.lint.findings import Finding, RuleContext
 
-#: Severity levels, most severe first (the report orders rollups this way).
+#: Severity levels, most severe first.  The report counts findings per
+#: level in ``severity_counts``, which ``render_json`` emits key-sorted.
 SEVERITY_LEVELS = ("high", "medium", "low")
 
 #: Default severity when a rule does not declare one.
 DEFAULT_SEVERITY = "medium"
-
-
-def severity_rank(severity: str) -> int:
-    """0 for ``high``, 1 for ``medium``, 2 for ``low`` (unknown sorts last)."""
-    try:
-        return SEVERITY_LEVELS.index(severity)
-    except ValueError:
-        return len(SEVERITY_LEVELS)
 
 
 def dotted_name(node: ast.AST) -> Optional[str]:

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.net.bandwidth import SharedUploadLink
 from repro.obs.tracer import NULL_TRACER
-from repro.sim.rng import sample_from_pool
+from repro.sim.rng import sample_from_pool, shuffle_in_place
 
 
 def rounds_to_reach(sizes: List[int], limit: Optional[int]) -> int:
@@ -230,14 +230,22 @@ class CentralServer:
         candidates = list(members)
         if exclude in members:
             candidates.remove(exclude)
-        if not candidates:
+        n = len(candidates)
+        if not n:
             return None
-        # ``choice`` without the method call: the same single draw.
-        return candidates[self._rng._randbelow(len(candidates))]
+        # ``choice`` with its ``_randbelow`` inlined: the same
+        # ``getrandbits`` calls (repro.sim.rng).
+        getrandbits = self._rng.getrandbits
+        bits = n.bit_length()
+        j = getrandbits(bits)
+        while j >= n:
+            j = getrandbits(bits)
+        return candidates[j]
 
     def _occupied_channels(self, category_id: int, exclude: Optional[int]) -> List[Set[int]]:
         """Member sets of the category's channels that hold anyone but
-        ``exclude``, in uniformly random order (one ``shuffle``)."""
+        ``exclude``, in uniformly random order (one ``shuffle``, made by
+        ``shuffle_in_place`` with the same draws)."""
         occupied = [
             members
             for members in map(
@@ -245,7 +253,7 @@ class CentralServer:
             )
             if members and (len(members) > 1 or exclude not in members)
         ]
-        self._rng.shuffle(occupied)
+        shuffle_in_place(self._rng.getrandbits, occupied)
         return occupied
 
     def random_members_per_channel_in_category(
@@ -275,8 +283,8 @@ class CentralServer:
         self._count_lookup("category-bootstrap")
         pools = self._occupied_channels(category_id, exclude)
         # The stdlib draws inlined (repro.sim.rng.sample_from_pool): the
-        # same ``_randbelow`` calls as ``choice`` and ``sample``.
-        randbelow = self._rng._randbelow
+        # same ``getrandbits`` calls as ``choice`` and ``sample``.
+        getrandbits = self._rng.getrandbits
         if limit is not None and len(pools) >= limit:
             # One member from each of the first ``limit`` channels
             # already makes ``limit``: a single round of ``choice``.
@@ -285,7 +293,12 @@ class CentralServer:
                 candidates = list(members)
                 if exclude in members:
                     candidates.remove(exclude)
-                picks.append(candidates[randbelow(len(candidates))])
+                n = len(candidates)
+                bits = n.bit_length()
+                j = getrandbits(bits)
+                while j >= n:
+                    j = getrandbits(bits)
+                picks.append(candidates[j])
             return picks
         sizes = [len(members) - (exclude in members) for members in pools]
         rounds = rounds_to_reach(sizes, limit)
@@ -294,7 +307,7 @@ class CentralServer:
             candidates = list(members)
             if size < len(candidates):
                 candidates.remove(exclude)
-            draws.append(sample_from_pool(randbelow, candidates, min(size, rounds)))
+            draws.append(sample_from_pool(getrandbits, candidates, min(size, rounds)))
         picks = [
             draw[round_index]
             for round_index in range(rounds)

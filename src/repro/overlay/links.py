@@ -30,6 +30,16 @@ class LinkTable:
         self.capacity = capacity
         self._table: Dict[int, Dict[int, None]] = {}
 
+    @property
+    def table(self) -> Dict[int, Dict[int, None]]:
+        """Every node's link dict, keyed by node id (read-only to callers).
+
+        Hot paths read a node's links in place with
+        ``table.get(node_id, ())``, which, unlike :meth:`links_of`,
+        creates no entry.
+        """
+        return self._table
+
     def links_of(self, node_id: int) -> Dict[int, None]:
         """The node's live link set (created empty on first use)."""
         links = self._table.get(node_id)

@@ -9,8 +9,10 @@ master seed keeps streams decoupled: adding one extra draw in the latency
 model does not perturb the workload sequence.
 
 ``RngStreams`` hands out per-name streams; the same ``(seed, name)`` pair
-always yields the same sequence.  ``sample_from_pool`` is the draw-parity
-stand-in for ``Random.sample`` that hot paths use (DESIGN.md §6).
+always yields the same sequence.  ``shuffle_in_place`` and
+``sample_from_pool`` are the draw-parity stand-ins for
+``Random.shuffle`` and ``Random.sample`` that hot paths use: they call
+the stream's ``getrandbits`` directly (DESIGN.md §6).
 """
 
 from __future__ import annotations
@@ -21,16 +23,39 @@ from math import ceil, log
 from typing import Any, Callable, Dict, List
 
 
-def sample_from_pool(randbelow: Callable[[int], int], pool: List[Any], k: int) -> List[Any]:
+def shuffle_in_place(getrandbits: Callable[[int], int], x: List[Any]) -> None:
+    """``Random.shuffle(x)`` without the method's overhead.
+
+    ``getrandbits`` is the stream's bound ``getrandbits``.  The stdlib
+    ``shuffle`` runs Fisher-Yates from the end, one ``_randbelow(n)``
+    for each ``n`` from ``len(x)`` down to 2, and ``_randbelow`` draws
+    ``n.bit_length()`` bits until the value falls below ``n``.  That
+    loop is inlined here, so the helper makes the same ``getrandbits``
+    calls, with the same bit widths, in the same order: it leaves ``x``
+    and the stream in the same state.
+    """
+    for n in range(len(x), 1, -1):
+        # Swap the last of ``x[:n]`` with a uniform pick from ``x[:n]``.
+        k = n.bit_length()
+        j = getrandbits(k)
+        while j >= n:
+            j = getrandbits(k)
+        i = n - 1
+        x[i], x[j] = x[j], x[i]
+
+
+def sample_from_pool(getrandbits: Callable[[int], int], pool: List[Any], k: int) -> List[Any]:
     """``Random.sample(pool, k)`` without the method's overhead.
 
-    ``randbelow`` is the stream's bound ``_randbelow``.  The helper makes
-    exactly the ``randbelow`` calls the stdlib ``sample`` makes -- the
-    same ``setsize`` rule picks between its swap-out (small pool) and
-    rejection-set (large pool) branches -- so it returns the same list
-    and leaves the stream in the same state.  ``pool`` is a scratch
-    list the caller gives up: the small-pool branch reorders it in
-    place.  ``0 <= k <= len(pool)`` is the caller's contract.
+    ``getrandbits`` is the stream's bound ``getrandbits``.  The helper
+    makes exactly the ``getrandbits`` calls the stdlib ``sample`` makes
+    through ``_randbelow`` -- the same ``setsize`` rule picks between
+    its swap-out (small pool) and rejection-set (large pool) branches,
+    and each index is drawn with ``n.bit_length()`` bits until it falls
+    below ``n`` -- so it returns the same list and leaves the stream in
+    the same state.  ``pool`` is a scratch list the caller gives up:
+    the small-pool branch reorders it in place.  ``0 <= k <= len(pool)``
+    is the caller's contract.
     """
     n = len(pool)
     setsize = 21
@@ -39,15 +64,22 @@ def sample_from_pool(randbelow: Callable[[int], int], pool: List[Any], k: int) -
     result = []
     if n <= setsize:
         for i in range(k):
-            j = randbelow(n - i)
+            m = n - i
+            bits = m.bit_length()
+            j = getrandbits(bits)
+            while j >= m:
+                j = getrandbits(bits)
             result.append(pool[j])
-            pool[j] = pool[n - i - 1]
+            pool[j] = pool[m - 1]
     else:
+        # The stdlib redraws an index already taken; a draw at or past
+        # ``n`` is never in ``selected``, so one loop makes the same calls.
+        bits = n.bit_length()
         selected = set()
         for _ in range(k):
-            j = randbelow(n)
-            while j in selected:
-                j = randbelow(n)
+            j = getrandbits(bits)
+            while j >= n or j in selected:
+                j = getrandbits(bits)
             selected.add(j)
             result.append(pool[j])
     return result

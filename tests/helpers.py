@@ -18,3 +18,8 @@ def make_protocol(protocol_cls, dataset, num_peers=40, seed=5, **kwargs):
     for user_id in range(num_peers):
         protocol.register_peer(PeerState(user_id, upload_capacity_bps=2e6))
     return protocol, server
+
+
+def table_state(table):
+    """Every entry of a link table, in table order, each in link order."""
+    return [(node, list(links)) for node, links in table.table.items()]

@@ -33,7 +33,7 @@ def _populate(structure, count=8, channel=0):
 class TestCrash:
     def test_crash_leaves_links_dangling(self, structure):
         _populate(structure)
-        neighbors = structure.inner_neighbors(2)
+        neighbors = structure.inner.neighbors(2)
         assert neighbors
         structure.crash(2)
         # Unlike leave(): survivors still hold their link to the dead node.
@@ -57,7 +57,7 @@ class TestCrash:
 class TestRepair:
     def test_repair_heals_survivors_and_clears_the_dead_node(self, structure):
         _populate(structure)
-        neighbors = structure.inner_neighbors(2)
+        neighbors = structure.inner.neighbors(2)
         structure.crash(2)
         repaired = structure.repair_crashed(2, lambda n: n != 2)
         assert repaired == len(neighbors)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from helpers import table_state
 from repro.core.structure import HierarchicalStructure
 from repro.net.server import CentralServer
 
@@ -235,11 +236,6 @@ class ConnectEveryPickStructure(HierarchicalStructure):
                 break
             if self.inter.connect(node_id, pick, evict=True):
                 added += 1
-
-
-def table_state(table):
-    """Every entry of a link table, in table order, each in link order."""
-    return [(node, list(links)) for node, links in table._table.items()]
 
 
 class TestFullTargetSkip:

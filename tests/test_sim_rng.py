@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.sim.rng import RngStreams, derive_seed, sample_from_pool
+from repro.sim.rng import RngStreams, derive_seed, sample_from_pool, shuffle_in_place
 
 
 class TestDeriveSeed:
@@ -65,6 +65,31 @@ class TestRngStreams:
         assert parent.master_seed != child.master_seed
 
 
+class TestStdlibDrawContract:
+    """The inlined draws copy ``Random._randbelow_with_getrandbits``."""
+
+    def test_randbelow_is_the_getrandbits_loop(self):
+        # If CPython ever picks another ``_randbelow``, the helpers in
+        # repro.sim.rng no longer make the stdlib's draws: fail loudly.
+        assert random.Random._randbelow is random.Random._randbelow_with_getrandbits
+
+
+class TestShuffleInPlace:
+    """``shuffle_in_place`` makes exactly ``Random.shuffle``'s draws."""
+
+    @pytest.mark.parametrize("n", range(121))
+    def test_same_order_and_rng_state_as_stdlib(self, n):
+        for seed in range(30):
+            rng = random.Random(seed)
+            reference = random.Random(seed)
+            items = [f"m{i}" for i in range(n)]
+            expected = list(items)
+            shuffle_in_place(rng.getrandbits, items)
+            reference.shuffle(expected)
+            assert items == expected, (n, seed)
+            assert rng.getstate() == reference.getstate(), (n, seed)
+
+
 class TestSampleFromPool:
     """``sample_from_pool`` makes exactly ``Random.sample``'s draws."""
 
@@ -80,6 +105,6 @@ class TestSampleFromPool:
             for seed in range(30):
                 rng = random.Random(seed)
                 reference = random.Random(seed)
-                picks = sample_from_pool(rng._randbelow, list(population), k)
+                picks = sample_from_pool(rng.getrandbits, list(population), k)
                 assert picks == reference.sample(population, k), (n, k, seed)
                 assert rng.getstate() == reference.getstate(), (n, k, seed)
