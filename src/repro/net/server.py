@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from random import Random
-from typing import Dict, List, Optional, Set, Tuple
+from typing import AbstractSet, Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from repro.net.bandwidth import SharedUploadLink
 from repro.obs.tracer import NULL_TRACER
@@ -53,6 +53,47 @@ def rounds_to_reach(sizes: List[int], limit: Optional[int]) -> int:
         handed += size
         remaining -= 1
     return rounds
+
+
+class MemberPool(dict):
+    """The online members of one channel overlay, drawable by slot.
+
+    A dict from member id to its slot in :attr:`ids`, the list of the
+    members in slot order: insertion order, except that a removal moves
+    the last member into the freed slot.  ``len``, truth tests and
+    ``in`` are the dict's own; a uniform draw is one index into
+    ``ids``, so its cost does not grow with the pool, and which member
+    an index names depends only on the add/remove sequence, never on
+    set hashing.
+    """
+
+    __slots__ = ("ids",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.ids: List[int] = []
+
+    def add(self, node_id: int) -> None:
+        if node_id not in self:
+            self[node_id] = len(self.ids)
+            self.ids.append(node_id)
+
+    def discard(self, node_id: int) -> None:
+        slot = self.pop(node_id, None)
+        if slot is None:
+            return
+        ids = self.ids
+        last = ids.pop()
+        if last != node_id:
+            ids[slot] = last
+            self[last] = slot
+
+
+#: One container of a tracker map: a channel's pool, or a video's set.
+_Members = Union[MemberPool, Set[int]]
+
+#: What a read of a tracker map returns for a key nobody registered.
+_NO_MEMBERS: FrozenSet[int] = frozenset()  # shard: shared-read
 
 
 class ServerOverloadError(Exception):
@@ -88,12 +129,12 @@ class CentralServer:
         self._rng = rng
         # Tracker state ----------------------------------------------------
         self._online: Set[int] = set()
-        self._channel_members: Dict[int, Set[int]] = defaultdict(set)
+        self._channel_members: Dict[int, MemberPool] = defaultdict(MemberPool)
         self._video_overlay_members: Dict[int, Set[int]] = defaultdict(set)
         self._current_watchers: Dict[int, Set[int]] = defaultdict(set)
-        #: Per node, the member sets of the three maps above that hold it,
-        #: keyed by ``id(set)``: the offline purge touches only these.
-        self._memberships: Dict[int, Dict[int, Set[int]]] = defaultdict(dict)
+        #: Per node, the member containers of the three maps above that
+        #: hold it, keyed by ``id``: the offline purge touches only these.
+        self._memberships: Dict[int, Dict[int, _Members]] = defaultdict(dict)
         # Popularity oracle: per-channel ranking, filled on first request.
         self._ranking: Dict[int, Tuple[int, ...]] = {}
         # Bookkeeping the paper's comparison cares about --------------------
@@ -173,13 +214,16 @@ class CentralServer:
         for members in self._memberships.pop(node_id, {}).values():
             members.discard(node_id)
 
-    def _add_member(self, members: Set[int], node_id: int) -> None:
-        """Add ``node_id`` to one tracker member set, remembering the set."""
+    def _add_member(self, members: _Members, node_id: int) -> None:
+        """Add ``node_id`` to one tracker member container, remembering it."""
         members.add(node_id)
         self._memberships[node_id][id(members)] = members
 
-    def _remove_member(self, members: Set[int], node_id: int) -> None:
-        """Remove ``node_id`` from one tracker member set and forget the set."""
+    def _remove_member(self, members: Optional[_Members], node_id: int) -> None:
+        """Remove ``node_id`` from one tracker member container (None: a
+        key nobody registered) and forget the container."""
+        if members is None:
+            return
         members.discard(node_id)
         record = self._memberships.get(node_id)
         if record:
@@ -210,11 +254,12 @@ class CentralServer:
     def unregister_channel_member(self, channel_id: int, node_id: int) -> None:
         if self.tracker_down:
             return
-        self._remove_member(self._channel_members[channel_id], node_id)
+        self._remove_member(self._channel_members.get(channel_id), node_id)
 
-    def channel_members(self, channel_id: int) -> Set[int]:
+    def channel_members(self, channel_id: int) -> AbstractSet[int]:
         """Online members of one channel overlay (read-only view)."""
-        return self._channel_members[channel_id]
+        pool = self._channel_members.get(channel_id)
+        return _NO_MEMBERS if pool is None else pool.keys()
 
     def random_channel_member(
         self, channel_id: int, exclude: Optional[int] = None
@@ -224,37 +269,36 @@ class CentralServer:
             self._count_lookup_failed("channel-member")
             return None
         self._count_lookup("channel-member")
-        members = self._channel_members.get(channel_id)
-        if not members:
+        pool = self._channel_members.get(channel_id)
+        if not pool:
             return None
-        candidates = list(members)
-        if exclude in members:
-            candidates.remove(exclude)
-        n = len(candidates)
-        if not n:
-            return None
-        # ``choice`` with its ``_randbelow`` inlined: the same
-        # ``getrandbits`` calls (repro.sim.rng).
+        ids = pool.ids
+        n = len(ids)
+        # Draw among the other n - 1 slots; the excluded slot stands
+        # for the last one.
+        excluded = pool.get(exclude)
+        if excluded is not None:
+            n -= 1
+            if not n:
+                return None
+        # ``_randbelow(n)`` inlined (DESIGN.md §6, "Draw parity").
         getrandbits = self._rng.getrandbits
         bits = n.bit_length()
         j = getrandbits(bits)
         while j >= n:
             j = getrandbits(bits)
-        return candidates[j]
+        return ids[n] if j == excluded else ids[j]
 
-    def _occupied_channels(self, category_id: int, exclude: Optional[int]) -> List[Set[int]]:
-        """Member sets of the category's channels that hold anyone but
-        ``exclude``, in uniformly random order (one ``shuffle``, made by
-        ``shuffle_in_place`` with the same draws)."""
-        occupied = [
-            members
-            for members in map(
+    def _occupied_channels(self, category_id: int, exclude: Optional[int]) -> List[MemberPool]:
+        """Pools of the category's channels that hold anyone but
+        ``exclude``, in catalog order: a fresh list the caller may reorder."""
+        return [
+            pool
+            for pool in map(
                 self._channel_members.get, self.catalog.channels_of_category(category_id)
             )
-            if members and (len(members) > 1 or exclude not in members)
+            if pool and (len(pool) > 1 or exclude not in pool)
         ]
-        shuffle_in_place(self._rng.getrandbits, occupied)
-        return occupied
 
     def random_members_per_channel_in_category(
         self, category_id: int, exclude: Optional[int] = None, limit: Optional[int] = None
@@ -270,44 +314,50 @@ class CentralServer:
         ``limit``, further members of the same channels are handed out
         rather than returning short.
 
-        Draws are lazy: only the first ``limit`` channels of the random
-        order are reachable, the number of rounds ``R`` that reaches
-        ``limit`` follows from the pool sizes alone, and each pool draws
-        just its first ``min(size, R)`` members without replacement.
-        That is the same distribution as shuffling every pool in full.
-        When at least ``limit`` channels are occupied, that is one round.
+        Draws are lazy.  When at least ``limit`` channels are occupied,
+        one round makes ``limit``: a uniform ordered sample of ``limit``
+        channels, then one slot draw in each.  Otherwise the channels
+        are shuffled, the number of rounds ``R`` that reaches ``limit``
+        follows from the pool sizes alone, and each pool draws just its
+        first ``min(size, R)`` members without replacement.  Both are
+        the distribution of shuffling every channel and every pool in
+        full.
         """
         if self.tracker_down:
             self._count_lookup_failed("category-bootstrap")
             return []
         self._count_lookup("category-bootstrap")
         pools = self._occupied_channels(category_id, exclude)
-        # The stdlib draws inlined (repro.sim.rng.sample_from_pool): the
-        # same ``getrandbits`` calls as ``choice`` and ``sample``.
+        # The stdlib draws inlined (DESIGN.md §6, "Draw parity").
         getrandbits = self._rng.getrandbits
         if limit is not None and len(pools) >= limit:
-            # One member from each of the first ``limit`` channels
-            # already makes ``limit``: a single round of ``choice``.
             picks = []
-            for members in pools[:limit]:
-                candidates = list(members)
-                if exclude in members:
-                    candidates.remove(exclude)
-                n = len(candidates)
+            for pool in sample_from_pool(getrandbits, pools, limit):
+                # ``random_channel_member``'s draw: the excluded slot
+                # stands for the last one.
+                ids = pool.ids
+                n = len(ids)
+                excluded = pool.get(exclude)
+                if excluded is not None:
+                    n -= 1
                 bits = n.bit_length()
                 j = getrandbits(bits)
                 while j >= n:
                     j = getrandbits(bits)
-                picks.append(candidates[j])
+                picks.append(ids[n] if j == excluded else ids[j])
             return picks
-        sizes = [len(members) - (exclude in members) for members in pools]
+        shuffle_in_place(getrandbits, pools)
+        sizes = [len(pool) - (exclude in pool) for pool in pools]
         rounds = rounds_to_reach(sizes, limit)
         draws = []
-        for members, size in zip(pools, sizes):
-            candidates = list(members)
-            if size < len(candidates):
-                candidates.remove(exclude)
-            draws.append(sample_from_pool(getrandbits, candidates, min(size, rounds)))
+        for pool, n in zip(pools, sizes):
+            # A scratch copy of the slots, the last member moved into
+            # the excluded one's slot.
+            candidates = pool.ids[:]
+            if n < len(candidates):
+                candidates[pool[exclude]] = candidates[-1]
+                candidates.pop()
+            draws.append(sample_from_pool(getrandbits, candidates, min(n, rounds)))
         picks = [
             draw[round_index]
             for round_index in range(rounds)
@@ -330,16 +380,18 @@ class CentralServer:
         channel overlay (including a node with the video) in the
         higher-level overlay of the video's interest".  Only occupied
         channels are put in random order (one ``shuffle``), and each is
-        scanned in tracker order; the scan is bounded to keep the
-        server's work per request constant.
+        scanned in slot order; the scan is bounded to keep the server's
+        work per request constant.
         """
         if self.tracker_down:
             self._count_lookup_failed("category-holder")
             return None
         self._count_lookup("category-holder")
+        pools = self._occupied_channels(category_id, exclude)
+        shuffle_in_place(self._rng.getrandbits, pools)
         scanned = 0
-        for members in self._occupied_channels(category_id, exclude):
-            for member in members:
+        for pool in pools:
+            for member in pool.ids:
                 if member == exclude:
                     continue
                 scanned += 1
@@ -360,10 +412,10 @@ class CentralServer:
     def unregister_video_overlay_member(self, video_id: int, node_id: int) -> None:
         if self.tracker_down:
             return
-        self._remove_member(self._video_overlay_members[video_id], node_id)
+        self._remove_member(self._video_overlay_members.get(video_id), node_id)
 
-    def video_overlay_members(self, video_id: int) -> Set[int]:
-        return self._video_overlay_members[video_id]
+    def video_overlay_members(self, video_id: int) -> AbstractSet[int]:
+        return self._video_overlay_members.get(video_id, _NO_MEMBERS)
 
     def random_video_overlay_members(
         self, video_id: int, count: int, exclude: Optional[int] = None
@@ -390,7 +442,7 @@ class CentralServer:
         """PA-VoD: once playback ends the node stops providing the video."""
         if self.tracker_down:
             return
-        self._remove_member(self._current_watchers[video_id], node_id)
+        self._remove_member(self._current_watchers.get(video_id), node_id)
 
     def current_watchers(self, video_id: int, exclude: Optional[int] = None) -> List[int]:
         if self.tracker_down:

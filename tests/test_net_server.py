@@ -288,10 +288,21 @@ LARGE_LAYOUT = {
 }
 
 
+def assert_same_frequencies(draw, reference, trials=4000, tolerance=0.05):
+    """``draw()`` and ``reference()`` pick each member at each position
+    with frequencies within ``tolerance`` over ``trials`` calls."""
+    ours = position_frequencies(draw, trials)
+    theirs = position_frequencies(reference, trials)
+    for key in set(ours) | set(theirs):
+        assert ours.get(key, 0.0) == pytest.approx(theirs.get(key, 0.0), abs=tolerance), key
+
+
 class TestCategoryBootstrapDraws:
-    """The inlined draws (``choice`` as ``_randbelow``, ``sample`` as
-    ``sample_from_pool``, the closed-form round count) make exactly the
-    stdlib draws of the reference implementations above."""
+    """The pool draws (a slot index per pick, a ``sample`` of the
+    channels handed out) pick with the distribution of the set-based
+    reference implementations above, which drew through the stdlib
+    ``choice``, ``sample`` and ``shuffle``.  Test names keep their
+    earlier ids; each now compares per-position frequencies."""
 
     CATEGORY = TestCategoryBootstrapDistribution.CATEGORY
 
@@ -302,52 +313,91 @@ class TestCategoryBootstrapDraws:
     def test_same_picks_and_rng_state_as_parent(self, server, exclude, limit):
         self._check_category_picks(server, SMALL_LAYOUT, exclude, limit)
 
-    @pytest.mark.parametrize("exclude", [9, None])
+    @pytest.mark.parametrize("exclude", [9, 100, None])
     @pytest.mark.parametrize("limit", LIMITS)
     def test_large_pools_same_picks_and_rng_state_as_parent(self, server, exclude, limit):
         self._check_category_picks(server, LARGE_LAYOUT, exclude, limit)
 
-    def _check_category_picks(self, server, layout, exclude, limit):
-        populate(server, layout)
-        for seed in range(40):
-            server._rng = random.Random(seed)
-            reference_rng = random.Random(seed)
+    @pytest.mark.parametrize("exclude", [100, 145, 189])
+    @pytest.mark.parametrize("limit", [5, 12, 40, 100])
+    def test_pool_holding_the_excluded_node_draws_the_others_uniformly(
+        self, server, exclude, limit
+    ):
+        """``exclude`` sits in the 90-member pool: it is never handed
+        out, and each of the other 89 is, equally often.  Limit 5 is the
+        one-round path; 12 and 40 make the pool take ``sample``'s
+        rejection branch, 100 its swap-out branch."""
+        populate(server, LARGE_LAYOUT)
+        server._rng = random.Random(11)
+        others = [member for member in LARGE_LAYOUT[3] if member != exclude]
+        counts = Counter()
+        for _ in range(3000):
             picks = server.random_members_per_channel_in_category(
                 self.CATEGORY, exclude=exclude, limit=limit
             )
-            expected = parent_category_picks(
+            assert exclude not in picks
+            drawn = [member for member in picks if 100 <= member < 190]
+            assert len(set(drawn)) == len(drawn)
+            counts.update(drawn)
+        observed = [counts[member] for member in others]
+        expected = sum(observed) / len(others)
+        assert min(observed) > 0
+        # Chi-square with 88 degrees of freedom (mean 88, sd 13.3); a
+        # slot never drawn alone adds about ``expected`` (34 or more).
+        chi_square = sum((count - expected) ** 2 for count in observed) / expected
+        assert chi_square < 160, chi_square
+
+    def _check_category_picks(self, server, layout, exclude, limit):
+        populate(server, layout)
+        server._rng = random.Random(11)
+        reference_rng = random.Random(12)
+        assert_same_frequencies(
+            lambda: server.random_members_per_channel_in_category(
+                self.CATEGORY, exclude=exclude, limit=limit
+            ),
+            lambda: parent_category_picks(
                 server, self.CATEGORY, reference_rng, exclude=exclude, limit=limit
-            )
-            assert picks == expected, (seed, exclude, limit)
-            assert server._rng.getstate() == reference_rng.getstate()
+            ),
+            trials=2000,
+        )
 
     @pytest.mark.parametrize("exclude", [9, 100, 555, None])
     def test_channel_member_same_pick_and_rng_state_as_choice(self, server, exclude):
         populate(server, LARGE_LAYOUT)
-        for seed in range(40):
-            for channel in (*LARGE_LAYOUT, 0):
-                server._rng = random.Random(seed)
-                reference_rng = random.Random(seed)
-                pick = server.random_channel_member(channel, exclude=exclude)
-                assert pick == parent_channel_member(server, channel, reference_rng, exclude)
-                assert server._rng.getstate() == reference_rng.getstate()
+        server._rng = random.Random(11)
+        reference_rng = random.Random(12)
+        for channel in (*LARGE_LAYOUT, 0):
+            assert_same_frequencies(
+                lambda: [server.random_channel_member(channel, exclude=exclude)],
+                lambda: [parent_channel_member(server, channel, reference_rng, exclude)],
+                tolerance=0.02,
+            )
 
     @pytest.mark.parametrize("exclude", [9, None])
     @pytest.mark.parametrize("scan_limit", [1, 50, 200])
     def test_holder_same_pick_and_rng_state_as_shuffle(self, server, exclude, scan_limit):
         populate(server, LARGE_LAYOUT)
-        for seed in range(40):
+        server._rng = random.Random(11)
+        reference_rng = random.Random(12)
+        for seed in range(3):
             holders = set(random.Random(-seed).sample(range(100, 308), 3))
-            server._rng = random.Random(seed)
-            reference_rng = random.Random(seed)
-            found = server.find_holder_in_category(
-                self.CATEGORY, holders.__contains__, exclude=exclude, scan_limit=scan_limit
+            assert_same_frequencies(
+                lambda: [
+                    server.find_holder_in_category(
+                        self.CATEGORY, holders.__contains__, exclude=exclude, scan_limit=scan_limit
+                    )
+                ],
+                lambda: [
+                    parent_holder_in_category(
+                        server,
+                        self.CATEGORY,
+                        holders.__contains__,
+                        reference_rng,
+                        exclude,
+                        scan_limit,
+                    )
+                ],
             )
-            expected = parent_holder_in_category(
-                server, self.CATEGORY, holders.__contains__, reference_rng, exclude, scan_limit
-            )
-            assert found == expected, (seed, exclude, scan_limit)
-            assert server._rng.getstate() == reference_rng.getstate()
 
 
 def test_rounds_to_reach_matches_counting_rounds():
@@ -505,6 +555,99 @@ class TestTrackerMembershipIndex:
         server.node_offline(99)
         assert tracker_maps(server) == before
         assert 99 not in server._memberships
+
+    def test_reads_and_removals_of_unknown_keys_create_no_entry(self, server):
+        assert len(server.channel_members(5)) == 0
+        assert len(server.video_overlay_members(6)) == 0
+        server.unregister_channel_member(5, 1)
+        server.unregister_video_overlay_member(6, 1)
+        server.watch_finished(7, 1)
+        assert tracker_maps(server) == [[], {}, {}, {}]
+        assert not server._memberships
+
+
+def check_pool(pool):
+    """``ids`` and the slot map describe the same members."""
+    assert len(pool.ids) == len(pool) == len(set(pool.ids))
+    for slot, member in enumerate(pool.ids):
+        assert pool[member] == slot
+
+
+class TestMemberPool:
+    """Channel pools against a plain set model of the tracker."""
+
+    NODES = range(10)
+    CHANNELS = range(4)
+
+    def _random_op(self, rng):
+        roll = rng.random()
+        if roll < 0.03:
+            return "tracker_outage_begin", ()
+        if roll < 0.08:
+            return "tracker_outage_end", ()
+        if roll < 0.25:
+            return "node_offline", (rng.choice(self.NODES),)
+        name = rng.choice(["register_channel_member"] * 3 + ["unregister_channel_member"] * 2)
+        return name, (rng.choice(self.CHANNELS), rng.choice(self.NODES))
+
+    @staticmethod
+    def _apply(model, down, name, args):
+        """The op on ``model`` (channel -> set); returns the new ``down``."""
+        if name == "tracker_outage_begin":
+            model.clear()
+            return True
+        if name == "tracker_outage_end":
+            return False
+        if down:
+            return down
+        if name == "node_offline":
+            for members in model.values():
+                members.discard(args[0])
+        elif name == "register_channel_member":
+            model.setdefault(args[0], set()).add(args[1])
+        else:
+            model.get(args[0], set()).discard(args[1])
+        return down
+
+    def test_random_sequences_match_set_model(self, tiny_dataset):
+        for seed in range(150):
+            rng = random.Random(seed)
+            server = CentralServer(tiny_dataset, capacity_bps=50e6, rng=random.Random(seed))
+            model, down = {}, False
+            for _ in range(120):
+                name, args = self._random_op(rng)
+                getattr(server, name)(*args)
+                down = self._apply(model, down, name, args)
+                for channel in self.CHANNELS:
+                    assert set(server.channel_members(channel)) == model.get(channel, set()), seed
+                for pool in server._channel_members.values():
+                    check_pool(pool)
+                assert membership_record(server) == held_sets(server), seed
+
+    @pytest.fixture()
+    def shuffled_pool(self, server):
+        """Channel 0 with members 0-9 registered, then 3 and 7 removed, so
+        two slots hold members moved there from the end."""
+        for member in range(10):
+            server.register_channel_member(0, member)
+        server.unregister_channel_member(0, 3)
+        server.unregister_channel_member(0, 7)
+        server._rng = random.Random(3)
+        return server
+
+    @pytest.mark.parametrize("where", ["none", "absent", "first", "middle", "last"])
+    def test_channel_member_uniform_around_exclude(self, shuffled_pool, where):
+        ids = shuffled_pool._channel_members[0].ids
+        assert ids == [0, 1, 2, 9, 4, 5, 6, 8]
+        exclude = {"none": None, "absent": 555, "first": ids[0], "middle": ids[3], "last": ids[-1]}[
+            where
+        ]
+        expected = [m for m in ids if m != exclude]
+        trials = 4000
+        counts = Counter(shuffled_pool.random_channel_member(0, exclude) for _ in range(trials))
+        assert sorted(counts) == sorted(expected)
+        for member in expected:
+            assert counts[member] / trials == pytest.approx(1 / len(expected), abs=0.03), member
 
 
 class TestHolderAssist:
