@@ -16,17 +16,16 @@ from repro.experiments import ExperimentSpec, SimulationConfig, run_spec
 
 
 def main() -> None:
-    base = SimulationConfig.smoke_scale(seed=5)
+    base = ExperimentSpec(
+        protocol="socialtube", config=SimulationConfig.smoke_scale(seed=5)
+    )
     print("Analytical accuracy for a 25-video channel (Section IV-B):")
     for m in (0, 1, 2, 3, 4, 6, 8):
         print(f"  M={m}: {prefetch_accuracy(25, m):.3f}")
     print()
     print(f"{'M':>3} {'hit rate':>9} {'startup mean ms':>16} {'startup p99 ms':>15}")
     for window in (0, 1, 3, 6, 10):
-        config = SimulationConfig.smoke_scale(seed=5)
-        config.prefetch_window = window
-        config.enable_prefetch = window > 0
-        result = run_spec(ExperimentSpec(protocol="socialtube", config=config))
+        result = run_spec(base.with_params(prefetch_window=window))
         metrics = result.metrics
         print(
             f"{window:>3} {metrics.prefetch_hit_fraction:>9.3f} "

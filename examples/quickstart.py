@@ -19,13 +19,15 @@ def main() -> None:
         f"{config.trace.num_channels} channels, {config.trace.num_videos} videos, "
         f"{config.sessions_per_user} sessions x {config.videos_per_session} videos"
     )
-    result = run_spec(ExperimentSpec(protocol="socialtube", config=config))
+    spec = ExperimentSpec(protocol="socialtube", config=config)
+    params = spec.resolved_params()
+    result = run_spec(spec)
     print()
     print("\n".join(result.render_rows()))
     print()
     print(
         "Reading the output: a node keeps ~N_l + N_h links at all times "
-        f"(configured {config.inner_links}+{config.inter_links}), most chunks "
+        f"(configured {params.inner_link_limit}+{params.inter_link_limit}), most chunks "
         "come from peers rather than the server, and prefetching the "
         "channel's popular videos gives near-zero startup on hits."
     )

@@ -43,15 +43,16 @@ class NetTubeProtocol(VodProtocol):
         links_per_overlay: int = 5,
         search_hops: int = 2,
         prefetch_window: int = 3,
-        enable_prefetch: bool = True,
     ):
         super().__init__(dataset, server, rng)
         if links_per_overlay < 1:
             raise ValueError("links_per_overlay must be >= 1")
+        if prefetch_window < 0:
+            raise ValueError("prefetch_window must be >= 0")
         self.links_per_overlay = links_per_overlay
         self.search_hops = search_hops
+        #: Videos prefetched per watch; 0 turns prefetching off.
         self.prefetch_window = prefetch_window
-        self.enable_prefetch = enable_prefetch
         #: One link table per video overlay, created on demand.
         self._overlays: Dict[int, LinkTable] = {}
         #: The overlays each node currently belongs to.
@@ -254,9 +255,9 @@ class NetTubeProtocol(VodProtocol):
 
     # -- prefetching -----------------------------------------------------------------
 
-    def select_prefetch(self, user_id: int, video_id: int, count: int) -> List[int]:
+    def select_prefetch(self, user_id: int, video_id: int) -> List[int]:
         """Random videos from the neighbors' caches (NetTube's strategy)."""
-        if not self.enable_prefetch:
+        if not self.prefetch_window:
             return []
         peer = self.state(user_id)
         pool: Set[int] = set()
@@ -269,7 +270,7 @@ class NetTubeProtocol(VodProtocol):
             return []
         picks = sorted(pool)
         self.rng.shuffle(picks)
-        return picks[:count]
+        return picks[: self.prefetch_window]
 
     def prefetch_source(self, user_id: int, video_id: int) -> ChunkSource:
         """Prefetch pulls from the neighbor whose cache offered the video."""

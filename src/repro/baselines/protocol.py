@@ -259,9 +259,10 @@ class VodProtocol(ABC):
 
     # -- prefetching --------------------------------------------------------------
 
-    def select_prefetch(self, user_id: int, video_id: int, count: int) -> List[int]:
+    def select_prefetch(self, user_id: int, video_id: int) -> List[int]:
         """Videos whose first chunk to prefetch while watching ``video_id``.
 
+        Each protocol bounds the picks by its own prefetch window.
         Default: no prefetching (PA-VoD).
         """
         return []

@@ -417,7 +417,7 @@ def _cmd_regress(args: argparse.Namespace) -> int:
 
 
 def _cmd_planetlab(args: argparse.Namespace) -> int:
-    testbed = PlanetLabTestbed()
+    testbed = PlanetLabTestbed(SimulationConfig.planetlab_scale(seed=args.seed))
     for name in ("pavod", "nettube", "socialtube"):
         result = testbed.run(name)
         print("\n".join(result.render_rows()))

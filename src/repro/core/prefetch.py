@@ -36,16 +36,15 @@ class ChannelPrefetcher:
         channel_id: int,
         already_have: Set[int],
         currently_watching: int,
-        count: int = None,
     ) -> List[int]:
         """Top-popularity videos of the channel worth prefetching.
 
         Skips the video being watched and anything already cached or
         prefetched; asks the server's popularity feed for a few extra
-        entries so skips do not shrink the result below ``count``.
+        entries so skips do not shrink the result below the window.
         """
-        want = self.window if count is None else count
-        if want <= 0:
+        want = self.window
+        if not want:
             return []
         # Over-fetch to survive the skips.
         feed = self.server.top_videos_of_channel(

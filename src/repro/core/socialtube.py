@@ -45,11 +45,9 @@ class SocialTubeProtocol(VodProtocol):
         inter_link_limit: int = 10,
         ttl: int = 2,
         prefetch_window: int = 3,
-        enable_prefetch: bool = True,
     ):
         super().__init__(dataset, server, rng)
         self.ttl = ttl
-        self.enable_prefetch = enable_prefetch
         self.structure = HierarchicalStructure(
             dataset,
             server,
@@ -262,18 +260,13 @@ class SocialTubeProtocol(VodProtocol):
 
     # -- prefetching --------------------------------------------------------------------
 
-    def select_prefetch(self, user_id: int, video_id: int, count: int) -> List[int]:
+    def select_prefetch(self, user_id: int, video_id: int) -> List[int]:
         """Top-popularity videos of the channel currently being watched."""
-        if not self.enable_prefetch:
-            return []
         peer = self.state(user_id)
         channel_id = self.dataset.channel_of_video(video_id)
         already = set(peer.cache) | set(peer.prefetched.video_ids())
         return self.prefetcher.candidates(
-            channel_id,
-            already_have=already,
-            currently_watching=video_id,
-            count=count,
+            channel_id, already_have=already, currently_watching=video_id
         )
 
     def prefetch_source(self, user_id: int, video_id: int) -> ChunkSource:

@@ -35,7 +35,6 @@ from repro.experiments.parallel import (
 from repro.experiments.registry import (
     ProtocolEntry,
     create_protocol,
-    default_params,
     get_protocol,
     protocol_names,
     register_protocol,
@@ -63,7 +62,6 @@ __all__ = [
     "sweep_specs",
     "ProtocolEntry",
     "create_protocol",
-    "default_params",
     "get_protocol",
     "protocol_names",
     "register_protocol",

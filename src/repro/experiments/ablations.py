@@ -24,7 +24,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.config import SimulationConfig
 from repro.experiments.parallel import run_sweep
-from repro.experiments.registry import resolve_params
 from repro.experiments.spec import ExperimentSpec
 from repro.metrics.collectors import ExperimentMetrics
 
@@ -82,13 +81,9 @@ class AblationResult:
         )
 
 
-def _spec_for(
-    config: SimulationConfig, protocol_overrides: Optional[Dict] = None
-) -> ExperimentSpec:
-    return ExperimentSpec(
-        protocol="socialtube",
-        config=config,
-        params=resolve_params("socialtube", config, protocol_overrides or None),
+def _spec_for(config: SimulationConfig, **overrides) -> ExperimentSpec:
+    return ExperimentSpec(protocol="socialtube", config=config).with_params(
+        **overrides
     )
 
 
@@ -139,14 +134,11 @@ def link_budget_sweep(
     """
     points = []
     for inner, inter in budgets:
-        point_config = dataclasses.replace(
-            config, inner_links=inner, inter_links=inter
-        )
         points.append(
             (
                 f"N_l={inner}, N_h={inter}",
                 {"inner_links": inner, "inter_links": inter},
-                _spec_for(point_config),
+                _spec_for(config, inner_link_limit=inner, inter_link_limit=inter),
             )
         )
     return _run_points("link budget (N_l, N_h)", points, jobs)
@@ -160,8 +152,7 @@ def ttl_sweep(
     """Sweep the search TTL: hit rate vs per-query search overhead."""
     points = []
     for ttl in ttls:
-        point_config = dataclasses.replace(config, ttl=ttl)
-        points.append((f"TTL={ttl}", {"ttl": ttl}, _spec_for(point_config)))
+        points.append((f"TTL={ttl}", {"ttl": ttl}, _spec_for(config, ttl=ttl)))
     return _run_points("search TTL", points, jobs)
 
 

@@ -14,9 +14,11 @@ Video bitrate              320 kbps
 Server bandwidth           500 Mbps
 =========================  ==========================================
 
-Plus Section V text: inner-links 5, inter-links 10, TTL 2, 10 videos
-per session, 250 sessions per user, Poisson off-times with mean 500 s,
-prefetch window 3.  The PlanetLab experiment scales down to 250 nodes,
+Plus Section V text: 10 videos per session, 250 sessions per user,
+Poisson off-times with mean 500 s.  The protocol settings of Section V
+(inner-links 5, inter-links 10, TTL 2, prefetch window 3) are the
+defaults of the params dataclasses in :mod:`repro.experiments.registry`,
+their one home.  The PlanetLab experiment scales down to 250 nodes,
 6 categories x 10 channels x 40 videos, 50 sessions, mean off time 2
 minutes.
 
@@ -123,15 +125,9 @@ class SimulationConfig:
     server_bandwidth_bps: Optional[float] = None  # None -> 50 kbps/node
     peer_upload_min_bps: float = 1_000_000.0
     peer_upload_max_bps: float = 4_000_000.0
-    # Protocol parameters (Section V).
-    inner_links: int = 5
-    inter_links: int = 10
-    ttl: int = 2
-    nettube_links_per_overlay: int = 5
-    nettube_search_hops: int = 2
-    prefetch_window: int = 3
+    # Per-peer prefetch store (protocol tuning lives in the params
+    # dataclasses of repro.experiments.registry).
     prefetch_store_capacity: int = 50
-    enable_prefetch: bool = True
     # Misc.
     local_playback_delay_s: float = 0.010  # local decode/render startup
     seed: int = 2014
@@ -207,7 +203,7 @@ class SimulationConfig:
         """The PlanetLab deployment of Section V.
 
         250 nodes; 6 categories x 10 channels x 40 videos = 2,400
-        videos; inner/inter links 5/10; 50 sessions per user; off times
+        videos; 50 sessions per user; off times
         Poisson with mean 2 minutes.
         """
         return cls(

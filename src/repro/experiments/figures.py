@@ -23,7 +23,7 @@ from repro.experiments.parallel import (
     aggregate_runs,
     run_sweep,
 )
-from repro.experiments.registry import resolve_params
+from repro.experiments.registry import SocialTubeParams
 from repro.experiments.runner import ExperimentResult
 from repro.experiments.spec import ExperimentSpec
 from repro.experiments.trace_cache import shared_trace_cache
@@ -32,10 +32,10 @@ from repro.trace.dataset import TraceDataset
 #: The five systems of Fig 17 (Fig 16/18 use the with-prefetch three).
 VARIANTS: List[Tuple[str, str, Dict]] = [  # shard: shared-mutable
     ("PA-VoD", "pavod", {}),
-    ("SocialTube w/ PF", "socialtube", {"enable_prefetch": True}),
-    ("SocialTube w/o PF", "socialtube", {"enable_prefetch": False}),
-    ("NetTube w/ PF", "nettube", {"enable_prefetch": True}),
-    ("NetTube w/o PF", "nettube", {"enable_prefetch": False}),
+    ("SocialTube w/ PF", "socialtube", {}),
+    ("SocialTube w/o PF", "socialtube", {"prefetch_window": 0}),
+    ("NetTube w/ PF", "nettube", {}),
+    ("NetTube w/o PF", "nettube", {"prefetch_window": 0}),
 ]
 
 
@@ -115,11 +115,8 @@ class EvaluationSuite:
         _label, protocol_name, overrides = variant
         cfg = self._config_for(environment)
         base = ExperimentSpec(
-            protocol=protocol_name,
-            config=cfg,
-            environment=environment,
-            params=resolve_params(protocol_name, cfg, overrides or None),
-        )
+            protocol=protocol_name, config=cfg, environment=environment
+        ).with_params(**overrides)
         seeds = self.seeds or (cfg.seed,)
         return [base.with_seed(seed) for seed in seeds]
 
@@ -276,6 +273,9 @@ class EvaluationSuite:
             figure="Table I", title="Experiment default parameters"
         )
         paper = SimulationConfig.paper_scale()
+        # One params value: the paper's protocol settings are the
+        # dataclass defaults, and every run of this suite uses them.
+        params = SocialTubeParams()
         rows = [
             ("Number of nodes", cfg.num_nodes, paper.num_nodes),
             ("Number of videos", cfg.trace.num_videos, paper.trace.num_videos),
@@ -288,9 +288,10 @@ class EvaluationSuite:
              paper.video_bitrate_bps / 1000),
             ("Server bandwidth (Mbps)", cfg.effective_server_bandwidth_bps / 1e6,
              paper.effective_server_bandwidth_bps / 1e6),
-            ("Inner links / inter links", cfg.inner_links * 100 + cfg.inter_links,
-             paper.inner_links * 100 + paper.inter_links),
-            ("TTL", cfg.ttl, paper.ttl),
+            ("Inner links / inter links",
+             params.inner_link_limit * 100 + params.inter_link_limit,
+             params.inner_link_limit * 100 + params.inter_link_limit),
+            ("TTL", params.ttl, params.ttl),
         ]
         for label, ours, papers in rows:
             figure.rows.append(

@@ -38,7 +38,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 
 from repro.analysis.stats import mean, mean_confidence_interval
 from repro.experiments.config import SimulationConfig
-from repro.experiments.registry import resolve_params
 from repro.experiments.runner import ExperimentResult, run_spec
 from repro.experiments.spec import ExperimentSpec, content_digest
 from repro.experiments.trace_cache import shared_trace_cache
@@ -62,12 +61,7 @@ def sweep_specs(
     seed_list = [int(s) for s in seeds] if seeds else [config.seed]
     specs: List[ExperimentSpec] = []
     for name in protocols:
-        base = ExperimentSpec(
-            protocol=name,
-            config=config,
-            environment=environment,
-            params=resolve_params(name, config),
-        )
+        base = ExperimentSpec(protocol=name, config=config, environment=environment)
         specs.extend(base.with_seed(seed) for seed in seed_list)
     return specs
 

@@ -9,9 +9,10 @@ that with:
 * one frozen *parameter dataclass* per protocol, whose field names are
   exactly the keyword arguments of the protocol constructor, so a
   params value is a complete, hashable, picklable description of a
-  stack's tuning;
-* a :class:`ProtocolEntry` binding name -> (factory, params type,
-  defaults-from-config), registered via :func:`register_protocol`;
+  stack's tuning, and the one home of every protocol setting (the
+  dataclass defaults are the paper's Section V values);
+* a :class:`ProtocolEntry` binding name -> (factory, params type),
+  registered via :func:`register_protocol`;
 * :func:`create_protocol`, the only call site that instantiates a
   ``*Protocol`` class (enforced by the ``direct-protocol-instantiation``
   lint rule).
@@ -33,7 +34,6 @@ from repro.baselines.nettube import NetTubeProtocol
 from repro.baselines.pavod import PaVodProtocol
 from repro.baselines.protocol import VodProtocol
 from repro.core.socialtube import SocialTubeProtocol
-from repro.experiments.config import SimulationConfig
 from repro.net.server import CentralServer
 from repro.trace.dataset import TraceDataset
 
@@ -46,23 +46,25 @@ from repro.trace.dataset import TraceDataset
 
 @dataclass(frozen=True)
 class SocialTubeParams:
-    """SocialTube tuning (Section IV / Section V defaults)."""
+    """SocialTube tuning (Section IV / Section V defaults).
+
+    ``prefetch_window`` is M, the first chunks prefetched per watch; 0
+    turns prefetching off (Fig 17's "w/o PF").
+    """
 
     inner_link_limit: int = 5
     inter_link_limit: int = 10
     ttl: int = 2
     prefetch_window: int = 3
-    enable_prefetch: bool = True
 
 
 @dataclass(frozen=True)
 class NetTubeParams:
-    """NetTube tuning (per-video overlays)."""
+    """NetTube tuning (per-video overlays); window 0 is "w/o PF"."""
 
     links_per_overlay: int = 5
     search_hops: int = 2
     prefetch_window: int = 3
-    enable_prefetch: bool = True
 
 
 @dataclass(frozen=True)
@@ -91,10 +93,6 @@ class ProtocolEntry:
     name: str
     factory: Callable[..., VodProtocol]
     params_type: Type[Any]
-    #: Derives the protocol's default params from a SimulationConfig,
-    #: so Table-I-style config fields (inner_links, ttl...) keep
-    #: steering the stacks they always steered.
-    defaults_from_config: Callable[[SimulationConfig], Any]
 
 
 _REGISTRY: Dict[str, ProtocolEntry] = {}  # shard: shared-mutable
@@ -104,7 +102,6 @@ def register_protocol(
     name: str,
     factory: Callable[..., VodProtocol],
     params_type: Type[Any],
-    defaults_from_config: Optional[Callable[[SimulationConfig], Any]] = None,
 ) -> ProtocolEntry:
     """Register a protocol stack under ``name``; returns its entry.
 
@@ -119,12 +116,7 @@ def register_protocol(
     """
     if not dataclasses.is_dataclass(params_type):
         raise TypeError(f"params_type for {name!r} must be a dataclass")
-    entry = ProtocolEntry(
-        name=name,
-        factory=factory,
-        params_type=params_type,
-        defaults_from_config=defaults_from_config or (lambda _config: params_type()),
-    )
+    entry = ProtocolEntry(name=name, factory=factory, params_type=params_type)
     _REGISTRY[name] = entry
     return entry
 
@@ -149,35 +141,26 @@ def protocol_names() -> List[str]:
     return sorted(_REGISTRY)
 
 
-def default_params(name: str, config: SimulationConfig) -> Any:
-    """The typed default params of ``name`` under ``config``."""
-    return get_protocol(name).defaults_from_config(config)
-
-
-def resolve_params(
-    name: str, config: SimulationConfig, overrides: Optional[Dict[str, Any]] = None
-) -> Any:
-    """Defaults-from-config with field overrides applied and type-checked.
+def resolve_params(name: str, overrides: Optional[Dict[str, Any]] = None) -> Any:
+    """The params of ``name``: dataclass defaults with ``overrides`` applied.
 
     Raises TypeError on an override key the params dataclass does not
     declare -- the typo-safety the old ``**protocol_overrides`` lacked.
 
     Example::
 
-        params = resolve_params("socialtube", config, {"ttl": 3})
-        assert params.ttl == 3        # other fields keep config defaults
+        params = resolve_params("socialtube", {"ttl": 3})
+        assert params.ttl == 3        # other fields keep their defaults
     """
-    params = default_params(name, config)
-    if overrides:
-        try:
-            params = dataclasses.replace(params, **overrides)
-        except TypeError as exc:
-            raise TypeError(
-                f"invalid parameter for protocol {name!r}: {exc}; "
-                f"valid fields are "
-                f"{[f.name for f in dataclasses.fields(params)]}"
-            ) from None
-    return params
+    params_type = get_protocol(name).params_type
+    try:
+        return params_type(**(overrides or {}))
+    except TypeError as exc:
+        raise TypeError(
+            f"invalid parameter for protocol {name!r}: {exc}; "
+            f"valid fields are "
+            f"{[f.name for f in dataclasses.fields(params_type)]}"
+        ) from None
 
 
 def create_protocol(
@@ -189,15 +172,14 @@ def create_protocol(
 ) -> VodProtocol:
     """Instantiate the stack registered under ``name``.
 
-    ``params`` defaults to the entry's params defaults (not derived
-    from any SimulationConfig); pass :func:`resolve_params` output to
-    honour config-level knobs.
+    ``params`` defaults to the entry's params defaults; pass
+    :func:`resolve_params` output to tune the stack.
 
     Example::
 
         protocol = create_protocol(
             "socialtube", dataset, server, rng,
-            params=resolve_params("socialtube", config),
+            params=resolve_params("socialtube", {"ttl": 3}),
         )
     """
     entry = get_protocol(name)
@@ -214,29 +196,7 @@ def create_protocol(
 # ---------------------------------------------------------------------------
 # the built-in stacks
 
-
-def _socialtube_defaults(config: SimulationConfig) -> SocialTubeParams:
-    return SocialTubeParams(
-        inner_link_limit=config.inner_links,
-        inter_link_limit=config.inter_links,
-        ttl=config.ttl,
-        prefetch_window=config.prefetch_window,
-        enable_prefetch=config.enable_prefetch,
-    )
-
-
-def _nettube_defaults(config: SimulationConfig) -> NetTubeParams:
-    return NetTubeParams(
-        links_per_overlay=config.nettube_links_per_overlay,
-        search_hops=config.nettube_search_hops,
-        prefetch_window=config.prefetch_window,
-        enable_prefetch=config.enable_prefetch,
-    )
-
-
-register_protocol(
-    "socialtube", SocialTubeProtocol, SocialTubeParams, _socialtube_defaults
-)
-register_protocol("nettube", NetTubeProtocol, NetTubeParams, _nettube_defaults)
+register_protocol("socialtube", SocialTubeProtocol, SocialTubeParams)
+register_protocol("nettube", NetTubeProtocol, NetTubeParams)
 register_protocol("pavod", PaVodProtocol, PaVodParams)
 register_protocol("gridcast", GridCastProtocol, GridCastParams)

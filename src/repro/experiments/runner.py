@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.baselines.protocol import PeerState
-from repro.experiments.config import Environment, environment_by_name
+from repro.experiments.config import environment_by_name
 from repro.experiments.registry import create_protocol
 from repro.experiments.spec import ExperimentSpec
 from repro.experiments.trace_cache import shared_trace_cache
@@ -114,16 +114,14 @@ class ExperimentRunner:
     """Builds and runs the experiment one spec describes.
 
     ``dataset`` short-circuits trace synthesis with a pre-built corpus
-    (the shared trace cache, a worker's deserialized snapshot);
-    ``environment`` overrides the spec's named environment with a
-    custom :class:`Environment` instance (testbed emulations).
+    (the shared trace cache, a worker's deserialized snapshot).  The
+    network is the one ``spec.environment`` names.
     """
 
     def __init__(
         self,
         spec: ExperimentSpec,
         dataset: Optional[TraceDataset] = None,
-        environment: Optional[Environment] = None,
         tracer=None,
         perf=None,
     ):
@@ -135,7 +133,7 @@ class ExperimentRunner:
         self.spec = spec
         config = spec.config
         self.config = config
-        self.environment = environment or environment_by_name(spec.environment)
+        self.environment = environment_by_name(spec.environment)
         self.protocol_name = spec.protocol
         self.params = spec.resolved_params()
 
@@ -442,13 +440,10 @@ class ExperimentRunner:
         return startup, grant, lookup, prefetch_hit, playback.total_stall_s
 
     def _do_prefetch(self, user_id: int, video_id: int) -> None:
-        """Prefetch first chunks while watching (Section IV-B)."""
-        if not self.config.enable_prefetch:
-            return
+        """Prefetch first chunks while watching (Section IV-B); the
+        protocol's own window bounds the picks."""
         peer = self.protocol.state(user_id)
-        candidates = self.protocol.select_prefetch(
-            user_id, video_id, self.config.prefetch_window
-        )
+        candidates = self.protocol.select_prefetch(user_id, video_id)
         if self.tracer and candidates:
             self.tracer.event(
                 "prefetch.select",
@@ -1063,7 +1058,6 @@ class ExperimentRunner:
 def run_spec(
     spec: ExperimentSpec,
     dataset: Optional[TraceDataset] = None,
-    environment: Optional[Environment] = None,
     tracer=None,
     perf=None,
 ) -> ExperimentResult:
@@ -1078,6 +1072,4 @@ def run_spec(
     hash-neutral -- same rows, same trace bytes, same content hash (see
     :mod:`repro.obs.perf_report`).
     """
-    return ExperimentRunner(
-        spec, dataset=dataset, environment=environment, tracer=tracer, perf=perf
-    ).run()
+    return ExperimentRunner(spec, dataset=dataset, tracer=tracer, perf=perf).run()

@@ -65,10 +65,11 @@ def content_digest(value: Any) -> str:
 class ExperimentSpec:
     """Everything that determines one ``(protocol, seed, environment)`` run.
 
-    ``params=None`` means "derive the protocol's defaults from
-    ``config``"; the resolution is deterministic, so a None-params spec
-    and its explicitly resolved twin share a :meth:`content_hash` (and
-    therefore a cache slot) even though ``==`` distinguishes them.
+    ``params=None`` means "the protocol's params defaults"; a
+    None-params spec and its explicitly resolved twin share a
+    :meth:`content_hash` (and therefore a cache slot) even though
+    ``==`` distinguishes them.  ``config`` holds no protocol setting:
+    the params value is the one home of protocol tuning.
 
     ``environment`` is a *name* (see
     ``repro.experiments.config.ENVIRONMENT_FACTORIES``) because
@@ -122,7 +123,7 @@ class ExperimentSpec:
         """The typed params this run will use (defaults filled in)."""
         if self.params is not None:
             return self.params
-        return resolve_params(self.protocol, self.config)
+        return resolve_params(self.protocol)
 
     def has_faults(self) -> bool:
         """True when a nonzero :class:`FaultPlan` governs this run."""

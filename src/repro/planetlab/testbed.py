@@ -10,53 +10,38 @@ peer bandwidth partly to "the unstable network environment on
 PlanetLab (e.g., connection failure and network congestion)"; the
 emulation injects exactly those two pathologies via
 :class:`repro.net.latency.WanLatencyModel` (congestion episodes) and
-the environment's ``peer_failure_prob`` (connection failures).
+the environment's ``peer_failure_prob`` (connection failures), both
+declared by the ``"planetlab"`` entry of
+``repro.experiments.config.ENVIRONMENT_FACTORIES``.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.experiments.config import (
-    Environment,
-    SimulationConfig,
-    planetlab_environment,
-)
-from repro.experiments.registry import resolve_params
-from repro.experiments.runner import ExperimentResult, ExperimentRunner
+from repro.experiments.config import SimulationConfig
+from repro.experiments.runner import ExperimentResult, run_spec
 from repro.experiments.spec import ExperimentSpec
 
 
 class PlanetLabTestbed:
     """Convenience front-end for WAN-environment experiments."""
 
-    def __init__(
-        self,
-        config: Optional[SimulationConfig] = None,
-        environment: Optional[Environment] = None,
-    ):
+    def __init__(self, config: Optional[SimulationConfig] = None):
         self.config = config or SimulationConfig.planetlab_scale()
-        #: The Environment object; custom testbeds may inject their own,
-        #: which overrides the spec's registered "planetlab" factory.
-        self.environment = environment or planetlab_environment()
 
-    def run(self, protocol_name: str, **protocol_overrides) -> ExperimentResult:
+    def run(self, protocol_name: str, **overrides) -> ExperimentResult:
         """Deploy one protocol on the testbed and run the experiment.
 
         ``protocol_name`` is one of ``"socialtube"``, ``"nettube"``,
-        ``"pavod"``; overrides are forwarded to the protocol
-        constructor (e.g. ``enable_prefetch=False``).
+        ``"pavod"``; ``overrides`` are fields of that protocol's typed
+        params dataclass (e.g. ``prefetch_window=0``), and an unknown
+        field raises TypeError.
         """
         spec = ExperimentSpec(
-            protocol=protocol_name,
-            config=self.config,
-            environment="planetlab",
-            params=resolve_params(
-                protocol_name, self.config, protocol_overrides or None
-            ),
+            protocol=protocol_name, config=self.config, environment="planetlab"
         )
-        runner = ExperimentRunner(spec, environment=self.environment)
-        return runner.run()
+        return run_spec(spec.with_params(**overrides))
 
     def compare_protocols(self, names=("pavod", "socialtube", "nettube")):
         """Run several protocols on identical workload seeds."""

@@ -9,6 +9,7 @@ import pytest
 
 from repro.experiments.config import SimulationConfig
 from repro.experiments.figures import EvaluationSuite
+from repro.experiments.registry import SocialTubeParams
 from repro.experiments.report import render_report, shape_checks
 from repro.trace.synthesizer import TraceConfig
 
@@ -85,9 +86,9 @@ class TestFig18MaintenanceOverhead:
         assert series[-1][1] < 1.4 * max(series[0][1], 1.0)
 
     def test_socialtube_within_link_budget(self, suite):
-        config = suite.config
+        params = SocialTubeParams()
         series = suite.result("SocialTube w/ PF").metrics.overhead_series()
-        budget = config.inner_links + config.inter_links
+        budget = params.inner_link_limit + params.inter_link_limit
         assert all(links <= budget + 0.5 for _idx, links in series)
 
     def test_nettube_ends_above_socialtube(self, suite):

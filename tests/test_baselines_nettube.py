@@ -110,7 +110,7 @@ class TestPrefetch:
         for video in (0, 5, 9):
             proto.on_watch_started(2, video)
         proto.on_watch_started(1, 0)
-        picks = proto.select_prefetch(1, 0, 3)
+        picks = proto.select_prefetch(1, 0)
         assert picks
         assert set(picks) <= {5, 9}  # only neighbors' cached videos
 
@@ -121,7 +121,7 @@ class TestPrefetch:
             proto.on_watch_started(2, video)
         proto.on_watch_started(1, 0)
         proto.state(1).cache_video(5)
-        assert 5 not in proto.select_prefetch(1, 0, 3)
+        assert 5 not in proto.select_prefetch(1, 0)
 
     def test_prefetch_source(self, proto):
         proto.on_session_start(1)
@@ -134,11 +134,29 @@ class TestPrefetch:
 
     def test_prefetch_disabled(self, tiny_dataset):
         protocol, _ = make_protocol(
-            NetTubeProtocol, tiny_dataset, enable_prefetch=False
+            NetTubeProtocol, tiny_dataset, prefetch_window=0
         )
         protocol.on_session_start(1)
+        protocol.on_session_start(2)
+        for video in (0, 5, 9):
+            protocol.on_watch_started(2, video)
         protocol.on_watch_started(1, 0)
-        assert protocol.select_prefetch(1, 0, 3) == []
+        state = protocol.rng.getstate()
+        assert protocol.select_prefetch(1, 0) == []
+        assert protocol.rng.getstate() == state  # returned before any draw
+
+    def test_prefetch_window_bounds_picks(self, tiny_dataset):
+        protocol, _ = make_protocol(NetTubeProtocol, tiny_dataset, prefetch_window=1)
+        protocol.on_session_start(1)
+        protocol.on_session_start(2)
+        for video in (0, 5, 9):
+            protocol.on_watch_started(2, video)
+        protocol.on_watch_started(1, 0)
+        assert len(protocol.select_prefetch(1, 0)) == 1
+
+    def test_negative_prefetch_window_rejected(self, tiny_dataset):
+        with pytest.raises(ValueError, match="prefetch_window"):
+            make_protocol(NetTubeProtocol, tiny_dataset, prefetch_window=-1)
 
 
 class TestMaintenance:

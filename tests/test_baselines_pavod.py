@@ -86,7 +86,7 @@ class TestPrefetch:
     def test_no_prefetching(self, proto):
         proto.on_session_start(1)
         proto.on_watch_started(1, VIDEO)
-        assert proto.select_prefetch(1, VIDEO, 3) == []
+        assert proto.select_prefetch(1, VIDEO) == []
 
 
 class TestValidation:

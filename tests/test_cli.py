@@ -3,6 +3,8 @@
 import pytest
 
 from repro.cli import main
+from repro.experiments.config import SimulationConfig
+from repro.planetlab.testbed import PlanetLabTestbed
 
 
 #: Every run-executing subcommand, with the arguments that make it a
@@ -161,3 +163,20 @@ class TestCli:
     def test_single_run_commands_reject_multi_seed(self):
         with pytest.raises(SystemExit):
             main(["profile", "socialtube", "--seeds", "1,2"])
+
+
+def test_planetlab_honours_seed(monkeypatch, capsys):
+    # Stub the runs: only the testbed's config matters here.
+    seen = []
+
+    def fake_run(testbed, protocol_name):
+        seen.append((protocol_name, testbed.config))
+        return type("Result", (), {"render_rows": lambda self: [protocol_name]})()
+
+    monkeypatch.setattr(PlanetLabTestbed, "run", fake_run)
+    assert main(["--seed", "7", "planetlab"]) == 0
+    assert [name for name, _config in seen] == ["pavod", "nettube", "socialtube"]
+    assert all(
+        config == SimulationConfig.planetlab_scale(seed=7) for _name, config in seen
+    )
+    assert "socialtube" in capsys.readouterr().out

@@ -43,13 +43,6 @@ class TestChannelPrefetcher:
         picks = prefetcher.candidates(channel.channel_id, set(), channel.video_ids[0])
         assert len(picks) <= 3
 
-    def test_count_overrides_window(self, prefetcher, tiny_dataset):
-        channel = _largest_channel(tiny_dataset)
-        picks = prefetcher.candidates(
-            channel.channel_id, set(), channel.video_ids[0], count=1
-        )
-        assert len(picks) <= 1
-
     def test_currently_watching_excluded(self, prefetcher, tiny_dataset):
         channel = _largest_channel(tiny_dataset)
         top = _full_ranking(prefetcher, tiny_dataset, channel.channel_id)[0]
@@ -66,10 +59,14 @@ class TestChannelPrefetcher:
         assert not set(picks) & have
         assert len(picks) == 3  # skips are backfilled from the feed
 
-    def test_zero_count_returns_empty(self, prefetcher, tiny_dataset):
+    def test_zero_count_returns_empty(self, tiny_dataset):
+        # A zero window returns before asking the popularity feed.
+        server = CentralServer(tiny_dataset, capacity_bps=1e6, rng=random.Random(0))
+        server.top_videos_of_channel = None  # any feed call would raise
+        prefetcher = ChannelPrefetcher(server, window=0)
         channel = _largest_channel(tiny_dataset)
         assert prefetcher.candidates(
-            channel.channel_id, set(), channel.video_ids[0], count=0
+            channel.channel_id, set(), channel.video_ids[0]
         ) == []
 
     def test_ranked_channel_videos_complete(self, prefetcher, tiny_dataset):

@@ -144,30 +144,32 @@ class TestPrefetch:
         video = channel.video_ids[0]
         proto.on_session_start(1)
         proto.locate(1, video)
-        candidates = proto.select_prefetch(1, video, 3)
+        candidates = proto.select_prefetch(1, video)
         ranked = proto.server.top_videos_of_channel(channel.channel_id, 10)
         assert all(c in ranked for c in candidates)
         assert video not in candidates
 
-    def test_candidates_skip_cached(self, proto, tiny_dataset):
+    def test_candidates_skip_cached(self, tiny_dataset):
+        proto, _ = make_protocol(SocialTubeProtocol, tiny_dataset, prefetch_window=2)
         channel = max(tiny_dataset.iter_channels(), key=lambda c: c.num_videos)
         video = channel.video_ids[0]
         proto.on_session_start(1)
         proto.locate(1, video)
-        first = proto.select_prefetch(1, video, 2)
+        first = proto.select_prefetch(1, video)
+        assert len(first) <= 2
         for v in first:
             proto.state(1).cache_video(v)
-        second = proto.select_prefetch(1, video, 2)
+        second = proto.select_prefetch(1, video)
         assert not set(first) & set(second)
 
     def test_prefetch_disabled(self, tiny_dataset):
         protocol, _ = make_protocol(
-            SocialTubeProtocol, tiny_dataset, enable_prefetch=False
+            SocialTubeProtocol, tiny_dataset, prefetch_window=0
         )
         protocol.on_session_start(1)
         video = _any_video_of_channel(tiny_dataset, 0)
         protocol.locate(1, video)
-        assert protocol.select_prefetch(1, video, 3) == []
+        assert protocol.select_prefetch(1, video) == []
 
     def test_prefetch_source_prefers_neighbor_holder(self, proto, tiny_dataset):
         video = _any_video_of_channel(tiny_dataset, 0)

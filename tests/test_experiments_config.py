@@ -1,5 +1,7 @@
 """Unit tests for the experiment configuration (Table I)."""
 
+import dataclasses
+
 import pytest
 
 from repro.experiments.config import (
@@ -7,6 +9,7 @@ from repro.experiments.config import (
     planetlab_environment,
     simulator_environment,
 )
+from repro.experiments.registry import get_protocol, protocol_names
 
 
 class TestSimulationConfig:
@@ -60,9 +63,17 @@ class TestSimulationConfig:
         assert config.trace.num_channels == 545
         assert config.sessions_per_user == 250
         assert config.effective_server_bandwidth_bps == pytest.approx(500e6)
-        assert config.inner_links == 5
-        assert config.inter_links == 10
-        assert config.ttl == 2
+
+    def test_no_protocol_fields(self):
+        # Protocol tuning lives only in the registry's params dataclasses.
+        fields = {f.name for f in dataclasses.fields(SimulationConfig)}
+        for name in protocol_names():
+            params_type = get_protocol(name).params_type
+            assert not fields & {f.name for f in dataclasses.fields(params_type)}
+        assert not fields & {
+            "inner_links", "inter_links",
+            "nettube_links_per_overlay", "nettube_search_hops",
+        }
 
     def test_planetlab_scale_matches_paper(self):
         config = SimulationConfig.planetlab_scale()

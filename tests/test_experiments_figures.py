@@ -32,9 +32,9 @@ class TestVariants:
     def test_prefetch_flags_match_labels(self):
         for label, _name, overrides in VARIANTS:
             if "w/o PF" in label:
-                assert overrides.get("enable_prefetch") is False
+                assert overrides == {"prefetch_window": 0}
             elif "w/ PF" in label:
-                assert overrides.get("enable_prefetch") is True
+                assert overrides == {}
 
     def test_unknown_variant_rejected(self, suite):
         with pytest.raises(KeyError):

@@ -184,7 +184,7 @@ class TestEvaluationSuiteIntegration:
         cfg = MICRO
         base = ExperimentSpec(
             protocol="pavod", config=cfg,
-            params=resolve_params("pavod", cfg),
+            params=resolve_params("pavod"),
         )
         specs = [base.with_seed(1), base.with_seed(2)]
         direct = aggregate_runs(specs, run_sweep(specs))

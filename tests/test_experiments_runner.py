@@ -3,7 +3,7 @@
 import pytest
 
 from repro.experiments.config import SimulationConfig
-from repro.experiments.registry import protocol_names, resolve_params
+from repro.experiments.registry import protocol_names
 from repro.experiments.runner import ExperimentRunner, run_spec
 from repro.experiments.spec import ExperimentSpec
 from repro.trace.synthesizer import TraceConfig, TraceSynthesizer
@@ -21,11 +21,7 @@ MICRO = SimulationConfig(
 
 
 def micro_spec(protocol="socialtube", **overrides):
-    return ExperimentSpec(
-        protocol=protocol,
-        config=MICRO,
-        params=resolve_params(protocol, MICRO, overrides or None),
-    )
+    return ExperimentSpec(protocol=protocol, config=MICRO).with_params(**overrides)
 
 
 class TestConstruction:
@@ -48,8 +44,8 @@ class TestConstruction:
             ExperimentRunner(micro_spec(), dataset=small)
 
     def test_protocol_overrides_forwarded(self):
-        runner = ExperimentRunner(micro_spec(enable_prefetch=False))
-        assert runner.protocol.enable_prefetch is False
+        runner = ExperimentRunner(micro_spec(prefetch_window=1))
+        assert runner.protocol.prefetcher.window == 1
 
     def test_run_experiment_shim_removed(self):
         import repro.experiments as experiments
@@ -104,7 +100,7 @@ class TestRun:
         )
 
     def test_prefetch_disabled_means_no_hits(self):
-        result = run_spec(micro_spec(enable_prefetch=False))
+        result = run_spec(micro_spec(prefetch_window=0))
         assert result.metrics.prefetch_hit_fraction == 0.0
 
     def test_render_rows(self):
@@ -112,3 +108,17 @@ class TestRun:
         text = "\n".join(result.render_rows())
         assert "SocialTube" in text
         assert "server" in text
+
+
+class TestPrefetchWindow:
+    """The params window alone steers prefetching (Fig 17 "w/o PF")."""
+
+    @pytest.mark.parametrize("name", ["socialtube", "nettube"])
+    def test_window_reaches_the_protocol(self, name):
+        base = ExperimentSpec(protocol=name, config=SimulationConfig.smoke_scale())
+        default = run_spec(base)
+        narrow = run_spec(base.with_params(prefetch_window=1))
+        off = run_spec(base.with_params(prefetch_window=0))
+        assert default.metrics.prefetch_hit_fraction > 0.0
+        assert off.metrics.prefetch_hit_fraction == 0.0
+        assert narrow.render_rows() != default.render_rows()

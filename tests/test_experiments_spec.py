@@ -8,7 +8,6 @@ import pytest
 from repro.experiments.config import SimulationConfig
 from repro.experiments.registry import (
     SocialTubeParams,
-    default_params,
     get_protocol,
     protocol_names,
     register_protocol,
@@ -53,23 +52,26 @@ class TestRegistry:
         try:
             assert get_protocol("fake") is entry
             assert "fake" in protocol_names()
-            assert default_params("fake", MICRO) == _FakeParams()
-            assert resolve_params("fake", MICRO, {"knob": 9}) == _FakeParams(knob=9)
+            assert resolve_params("fake") == _FakeParams()
+            assert resolve_params("fake", {"knob": 9}) == _FakeParams(knob=9)
         finally:
             unregister_protocol("fake")
         with pytest.raises(ValueError):
             get_protocol("fake")
 
-    def test_defaults_come_from_config(self):
-        params = default_params("socialtube", MICRO)
-        assert isinstance(params, SocialTubeParams)
-        assert params.inner_link_limit == MICRO.inner_links
-        assert params.inter_link_limit == MICRO.inter_links
-        assert params.ttl == MICRO.ttl
+    def test_defaults_are_the_paper_settings(self):
+        # Section V: N_l = 5, N_h = 10, TTL 2, M = 3.
+        params = resolve_params("socialtube")
+        assert params == SocialTubeParams(
+            inner_link_limit=5, inter_link_limit=10, ttl=2, prefetch_window=3
+        )
+        nettube = resolve_params("nettube")
+        assert (nettube.links_per_overlay, nettube.search_hops) == (5, 2)
+        assert nettube.prefetch_window == 3
 
     def test_bad_override_key_rejected(self):
         with pytest.raises(TypeError, match="valid fields"):
-            resolve_params("socialtube", MICRO, {"no_such_knob": 1})
+            resolve_params("socialtube", {"no_such_knob": 1})
 
     def test_params_type_must_be_dataclass(self):
         with pytest.raises(TypeError):
@@ -93,12 +95,12 @@ class TestExperimentSpec:
         assert a.content_hash() == b.content_hash()
         assert a.content_hash() != a.with_seed(11).content_hash()
 
-    def test_explicit_default_params_share_cache_slot(self):
+    def test_explicit_defaults_share_cache_slot(self):
         implicit = ExperimentSpec(protocol="socialtube", config=MICRO)
         explicit = ExperimentSpec(
             protocol="socialtube",
             config=MICRO,
-            params=resolve_params("socialtube", MICRO),
+            params=resolve_params("socialtube"),
         )
         assert implicit.content_hash() == explicit.content_hash()
 
@@ -113,7 +115,7 @@ class TestExperimentSpec:
         spec = ExperimentSpec(
             protocol="nettube",
             config=MICRO,
-            params=resolve_params("nettube", MICRO, {"search_hops": 3}),
+            params=resolve_params("nettube", {"search_hops": 3}),
         )
         clone = pickle.loads(pickle.dumps(spec))
         assert clone == spec
@@ -129,9 +131,10 @@ class TestExperimentSpec:
 
     def test_with_params_overrides_resolved_defaults(self):
         spec = ExperimentSpec(protocol="socialtube", config=MICRO)
-        tweaked = spec.with_params(enable_prefetch=False)
-        assert tweaked.resolved_params().enable_prefetch is False
-        assert tweaked.resolved_params().ttl == MICRO.ttl
+        tweaked = spec.with_params(prefetch_window=0)
+        assert tweaked.resolved_params().prefetch_window == 0
+        assert tweaked.resolved_params().ttl == SocialTubeParams().ttl
+        assert tweaked.content_hash() != spec.content_hash()
 
     def test_seed_sweep_order(self):
         spec = ExperimentSpec(protocol="pavod", config=MICRO)

@@ -6,7 +6,7 @@ these cover the wiring.
 
 import pytest
 
-from repro.experiments.config import SimulationConfig, simulator_environment
+from repro.experiments.config import SimulationConfig
 from repro.planetlab.testbed import PlanetLabTestbed
 from repro.trace.synthesizer import TraceConfig
 
@@ -28,9 +28,8 @@ def tiny_testbed():
 class TestPlanetLabTestbed:
     def test_default_config_is_paper_scale(self):
         testbed = PlanetLabTestbed()
+        assert testbed.config == SimulationConfig.planetlab_scale()
         assert testbed.config.num_nodes == 250
-        assert testbed.environment.name == "planetlab"
-        assert testbed.environment.peer_failure_prob > 0
 
     def test_run_single_protocol(self, tiny_testbed):
         result = tiny_testbed.run("socialtube")
@@ -38,15 +37,13 @@ class TestPlanetLabTestbed:
         assert result.metrics.num_requests == 40 * 2 * 3
 
     def test_protocol_overrides_forwarded(self, tiny_testbed):
-        result = tiny_testbed.run("socialtube", enable_prefetch=False)
+        result = tiny_testbed.run("socialtube", prefetch_window=0)
         assert result.metrics.prefetch_hit_fraction == 0.0
+
+    def test_unknown_override_rejected(self, tiny_testbed):
+        with pytest.raises(TypeError):
+            tiny_testbed.run("socialtube", no_such_field=1)
 
     def test_compare_protocols_keys(self, tiny_testbed):
         results = tiny_testbed.compare_protocols(names=("pavod", "socialtube"))
         assert set(results) == {"pavod", "socialtube"}
-
-    def test_custom_environment_honoured(self):
-        config = SimulationConfig.smoke_scale(seed=3)
-        testbed = PlanetLabTestbed(config=config, environment=simulator_environment())
-        result = testbed.run("pavod")
-        assert result.metrics.environment == "peersim"
