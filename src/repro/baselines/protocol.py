@@ -237,9 +237,11 @@ class VodProtocol(ABC):
     def on_maintenance(self, user_id: int) -> None:
         """Periodic neighbor maintenance (probe cycle).
 
-        The runner invokes this once per watched video -- comparable
-        cadence to the paper's 10-minute probes given ~3.5-minute
-        videos.  Default: nothing (PA-VoD keeps no links).
+        The runner invokes this before each next video of a session --
+        comparable cadence to the paper's 10-minute probes given
+        ~3.5-minute videos.  A node whose session ends at this finish
+        leaves instead: it drops its links and repairs none.  Default:
+        nothing (PA-VoD keeps no links).
         """
 
     def reannounce(self, user_id: int) -> int:

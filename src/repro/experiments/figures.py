@@ -23,7 +23,6 @@ from repro.experiments.parallel import (
     aggregate_runs,
     run_sweep,
 )
-from repro.experiments.registry import SocialTubeParams
 from repro.experiments.runner import ExperimentResult
 from repro.experiments.spec import ExperimentSpec
 from repro.experiments.trace_cache import shared_trace_cache
@@ -273,9 +272,6 @@ class EvaluationSuite:
             figure="Table I", title="Experiment default parameters"
         )
         paper = SimulationConfig.paper_scale()
-        # One params value: the paper's protocol settings are the
-        # dataclass defaults, and every run of this suite uses them.
-        params = SocialTubeParams()
         rows = [
             ("Number of nodes", cfg.num_nodes, paper.num_nodes),
             ("Number of videos", cfg.trace.num_videos, paper.trace.num_videos),
@@ -288,18 +284,11 @@ class EvaluationSuite:
              paper.video_bitrate_bps / 1000),
             ("Server bandwidth (Mbps)", cfg.effective_server_bandwidth_bps / 1e6,
              paper.effective_server_bandwidth_bps / 1e6),
-            ("Inner links / inter links",
-             params.inner_link_limit * 100 + params.inter_link_limit,
-             params.inner_link_limit * 100 + params.inter_link_limit),
-            ("TTL", params.ttl, params.ttl),
         ]
         for label, ours, papers in rows:
             figure.rows.append(
                 FigureRow(label=label, values={"this_run": float(ours), "paper": float(papers)})
             )
-        figure.notes.append(
-            "inner/inter links encoded as inner*100+inter (5/10 -> 510)"
-        )
         return figure
 
     # -- everything ------------------------------------------------------------------------

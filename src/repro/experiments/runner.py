@@ -522,6 +522,12 @@ class ExperimentRunner:
             prefetch_hit=prefetch_hit,
         )
         self.protocol.on_watch_started(user_id, video_id)
+        # Fig 18 samples the links the node maintains while it watches
+        # its n-th video of the session.
+        video_index = self.sessions.record_video(user_id)
+        links = self.protocol.link_count(user_id)
+        self.metrics.record_overhead(user_id, video_index, links)
+        record_link_sample(self.tracer, user_id, links, video_index)
         self._do_prefetch(user_id, video_id)
         watch_time = startup + self.dataset.video_length(video_id) + stall_s
         span_id = None
@@ -568,14 +574,12 @@ class ExperimentRunner:
             grant.release()
         self.tracer.end(span_id)
         self.protocol.on_watch_finished(user_id, video_id)
-        self.protocol.on_maintenance(user_id)
-        video_index = self.sessions.record_video(user_id)
-        links = self.protocol.link_count(user_id)
-        self.metrics.record_overhead(user_id, video_index, links)
-        record_link_sample(self.tracer, user_id, links, video_index)
         if self.sessions.session_finished(user_id):
+            # A leaving node drops its links: repairing them first
+            # would be work the same event throws away.
             self._end_session(user_id)
         else:
+            self.protocol.on_maintenance(user_id)
             self._request_next_video(user_id)
 
     def _end_session(self, user_id: int) -> None:

@@ -47,8 +47,10 @@ def record_repair_sweep(tracer, node: int, links: int) -> None:
 def record_link_sample(tracer, node: int, links: int, video_index: int) -> None:
     """Emit one ``overlay.links`` gauge sample for a node's link count.
 
-    Called by the experiment runner after every finished watch (the same
-    moment the Fig 18 collector samples), so a traced run carries the
+    Called by the experiment runner when each watch starts, right after
+    the served request (the same moment the Fig 18 collector samples:
+    the links the node maintains while it watches its ``video_index``-th
+    video of the session), so a traced run carries the
     raw per-node link-count series.  :mod:`repro.obs.timeseries` folds
     these samples into the windowed ``overlay_links`` total -- the
     maintenance-overhead-over-time view (Fig 18's trend, and the link

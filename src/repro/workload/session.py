@@ -20,7 +20,7 @@ class _UserProgress:
 
 
 class SessionTracker:
-    """Tracks session/video progress for the whole population."""
+    """Tracks session/video progress; a video counts once, when served."""
 
     def __init__(
         self, sessions_per_user: int, videos_per_session: int, tracer=None
@@ -66,7 +66,7 @@ class SessionTracker:
             )
 
     def record_video(self, user_id: int) -> int:
-        """Count one watched video; returns its 1-based session index."""
+        """Count one started video; returns its 1-based session index."""
         progress = self._of(user_id)
         if not progress.in_session:
             raise RuntimeError(f"user {user_id} is not in a session")
@@ -74,7 +74,7 @@ class SessionTracker:
         return progress.videos_this_session
 
     def session_finished(self, user_id: int) -> bool:
-        """Whether the current session has watched its quota."""
+        """Whether the current session has started its quota of videos."""
         return self._of(user_id).videos_this_session >= self.videos_per_session
 
     def end_session(self, user_id: int) -> None:

@@ -5,6 +5,8 @@ the five system variants; the tests assert the reproduction contract --
 the orderings and shapes of Figs 16-18.
 """
 
+import statistics
+
 import pytest
 
 from repro.experiments.config import SimulationConfig
@@ -84,6 +86,15 @@ class TestFig18MaintenanceOverhead:
     def test_socialtube_stays_flat(self, suite):
         series = suite.result("SocialTube w/ PF").metrics.overhead_series()
         assert series[-1][1] < 1.4 * max(series[0][1], 1.0)
+
+    def test_socialtube_no_session_end_dip(self, suite):
+        """Every point after the join lies within 5% of the v2..vk median:
+        a sample taken after a leaving node skipped its repair would sag
+        towards the end of the session."""
+        series = suite.result("SocialTube w/ PF").metrics.overhead_series()
+        after_join = [links for _idx, links in series[1:]]
+        middle = statistics.median(after_join)
+        assert all(abs(links - middle) <= 0.05 * middle for links in after_join)
 
     def test_socialtube_within_link_budget(self, suite):
         params = SocialTubeParams()

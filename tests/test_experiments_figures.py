@@ -60,7 +60,7 @@ class TestTable1:
         values = {row.label: row.values for row in figure.rows}
         assert values["Number of nodes"]["paper"] == 10000
         assert values["Number of channels"]["paper"] == 545
-        assert values["TTL"]["paper"] == 2
+        assert values["Sessions per user"]["paper"] == 250
 
     def test_this_run_column_matches_config(self, suite, smoke_config):
         figure = suite.table1_parameters()

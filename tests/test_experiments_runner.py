@@ -6,6 +6,7 @@ from repro.experiments.config import SimulationConfig
 from repro.experiments.registry import protocol_names
 from repro.experiments.runner import ExperimentRunner, run_spec
 from repro.experiments.spec import ExperimentSpec
+from repro.faults.plan import FaultPlan
 from repro.trace.synthesizer import TraceConfig, TraceSynthesizer
 
 
@@ -108,6 +109,46 @@ class TestRun:
         text = "\n".join(result.render_rows())
         assert "SocialTube" in text
         assert "server" in text
+
+
+def _counting(owner, name):
+    """Wrap ``owner.name`` on this instance; returns the call list."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(user_id, *args):
+        calls.append(user_id)
+        return original(user_id, *args)
+
+    setattr(owner, name, counted)
+    return calls
+
+
+class TestMaintenanceCadence:
+    """Repair runs before each next video; a leaving node repairs nothing."""
+
+    @pytest.mark.parametrize("name", ["socialtube", "nettube"])
+    def test_maintenance_runs_once_per_next_video(self, name):
+        config = SimulationConfig.smoke_scale()
+        runner = ExperimentRunner(ExperimentSpec(protocol=name, config=config))
+        calls = _counting(runner.protocol, "on_maintenance")
+        result = runner.run()
+        sessions = config.num_nodes * config.sessions_per_user
+        assert result.metrics.num_requests == sessions * config.videos_per_session
+        assert len(calls) == result.metrics.num_requests - sessions
+
+    @pytest.mark.parametrize("name", ["socialtube", "nettube"])
+    def test_one_overhead_sample_per_served_request(self, name):
+        """A crash cuts a watch short; its Fig 18 sample was taken when
+        the watch started, so every served request has one."""
+        spec = ExperimentSpec(
+            protocol=name, config=SimulationConfig.smoke_scale()
+        ).with_faults(FaultPlan.demo())
+        runner = ExperimentRunner(spec)
+        samples = _counting(runner.metrics, "record_overhead")
+        result = runner.run()
+        assert result.metrics.crashes > 0
+        assert len(samples) == result.metrics.num_requests
 
 
 class TestPrefetchWindow:
