@@ -6,8 +6,8 @@ Not a pytest benchmark: run directly with
 
 Times one shortened default-scale run three ways --
 
-* ``no_faults``     -- ``NULL_INJECTOR``, the production fast path
-  (every fault hook is one falsy truthiness check);
+* ``no_faults``     -- a fault-free spec: the runner builds no fault
+  driver, and every fault hook is one ``None`` check;
 * ``hooks_armed``   -- a nonzero :class:`FaultPlan` whose faults can
   never alter the run: brownouts with ``brownout_factor=1.0`` and no
   crash/loss/slow-peer rates.  The injector is real, every watch is
@@ -162,9 +162,9 @@ def main() -> int:
             "brownout clock, but no fault ever fires and no RNG is "
             "drawn.  hooks_pct_vs_no_faults is therefore the full "
             "bookkeeping cost the fault layer adds to a run that uses "
-            "it without faults; the no_faults row itself is the "
-            "NULL_INJECTOR path a fault-free spec takes, whose cost is "
-            "one truthiness check per hook.  chaos is FaultPlan.demo() "
+            "it without faults; the no_faults row itself is a "
+            "fault-free spec, for which no fault driver is built and "
+            "each hook costs one None check.  chaos is FaultPlan.demo() "
             "for scale: recovery work (failover re-searches, resume "
             "scheduling, repair sweeps) is real load, not overhead."
         ),

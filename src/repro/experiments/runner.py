@@ -28,65 +28,29 @@ Delay model (documented in DESIGN.md section 5):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.baselines.protocol import PeerState
 from repro.experiments.config import environment_by_name
 from repro.experiments.registry import create_protocol
 from repro.experiments.spec import ExperimentSpec
 from repro.experiments.trace_cache import shared_trace_cache
-from repro.faults.injector import FaultInjector, NULL_INJECTOR
+from repro.faults.injector import FaultInjector
 from repro.metrics.collectors import ExperimentMetrics, MetricsCollector, metric
 from repro.net.latency import SERVER_NODE_ID
-from repro.net.message import ChunkSource, LookupResult
-from repro.net.streaming import simulate_playback, simulate_resume
+from repro.net.message import ChunkSource
+from repro.net.streaming import simulate_playback
 from repro.net.server import CentralServer, ServerOverloadError
 from repro.obs.perf import NULL_PERF
 from repro.obs.tracer import NULL_TRACER
-from repro.overlay.maintenance import record_link_sample, record_repair_sweep
+from repro.overlay.maintenance import record_link_sample
 from repro.sim.churn import ChurnModel, SessionPlan
 from repro.sim.engine import EventScheduler
 from repro.sim.rng import RngStreams
-from repro.trace.dataset import TraceDataset, primary_interest
+from repro.trace.dataset import TraceDataset
 from repro.workload.selection import VideoSelector
 from repro.workload.session import SessionTracker
-
-
-@dataclass
-class _ActiveWatch:
-    """One in-flight watch, tracked only on fault-injected runs.
-
-    ``offset`` is the number of chunks already local when the *current*
-    transfer began (1 after a prefetch hit, ``chunks_done`` after a
-    failover resume), so the interruption handler can convert elapsed
-    transfer time into delivered chunks.  ``transfer_start_t`` is
-    approximated by the request instant -- chunk-granularity slack the
-    failover model absorbs.
-    """
-
-    video_id: int
-    provider_id: Optional[int]  # None for server- or cache-sourced watches
-    grant: object  # TransferGrant, or None on a cache hit
-    rate_bps: float  # effective (possibly fault-degraded) transfer rate
-    request_t: float
-    startup_s: float
-    chunks: int
-    offset: int
-    transfer_start_t: float
-    span_id: object
-    finish_event: object
-
-
-@dataclass
-class _FailoverState:
-    """One consumer between losing its provider and resuming."""
-
-    watch: _ActiveWatch
-    interrupted_at: float
-    chunks_done: int
-    attempt: int = 0
 
 
 @dataclass
@@ -147,26 +111,6 @@ class ExperimentRunner:
         self._rng_protocol = streams.stream("protocol")
         self._rng_capacity = streams.stream("peer-capacity")
         self._rng_failures = streams.stream("failures")
-
-        # Fault injection (repro.faults).  The injector draws from its
-        # own "faults.*" substreams, so a zero plan leaves every other
-        # stream's sequence untouched; NULL_INJECTOR is falsy, so every
-        # fault hook below reduces to one truthiness check when off.
-        plan = spec.resolved_faults()
-        self.fault_plan = plan
-        self.faults = FaultInjector(plan, streams) if plan else NULL_INJECTOR
-        self._crash_events: Dict[int, object] = {}  # user -> pending crash
-        self._watches: Dict[int, _ActiveWatch] = {}
-        #: provider -> ordered set of consumers mid-transfer from it.
-        self._consumers: Dict[int, Dict[int, None]] = {}
-        self._failovers: Dict[int, _FailoverState] = {}
-        self._serve_ctx = None  # (provider_id, rate_bps) of the last serve
-        #: True only while retrying a request past the shed budget: the
-        #: server must admit it even under flash-crowd admission control.
-        self._serve_forced = False
-        #: node -> partition side, populated lazily while a network
-        #: partition is active (None otherwise).
-        self._partition_sides: Optional[Dict[int, int]] = None
 
         self.dataset = dataset or shared_trace_cache.dataset_for(config.trace)
         if config.num_nodes > self.dataset.num_users:
@@ -237,6 +181,10 @@ class ExperimentRunner:
             if self.tracer:
                 state.uplink.tracer = self.tracer
             self.protocol.register_peer(state)
+        # The fault driver (repro.faults) exists only for a nonzero plan;
+        # without it each fault hook below is one None check.
+        plan = spec.resolved_faults()
+        self.faults = FaultInjector(plan, streams, self) if plan else None
 
     # -- delay model ----------------------------------------------------------
 
@@ -265,9 +213,10 @@ class ExperimentRunner:
 
     # -- request handling ---------------------------------------------------------
 
-    def _serve_request(self, user_id: int, video_id: int):
+    def _serve_request(self, user_id: int, video_id: int, force: bool):
         """Resolve one video request; returns (startup_delay_s, grant,
-        lookup, prefetch_hit, stall_s).
+        lookup, prefetch_hit, stall_s, rate_bps).  ``force`` makes the
+        server admit a server serve regardless of admission control.
 
         The span carries ``cluster`` -- the requested video's interest
         category, i.e. the paper's per-community unit -- so the
@@ -280,10 +229,11 @@ class ExperimentRunner:
             video=video_id,
             cluster=self.dataset.category_of_video(video_id),
         ):
-            return self._serve_request_inner(user_id, video_id)
+            return self._serve_request_inner(user_id, video_id, force)
 
-    def _serve_request_inner(self, user_id: int, video_id: int):
+    def _serve_request_inner(self, user_id: int, video_id: int, force: bool):
         cfg = self.config
+        faults = self.faults
         peer = self.protocol.state(user_id)
         lookup = self.protocol.locate(user_id, video_id)
 
@@ -298,9 +248,7 @@ class ExperimentRunner:
                     source="cache",
                     chunks=cfg.chunks_per_video,
                 )
-            if self.faults:
-                self._serve_ctx = (None, 0.0)
-            return cfg.local_playback_delay_s, None, lookup, False, 0.0
+            return cfg.local_playback_delay_s, None, lookup, False, 0.0, 0.0
 
         # Transient WAN failure: the chosen peer connection breaks and
         # the request falls back to the server.
@@ -315,37 +263,11 @@ class ExperimentRunner:
                     node=user_id,
                     provider=lookup.provider_id,
                 )
-            lookup = LookupResult(
-                video_id=video_id,
-                from_server=True,
-                hops=lookup.hops,
-                peers_contacted=lookup.peers_contacted,
-            )
+            lookup = lookup.server_fallback()
 
-        # Lost query messages (repro.faults): the reply from the chosen
-        # provider never arrives, so the requester re-floods after a
-        # backoff; past the retry budget the server serves the video.
         retry_delay = 0.0
-        if self.faults and lookup.from_peer:
-            lost_retries = 0
-            while lookup.from_peer and self.faults.query_lost():
-                if self.tracer:
-                    self.tracer.event(
-                        "failover.query_lost", node=user_id, video=video_id
-                    )
-                if lost_retries >= self.faults.retry.max_retries:
-                    lookup = LookupResult(
-                        video_id=video_id,
-                        from_server=True,
-                        hops=lookup.hops,
-                        peers_contacted=lookup.peers_contacted,
-                    )
-                    break
-                retry_delay += self.faults.retry.backoff_delay(lost_retries)
-                lost_retries += 1
-                lookup = self.protocol.locate(user_id, video_id)
-            if lost_retries:
-                self.metrics.record_count("failover_retries", lost_retries)
+        if faults and lookup.from_peer:
+            lookup, retry_delay = faults.relocate_lost(user_id, video_id, lookup)
 
         prefetch_entry = peer.take_prefetch(video_id)
         if self.tracer:
@@ -364,11 +286,7 @@ class ExperimentRunner:
             # A slow-peer episode degrades the granted share; with
             # faults off the effective rate IS the granted rate, so the
             # arithmetic below is bit-identical to the pre-fault path.
-            rate_bps = (
-                self.faults.peer_rate(grant.rate_bps)
-                if self.faults
-                else grant.rate_bps
-            )
+            rate_bps = faults.peer_rate(grant.rate_bps) if faults else grant.rate_bps
             if lookup.query_path:
                 query_delay = self._path_delay(lookup.query_path)
             else:
@@ -377,12 +295,10 @@ class ExperimentRunner:
                 )
             chunk_source = ChunkSource.PEER
         else:
-            grant = self.server.serve(video_bits, force=self._serve_forced)
-            rate_bps = (
-                self.faults.server_rate(grant.rate_bps, self.scheduler.now)
-                if self.faults
-                else grant.rate_bps
-            )
+            grant = self.server.serve(video_bits, force=force)
+            rate_bps = grant.rate_bps
+            if faults:
+                rate_bps = faults.server_rate(rate_bps, self.scheduler.now)
             query_delay = self._failed_flood_delay(user_id, lookup.hops)
             query_delay += self._server_rtt(user_id)
             chunk_source = ChunkSource.SERVER
@@ -432,12 +348,8 @@ class ExperimentRunner:
         self.metrics.record_playback(
             user_id, playback.continuity_index, playback.total_stall_s
         )
-        if self.faults:
-            self._serve_ctx = (
-                lookup.provider_id if lookup.from_peer else None,
-                rate_bps,
-            )
-        return startup, grant, lookup, prefetch_hit, playback.total_stall_s
+        stall_s = playback.total_stall_s
+        return startup, grant, lookup, prefetch_hit, stall_s, rate_bps
 
     def _do_prefetch(self, user_id: int, video_id: int) -> None:
         """Prefetch first chunks while watching (Section IV-B); the
@@ -473,11 +385,7 @@ class ExperimentRunner:
         self.protocol.on_session_start(user_id)
         self.selector.start_session(user_id)
         if self.faults:
-            delay = self.faults.crash_delay()
-            if delay is not None:
-                self._crash_events[user_id] = self.scheduler.schedule(
-                    delay, self._crash_node, user_id
-                )
+            self.faults.session_started(user_id)
         self._request_next_video(user_id)
 
     def _request_next_video(
@@ -487,31 +395,16 @@ class ExperimentRunner:
             return  # the requester crashed during its shed backoff
         if video_id is None:
             video_id = self.selector.next_video(user_id)
-        # Past the shed budget the client's retry is marked degraded:
-        # the server admits it regardless of admission control, so a
-        # flash crowd delays sessions but never strands one.
-        self._serve_forced = bool(
-            self.faults and shed_attempts > self.faults.retry.max_retries
-        )
+        faults = self.faults
+        # Only a fault run sheds (flash crowd); past the shed budget the
+        # server admits the retry regardless of admission control.
+        force = shed_attempts > 0 and shed_attempts > faults.retry.max_retries
         try:
-            startup, grant, lookup, prefetch_hit, stall_s = self._serve_request(
-                user_id, video_id
-            )
+            served = self._serve_request(user_id, video_id, force)
         except ServerOverloadError:
-            # Admission control shed the request (flash crowd).  The
-            # client backs off under the shared RetryPolicy and retries
-            # the *same* video.
-            self.metrics.record_count("shed_retries")
-            self.scheduler.schedule(
-                self.faults.retry.backoff_delay(shed_attempts),
-                self._request_next_video,
-                user_id,
-                video_id,
-                shed_attempts + 1,
-            )
+            faults.shed_retry(user_id, video_id, shed_attempts)
             return
-        finally:
-            self._serve_forced = False
+        startup, grant, lookup, prefetch_hit, stall_s, rate_bps = served
         self.metrics.record_request(
             user_id=user_id,
             startup_delay_s=startup,
@@ -546,30 +439,17 @@ class ExperimentRunner:
         finish_event = self.scheduler.schedule(
             watch_time, self._finish_video, user_id, video_id, grant, span_id
         )
-        if self.faults:
-            provider_id, rate_bps = self._serve_ctx
-            watch = _ActiveWatch(
-                video_id=video_id,
-                provider_id=provider_id,
-                grant=grant,
-                rate_bps=rate_bps,
-                request_t=self.scheduler.now,
-                startup_s=startup,
-                chunks=self.config.chunks_per_video,
-                offset=1 if prefetch_hit else 0,
-                transfer_start_t=self.scheduler.now,
-                span_id=span_id,
-                finish_event=finish_event,
+        if faults:
+            faults.watch_started(
+                user_id, lookup, grant, rate_bps, startup, prefetch_hit,
+                span_id, finish_event,
             )
-            self._watches[user_id] = watch
-            if provider_id is not None:
-                self._consumers.setdefault(provider_id, {})[user_id] = None
 
     def _finish_video(
         self, user_id: int, video_id: int, grant, span_id=None
     ) -> None:
         if self.faults:
-            self._drop_watch(user_id)
+            self.faults.watch_finished(user_id)
         if grant is not None:
             grant.release()
         self.tracer.end(span_id)
@@ -584,449 +464,19 @@ class ExperimentRunner:
 
     def _end_session(self, user_id: int) -> None:
         if self.faults:
-            crash_event = self._crash_events.pop(user_id, None)
-            if crash_event is not None:
-                crash_event.cancel()  # the session ended before the crash
+            self.faults.session_ended(user_id)
         if self.tracer:
             self.tracer.event("churn.leave", node=user_id)
         self.protocol.on_session_end(user_id)
+        self._close_session(user_id)
+
+    def _close_session(self, user_id: int) -> None:
+        """The session is over (left or crashed): schedule the next one."""
         self.sessions.end_session(user_id)
         if not self.sessions.all_sessions_done(user_id):
             self.scheduler.schedule(
                 self.churn.off_duration(), self._start_session, user_id
             )
-
-    # -- fault handling (repro.faults) ------------------------------------------------------
-
-    def _drop_watch(self, user_id: int) -> None:
-        """Forget a tracked watch (finished, interrupted, or crashed)."""
-        watch = self._watches.pop(user_id, None)
-        if watch is None or watch.provider_id is None:
-            return
-        consumers = self._consumers.get(watch.provider_id)
-        if consumers is not None:
-            consumers.pop(user_id, None)
-            if not consumers:
-                del self._consumers[watch.provider_id]
-
-    def _crash_node(self, user_id: int) -> None:
-        """Kill a node abruptly mid-session (crash-churn).
-
-        Unlike a graceful leave: the node's own watch dies on the spot,
-        every consumer streaming *from* it is interrupted into failover,
-        the protocol leaves the dead node's overlay links dangling, and
-        a repair sweep is scheduled one repair window out.  The crashed
-        session still counts against the session plan, so the run
-        terminates; the node returns after a normal off period.
-        """
-        self._crash_events.pop(user_id, None)
-        self.metrics.record_count("crashes")
-        if self.tracer:
-            self.tracer.event("churn.crash", node=user_id)
-        watch = self._watches.get(user_id)
-        if watch is not None:
-            watch.finish_event.cancel()
-            if watch.grant is not None:
-                watch.grant.release()
-            self.tracer.end(watch.span_id)
-            self._drop_watch(user_id)
-        else:
-            state = self._failovers.pop(user_id, None)
-            if state is not None:
-                self.tracer.end(state.watch.span_id)
-        consumers = self._consumers.pop(user_id, None)
-        if consumers:
-            for consumer in list(consumers):
-                self._interrupt_transfer(consumer, provider_id=user_id)
-        self.protocol.on_crash(user_id)
-        self.scheduler.schedule(
-            self.fault_plan.repair_window_s, self._repair_after_crash, user_id
-        )
-        self.sessions.end_session(user_id)
-        if not self.sessions.all_sessions_done(user_id):
-            self.scheduler.schedule(
-                self.churn.off_duration(), self._start_session, user_id
-            )
-
-    def _repair_after_crash(self, user_id: int) -> None:
-        """The repair window elapsed; survivors heal their link tables."""
-        repaired = self.protocol.repair_after_crash(user_id)
-        if repaired:
-            self.metrics.note_recovery_action(self.scheduler.now)
-        record_repair_sweep(self.tracer, user_id, repaired)
-
-    def _interrupt_transfer(self, user_id: int, provider_id: int) -> None:
-        """``user_id``'s provider died mid-transfer; start failover.
-
-        Chunks delivered before the crash stay local (resume-from-last-
-        chunk); if the whole video already arrived, playback proceeds
-        untouched and only the bookkeeping is dropped.
-        """
-        watch = self._watches.get(user_id)
-        if watch is None or watch.provider_id != provider_id:
-            return
-        now = self.scheduler.now
-        chunk_bits = (
-            self.config.video_bits(self.dataset.video_length(watch.video_id))
-            / watch.chunks
-        )
-        delivered = int((now - watch.transfer_start_t) * watch.rate_bps / chunk_bits)
-        chunks_done = min(watch.chunks, watch.offset + delivered)
-        if chunks_done >= watch.chunks:
-            # The whole video already arrived: playback proceeds, so the
-            # watch stays tracked (its finish event must die if this
-            # consumer later crashes) -- only the provider link drops.
-            self._drop_watch(user_id)
-            watch.provider_id = None
-            self._watches[user_id] = watch
-            return
-        watch.finish_event.cancel()
-        if watch.grant is not None:
-            watch.grant.release()
-        self._drop_watch(user_id)
-        self.metrics.record_count("interrupted_transfers")
-        if self.tracer:
-            self.tracer.event(
-                "failover.interrupted",
-                node=user_id,
-                video=watch.video_id,
-                provider=provider_id,
-                chunk=chunks_done,
-            )
-        state = _FailoverState(
-            watch=watch, interrupted_at=now, chunks_done=chunks_done
-        )
-        self._failovers[user_id] = state
-        self.scheduler.schedule(
-            self.faults.retry.detection_timeout_s,
-            self._attempt_failover,
-            user_id,
-            state,
-        )
-
-    def _remaining_bits(self, state: _FailoverState) -> float:
-        watch = state.watch
-        video_bits = self.config.video_bits(self.dataset.video_length(watch.video_id))
-        return video_bits * (watch.chunks - state.chunks_done) / watch.chunks
-
-    def _attempt_failover(self, user_id: int, state: _FailoverState) -> None:
-        """Re-search for a replacement provider (retry/timeout/backoff).
-
-        Each attempt re-floods the overlay; a found provider resumes the
-        transfer from the last delivered chunk, a miss (or a lost reply)
-        backs off exponentially, and past the retry budget the server
-        finishes the transfer -- a degraded serve, not a lost session.
-        """
-        if self._failovers.get(user_id) is not state:
-            return  # resolved already, or the consumer itself crashed
-        watch = state.watch
-        lookup = self.protocol.relocate(user_id, watch.video_id)
-        if lookup.from_peer and not self.faults.query_lost():
-            provider = self.protocol.state(lookup.provider_id)
-            grant = provider.uplink.admit(self._remaining_bits(state))
-            rate_bps = self.faults.peer_rate(grant.rate_bps)
-            self._resume_watch(
-                user_id, state, grant, rate_bps, lookup.provider_id, to_peer=True
-            )
-            return
-        if state.attempt < self.faults.retry.max_retries:
-            delay = self.faults.retry.backoff_delay(state.attempt)
-            state.attempt += 1
-            if self.tracer:
-                self.tracer.event(
-                    "failover.retry",
-                    node=user_id,
-                    video=watch.video_id,
-                    attempt=state.attempt,
-                )
-            self.scheduler.schedule(delay, self._attempt_failover, user_id, state)
-            return
-        # Failover fallback bypasses admission control (force=True): the
-        # consumer already absorbed an interruption plus the full retry
-        # ladder; shedding it again would strand the session.
-        grant = self.server.serve(self._remaining_bits(state), force=True)
-        rate_bps = self.faults.server_rate(grant.rate_bps, self.scheduler.now)
-        self._resume_watch(user_id, state, grant, rate_bps, None, to_peer=False)
-
-    def _resume_watch(
-        self,
-        user_id: int,
-        state: _FailoverState,
-        grant,
-        rate_bps: float,
-        provider_id: Optional[int],
-        to_peer: bool,
-    ) -> None:
-        """Restart the interrupted transfer from its new source.
-
-        The segmented playback model replays the viewer from the chunk
-        under the playhead at the interruption (pre-crash stalls are
-        chunk-granularity slack) and yields the wall-clock completion,
-        which reschedules the watch's finish event.
-        """
-        del self._failovers[user_id]
-        watch = state.watch
-        now = self.scheduler.now
-        latency = now - state.interrupted_at
-        video_length = self.dataset.video_length(watch.video_id)
-        playback_start = watch.request_t + watch.startup_s
-        position = min(
-            max(state.interrupted_at - playback_start, 0.0), video_length
-        )
-        resume = simulate_resume(
-            video_length_s=video_length,
-            bitrate_bps=self.config.video_bitrate_bps,
-            transfer_rate_bps=rate_bps,
-            chunks=watch.chunks,
-            chunks_done=state.chunks_done,
-            playback_position_s=position,
-            resume_gap_s=latency,
-            tracer=self.tracer,
-            node=user_id,
-            video=watch.video_id,
-        )
-        self.metrics.record_failover(
-            user_id, latency_s=latency, retries=state.attempt, to_peer=to_peer
-        )
-        self.metrics.note_recovery_action(now)
-        if self.tracer:
-            self.tracer.event(
-                "failover.resume" if to_peer else "failover.server",
-                node=user_id,
-                video=watch.video_id,
-                provider=provider_id,
-                latency_s=latency,
-                retries=state.attempt,
-                chunk=state.chunks_done,
-            )
-        watch.provider_id = provider_id
-        watch.grant = grant
-        watch.rate_bps = rate_bps
-        watch.transfer_start_t = now
-        watch.offset = state.chunks_done
-        # completion_s counts from the interruption; `latency` of it has
-        # already elapsed, and the remainder is strictly positive.  The
-        # finish event was cancelled at the interruption; one reschedule
-        # revives the same handle with the refreshed grant/span args.
-        watch.finish_event.reschedule(
-            resume.completion_s - latency,
-            user_id,
-            watch.video_id,
-            grant,
-            watch.span_id,
-        )
-        self._watches[user_id] = watch
-        if to_peer:
-            self._consumers.setdefault(provider_id, {})[user_id] = None
-
-    # -- infrastructure faults (repro.faults v2) -----------------------------------------
-
-    def _schedule_infra_faults(self) -> None:
-        """Arm the correlated/infrastructure fault families.
-
-        With no family armed this schedules nothing, so fault-free runs
-        are untouched.
-        """
-        if not self.faults:
-            return
-        plan = self.fault_plan
-        if self.faults.community_crash_armed:
-            self.scheduler.schedule(plan.community_crash_at_s, self._community_crash)
-        if self.faults.tracker_outage_armed:
-            self.scheduler.schedule(
-                plan.tracker_outage_at_s, self._tracker_outage_begin
-            )
-            self.scheduler.schedule(
-                plan.tracker_outage_at_s + plan.tracker_outage_duration_s,
-                self._tracker_outage_end,
-            )
-        if self.faults.partition_armed:
-            self.scheduler.schedule(plan.partition_at_s, self._partition_begin)
-            self.scheduler.schedule(
-                plan.partition_at_s + plan.partition_duration_s, self._partition_end
-            )
-        if self.faults.flash_crowd_armed:
-            self.scheduler.schedule(plan.flash_crowd_at_s, self._flash_crowd_begin)
-            self.scheduler.schedule(
-                plan.flash_crowd_at_s + plan.flash_crowd_duration_s,
-                self._flash_crowd_end,
-            )
-
-    def _fault_onset_time(self) -> float:
-        """Instant the first armed infrastructure fault strikes.
-
-        The degradation scorecard measures recovery *from this point*:
-        ``recovery_time_s`` is the gap between the first window opening
-        and the last recovery action (failover resume, repair sweep,
-        re-registration sweep, partition heal) -- total time until the
-        system is whole again.  Zero when no windowed family is armed,
-        which keeps pre-v2 plans reporting zero.
-        """
-        if not self.faults:
-            return 0.0
-        plan = self.fault_plan
-        onsets = []
-        if self.faults.community_crash_armed:
-            onsets.append(plan.community_crash_at_s)
-        if self.faults.tracker_outage_armed:
-            onsets.append(plan.tracker_outage_at_s)
-        if self.faults.partition_armed:
-            onsets.append(plan.partition_at_s)
-        if self.faults.flash_crowd_armed:
-            onsets.append(plan.flash_crowd_at_s)
-        return min(onsets) if onsets else 0.0
-
-    def _community_crash(self) -> None:
-        """Correlated burst: kill part of one interest community at once.
-
-        The injector draws the cluster from its own ``faults.community``
-        substream, restricted to communities of at least average size
-        (a correlated failure taking out a three-node fringe cluster
-        measures nothing); the burst then takes the highest-capacity
-        members first -- the worst case for the overlay, since those
-        nodes carry the most transfers and the densest link tables.
-        Victims already offline are skipped (a burst cannot kill a node
-        twice); each kill runs the ordinary crash path, so consumers
-        fail over and a repair sweep lands one repair window out.
-        """
-        by_cluster: Dict[int, list] = {}
-        for node in self._node_ids:
-            by_cluster.setdefault(primary_interest(self.dataset, node), []).append(
-                node
-            )
-        mean_size = len(self._node_ids) / len(by_cluster)
-        eligible = sorted(
-            c for c, nodes in by_cluster.items() if len(nodes) >= mean_size
-        )
-        if not eligible:
-            eligible = sorted(by_cluster)
-        cluster = self.faults.community_crash_cluster(eligible)
-        members = by_cluster[cluster]
-        count = math.ceil(
-            self.fault_plan.community_crash_fraction * len(members)
-        )
-        members.sort(
-            key=lambda node: (-self.protocol.state(node).uplink.capacity_bps, node)
-        )
-        killed = 0
-        for victim in members[:count]:
-            if not self.protocol.state(victim).online:
-                continue
-            pending = self._crash_events.pop(victim, None)
-            if pending is not None:
-                pending.cancel()  # the burst preempts the churn crash
-            self._crash_node(victim)
-            killed += 1
-        self.metrics.record_count("burst_crashes", killed)
-        if self.tracer:
-            self.tracer.event(
-                "fault.community_crash",
-                cluster=cluster,
-                planned=min(count, len(members)),
-                victims=killed,
-            )
-
-    def _tracker_outage_begin(self) -> None:
-        self.server.tracker_outage_begin()
-
-    def _tracker_outage_end(self) -> None:
-        """Tracker recovery: every online node re-files its state.
-
-        The outage wiped the tracker's soft state, so lookups between
-        recovery and a node's next report would miss it.  Deterministic
-        sweep in node-id order; each protocol re-registers exactly the
-        tracker state it maintains (presence, channel membership,
-        overlay memberships, current watches).
-        """
-        self.server.tracker_outage_end()
-        reports = 0
-        for node_id in self._node_ids:
-            reports += self.protocol.reannounce(node_id)
-        self.metrics.record_count("reregistrations", reports)
-        self.metrics.note_recovery_action(self.scheduler.now)
-        if self.tracer:
-            self.tracer.event("tracker.reregister", count=reports)
-
-    def _partition_side_of(self, node_id: int) -> int:
-        """Which half of the severed network a node sits in.
-
-        Sides follow interest communities (``primary_interest % 2``) --
-        the paper's per-community structure makes a community-aligned
-        cut the interesting one: intra-community links mostly survive,
-        inter-community (inter-link) traffic is what the cut severs.
-        Unaffiliated nodes (cluster -1) land on side 1.
-        """
-        sides = self._partition_sides
-        assert sides is not None
-        side = sides.get(node_id)
-        if side is None:
-            side = primary_interest(self.dataset, node_id) % 2
-            sides[node_id] = side
-        return side
-
-    def _partition_reach(self, a: int, b: int) -> bool:
-        return self._partition_side_of(a) == self._partition_side_of(b)
-
-    def _partition_begin(self) -> None:
-        """Sever cross-community links; cut transfers fail over.
-
-        The reachability guard makes every protocol skip (not drop)
-        unreachable neighbors and referrals; the server stays reachable
-        from both sides, so lookups degrade to server fallbacks rather
-        than failures.  In-flight transfers crossing the cut are
-        interrupted into the standard failover ladder.
-        """
-        self._partition_sides = {}
-        self.protocol.partition_guard = self._partition_reach
-        if self.tracer:
-            self.tracer.event("partition.transition", phase="begin")
-        interrupted = 0
-        for consumer in sorted(self._watches):
-            watch = self._watches.get(consumer)
-            if watch is None or watch.provider_id is None:
-                continue
-            if not self._partition_reach(consumer, watch.provider_id):
-                self._interrupt_transfer(consumer, provider_id=watch.provider_id)
-                if consumer in self._failovers:
-                    interrupted += 1
-        self.metrics.record_count("partition_interrupts", interrupted)
-
-    def _partition_end(self) -> None:
-        """Heal the partition: restore reachability, re-probe overlays.
-
-        Clearing the guard restores every skipped link instantly; the
-        heal sweep then runs one maintenance probe per online node (in
-        node-id order) so link tables refill across the healed cut
-        without waiting for each node's next natural probe.
-        """
-        self.protocol.partition_guard = None
-        self._partition_sides = None
-        if self.tracer:
-            self.tracer.event("partition.transition", phase="end")
-        healed = 0
-        for node_id in self._node_ids:
-            if self.protocol.state(node_id).online:
-                self.protocol.on_maintenance(node_id)
-                healed += 1
-        self.metrics.record_count("healed_nodes", healed)
-        self.metrics.note_recovery_action(self.scheduler.now)
-        if self.tracer:
-            self.tracer.event("partition.healed", nodes=healed)
-
-    def _flash_crowd_begin(self) -> None:
-        self.server.admission_limit = self.fault_plan.flash_crowd_admission_limit
-        if self.tracer:
-            self.tracer.event(
-                "server.flash_crowd",
-                phase="begin",
-                limit=self.server.admission_limit,
-            )
-
-    def _flash_crowd_end(self) -> None:
-        self.server.admission_limit = 0
-        self.metrics.note_recovery_action(self.scheduler.now)
-        if self.tracer:
-            self.tracer.event("server.flash_crowd", phase="end")
 
     # -- run --------------------------------------------------------------------------------
 
@@ -1036,8 +486,9 @@ class ExperimentRunner:
             self.scheduler.schedule(
                 self.churn.initial_join_delay(), self._start_session, node_id
             )
-        self._schedule_infra_faults()
-        self.metrics.fault_onset_t = self._fault_onset_time()
+        faults = self.faults
+        if faults:
+            self.metrics.fault_onset_t = faults.arm()
         perf = self.perf
         if perf:
             perf.run_begin()
@@ -1050,8 +501,11 @@ class ExperimentRunner:
             "tracker_lookup_failures", self.server.tracker_lookup_failures
         )
         self.metrics.record_count("server_sheds", self.server.requests_shed)
+        metrics = self.metrics.summarize()
+        if faults:
+            faults.check_ledger(metrics)
         return ExperimentResult(
-            metrics=self.metrics.summarize(),
+            metrics=metrics,
             server_requests=self.server.requests_served,
             tracker_lookups=self.server.tracker_lookups,
             events_processed=self.scheduler.events_processed,

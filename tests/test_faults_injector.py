@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.faults.injector import NULL_INJECTOR, FaultInjector, NullFaultInjector
+from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.sim.rng import RngStreams
 
@@ -14,11 +14,6 @@ def _injector(**kwargs):
 
 
 class TestNullInjector:
-    def test_null_injector_is_falsy(self):
-        assert not NULL_INJECTOR
-        assert not NullFaultInjector()
-        assert NULL_INJECTOR.plan is None
-
     def test_real_injector_is_truthy(self):
         assert _injector()
 

@@ -57,9 +57,16 @@ class TestChaosRuns:
         )
         assert resolved > 0
         assert metrics.interrupted_transfers >= resolved
-        assert not runner._failovers  # nothing left dangling at run end
-        assert not runner._watches
-        assert not runner._consumers
+        runner.faults.check_ledger(metrics)  # nothing left dangling at run end
+
+    def test_corrupted_failover_count_raises(self, chaos_run):
+        runner, result = chaos_run
+        runner.faults.abandoned_failovers += 1
+        try:
+            with pytest.raises(RuntimeError, match="fault ledger unbalanced"):
+                runner.faults.check_ledger(result.metrics)
+        finally:
+            runner.faults.abandoned_failovers -= 1
 
     def test_recovery_metrics_are_consistent(self, chaos_run):
         _runner, result = chaos_run
@@ -109,9 +116,7 @@ class TestInfraFamilies:
             assert metrics.shed_retries > 0
         assert metrics.recovery_time_s > 0
         # Graceful degradation, not collapse: no dangling sessions.
-        assert not runner._failovers
-        assert not runner._watches
-        assert not runner._consumers
+        runner.faults.check_ledger(metrics)
 
     def test_fault_state_fully_unwound_after_run(self, family_run):
         """Every window must leave no residue once it closes."""
@@ -119,6 +124,24 @@ class TestInfraFamilies:
         assert runner.protocol.partition_guard is None
         assert runner.server.admission_limit == 0
         assert not runner.server.tracker_down
+
+    def test_arm_schedules_every_window_edge_and_returns_first_onset(self):
+        plan = FaultPlan.infra_demo()
+        spec = ExperimentSpec(
+            protocol="socialtube", config=SimulationConfig.smoke_scale(seed=2014)
+        ).with_faults(plan)
+        runner = ExperimentRunner(
+            spec, dataset=shared_trace_cache.dataset_for(spec.config.trace)
+        )
+        onset = runner.faults.arm()
+        # One burst plus a begin and an end for each of the three windows.
+        assert runner.scheduler.pending_count() == 7
+        assert onset == min(
+            plan.community_crash_at_s,
+            plan.tracker_outage_at_s,
+            plan.partition_at_s,
+            plan.flash_crowd_at_s,
+        )
 
     def test_overlay_survives_the_burst(self, family_run):
         family, runner, _result = family_run
@@ -144,12 +167,77 @@ class TestInfraFamilies:
         # Every peer lookup exhausted its budget, so the server carried
         # essentially the whole catalogue.
         assert metrics.server_fallback_fraction > 0.5
-        assert not runner._failovers
-        assert not runner._watches
-        assert not runner._consumers
+        runner.faults.check_ledger(metrics)
+
+    def test_consumer_crash_mid_failover_balances_the_ledger(self):
+        """A slow detection leaves consumers in failover long enough to
+        crash there; each such failover is counted as abandoned, so the
+        run-end ledger still balances (run() raises otherwise)."""
+        plan = FaultPlan(
+            crash_rate_per_hour=20.0, retry=RetryPolicy(detection_timeout_s=60.0)
+        )
+        spec = ExperimentSpec(
+            protocol="socialtube", config=SimulationConfig.smoke_scale(seed=5)
+        ).with_faults(plan)
+        runner = ExperimentRunner(
+            spec, dataset=shared_trace_cache.dataset_for(spec.config.trace)
+        )
+        metrics = runner.run().metrics
+        assert runner.faults.abandoned_failovers > 0
+        assert metrics.interrupted_transfers == (
+            metrics.failover_peer_resumes
+            + metrics.failover_server_fallbacks
+            + runner.faults.abandoned_failovers
+        )
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_tracker_lists_the_online_nodes_after_an_outage(self, protocol):
+        """The re-registration sweep restores presence for every protocol
+        (the run raises otherwise)."""
+        spec = ExperimentSpec(
+            protocol=protocol, config=SimulationConfig.smoke_scale(seed=2014)
+        ).with_faults(FaultPlan.tracker_outage_demo())
+        runner = ExperimentRunner(
+            spec, dataset=shared_trace_cache.dataset_for(spec.config.trace)
+        )
+        assert runner.run().metrics.reregistrations > 0
+
+    def test_lost_reregistration_raises(self):
+        spec = ExperimentSpec(
+            protocol="socialtube", config=SimulationConfig.smoke_scale(seed=2014)
+        ).with_faults(FaultPlan.tracker_outage_demo())
+        runner = ExperimentRunner(
+            spec, dataset=shared_trace_cache.dataset_for(spec.config.trace)
+        )
+        runner.protocol.reannounce = lambda node_id: 0  # nobody re-files
+        with pytest.raises(RuntimeError, match="re-registration"):
+            runner.run()
 
 
 class TestDeterminism:
+    @pytest.mark.parametrize("plan", [None, FaultPlan()], ids=["no_plan", "zero_plan"])
+    def test_fault_free_run_builds_no_driver(self, plan):
+        spec = ExperimentSpec(
+            protocol="socialtube", config=SimulationConfig.smoke_scale(seed=5)
+        ).with_faults(plan)
+        runner = ExperimentRunner(
+            spec, dataset=shared_trace_cache.dataset_for(spec.config.trace)
+        )
+        assert runner.faults is None
+        for name in (
+            "fault_plan",
+            "_crash_events",
+            "_watches",
+            "_consumers",
+            "_failovers",
+            "_serve_ctx",
+            "_serve_forced",
+            "_partition_sides",
+        ):
+            assert not hasattr(runner, name), name
+        runner.run()
+        assert runner.faults is None
+
     def test_zero_plan_is_byte_identical_to_no_plan(self):
         base = ExperimentSpec(
             protocol="socialtube", config=SimulationConfig.smoke_scale(seed=5)

@@ -43,3 +43,12 @@ class TestLookupResult:
     def test_describe_cache_and_server(self):
         assert "cache" in LookupResult(video_id=1, from_cache=True).describe()
         assert "server" in LookupResult(video_id=1, from_server=True).describe()
+
+    def test_server_fallback_keeps_the_search_cost(self):
+        found = LookupResult(
+            video_id=7, provider_id=3, hops=2, peers_contacted=5, query_path=[1, 3]
+        )
+        fallback = found.server_fallback()
+        assert fallback.from_server and not fallback.from_peer
+        assert fallback.provider_id is None and fallback.query_path == []
+        assert (fallback.video_id, fallback.hops, fallback.peers_contacted) == (7, 2, 5)
