@@ -88,6 +88,11 @@ class VideoCache:
 class PrefetchedChunk:
     """One first chunk in the prefetch store."""
 
+    # Slots: a run holds hundreds of thousands of these at once.
+    # (``dataclass(slots=True)`` needs Python 3.10; the package
+    # supports 3.9.)
+    __slots__ = ("video_id", "source", "fetched_at")
+
     video_id: int
     source: ChunkSource
     fetched_at: float

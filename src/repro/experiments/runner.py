@@ -42,9 +42,7 @@ from repro.net.latency import SERVER_NODE_ID
 from repro.net.message import ChunkSource
 from repro.net.streaming import simulate_playback
 from repro.net.server import CentralServer, ServerOverloadError
-from repro.obs.perf import NULL_PERF
 from repro.obs.tracer import NULL_TRACER
-from repro.overlay.maintenance import record_link_sample
 from repro.sim.churn import ChurnModel, SessionPlan
 from repro.sim.engine import EventScheduler
 from repro.sim.rng import RngStreams
@@ -87,7 +85,6 @@ class ExperimentRunner:
         spec: ExperimentSpec,
         dataset: Optional[TraceDataset] = None,
         tracer=None,
-        perf=None,
     ):
         if not isinstance(spec, ExperimentSpec):
             raise TypeError(
@@ -118,11 +115,6 @@ class ExperimentRunner:
 
         self.latency = self.environment.latency_factory(self._rng_latency)
         self.scheduler = EventScheduler()
-        # Wall-clock perf telemetry (repro.obs.perf).  NULL_PERF is
-        # falsy, so the run's hooks reduce to one truthiness check
-        # when perf is off; an armed meter never touches canonical
-        # output -- its readings live only in the sidecar perf report.
-        self.perf = perf if perf is not None else NULL_PERF
         # One tracer flows through every substrate; it reads the
         # scheduler's virtual clock so traces are a pure function of the
         # spec (byte-identical across serial and parallel execution).
@@ -420,7 +412,12 @@ class ExperimentRunner:
         video_index = self.sessions.record_video(user_id)
         links = self.protocol.link_count(user_id)
         self.metrics.record_overhead(user_id, video_index, links)
-        record_link_sample(self.tracer, user_id, links, video_index)
+        if self.tracer:
+            # The per-node series behind the time-series overlay_links
+            # gauge (repro.obs.timeseries).
+            self.tracer.event(
+                "overlay.links", node=user_id, links=links, index=video_index
+            )
         self._do_prefetch(user_id, video_id)
         watch_time = startup + self.dataset.video_length(video_id) + stall_s
         span_id = None
@@ -489,12 +486,7 @@ class ExperimentRunner:
         faults = self.faults
         if faults:
             self.metrics.fault_onset_t = faults.arm()
-        perf = self.perf
-        if perf:
-            perf.run_begin()
         self.scheduler.run()
-        if perf:
-            perf.run_end(self.scheduler.events_processed)
         # Server-side fault counters live on the server; fold them into
         # the collector so the summary (and the regress gate) sees them.
         self.metrics.record_count(
@@ -517,17 +509,13 @@ def run_spec(
     spec: ExperimentSpec,
     dataset: Optional[TraceDataset] = None,
     tracer=None,
-    perf=None,
 ) -> ExperimentResult:
     """Execute one spec; the canonical single-run entry point.
 
     ``tracer`` (a :class:`repro.obs.tracer.Tracer`) records the run as
     a deterministic trace; the default NULL_TRACER keeps every hook a
     no-op.  See :mod:`repro.obs.export` for turning a traced run into
-    JSONL + a profile summary.  ``perf`` (a
-    :class:`repro.obs.perf.PerfMeter`) arms wall-clock telemetry; the
-    default NULL_PERF keeps the perf hooks inert, and an armed meter is
-    hash-neutral -- same rows, same trace bytes, same content hash (see
-    :mod:`repro.obs.perf_report`).
+    JSONL + a profile summary, and :mod:`repro.obs.perf_report` for
+    wall-clock telemetry read off the same rows.
     """
-    return ExperimentRunner(spec, dataset=dataset, tracer=tracer, perf=perf).run()
+    return ExperimentRunner(spec, dataset=dataset, tracer=tracer).run()

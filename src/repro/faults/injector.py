@@ -22,7 +22,6 @@ from typing import Dict, Optional, Sequence
 from repro.faults.plan import FaultPlan
 from repro.net.message import LookupResult
 from repro.net.streaming import simulate_resume
-from repro.overlay.maintenance import record_repair_sweep
 from repro.sim.rng import RngStreams
 from repro.trace.dataset import primary_interest
 
@@ -339,7 +338,9 @@ class FaultInjector:
         repaired = self.protocol.repair_after_crash(user_id)
         if repaired:
             self.metrics.note_recovery_action(self.scheduler.now)
-        record_repair_sweep(self.tracer, user_id, repaired)
+        if self.tracer:
+            # ``links``: surviving neighbors whose link tables healed.
+            self.tracer.event("overlay.repair", node=user_id, links=repaired)
 
     def _interrupt_transfer(self, user_id: int, provider_id: int) -> None:
         """``user_id``'s provider died mid-transfer; start failover.

@@ -5,28 +5,23 @@
 * :mod:`repro.obs.export` -- canonical JSONL trace export keyed by
   ``ExperimentSpec.content_hash`` plus the profile summary behind
   ``python -m repro profile``.
-* :mod:`repro.obs.perf` -- the sanctioned wall-clock telemetry layer
-  (hash-neutral, inert behind the falsy :data:`NULL_PERF`), and
+* :mod:`repro.obs.perf` -- the sanctioned wall-clock telemetry layer:
+  :class:`PerfMeter`, a hash-neutral trace-row sink, and
   :mod:`repro.obs.perf_report` -- the sidecar perf report behind
   ``python -m repro perf``.
 
 This ``__init__`` deliberately re-exports only the leaf primitives:
 :mod:`repro.obs.export` and :mod:`repro.obs.perf_report` pull in the
 experiment runner, and the substrates (``sim.engine`` et al.) import
-the tracer/perf layers, so importing the report layers here would
-create a cycle.  Import them explicitly::
+the tracer layer, so importing the report layers here would create a
+cycle.  Import them explicitly::
 
-    from repro.obs import Tracer, NULL_TRACER, PerfMeter, NULL_PERF
+    from repro.obs import Tracer, NULL_TRACER, PerfMeter
     from repro.obs.export import run_profiled
     from repro.obs.perf_report import run_perf
 """
 
-from repro.obs.perf import (
-    NULL_PERF,
-    PERF_SCHEMA_VERSION,
-    NullPerfMeter,
-    PerfMeter,
-)
+from repro.obs.perf import PERF_SCHEMA_VERSION, PerfMeter
 from repro.obs.tracer import (
     NULL_TRACER,
     TRACE_SCHEMA_VERSION,
@@ -36,11 +31,9 @@ from repro.obs.tracer import (
 )
 
 __all__ = [
-    "NULL_PERF",
     "NULL_TRACER",
     "PERF_SCHEMA_VERSION",
     "TRACE_SCHEMA_VERSION",
-    "NullPerfMeter",
     "NullTracer",
     "PerfMeter",
     "SpanHandle",

@@ -28,11 +28,10 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.experiments.runner import ExperimentResult, run_spec
 from repro.experiments.spec import ExperimentSpec
-from repro.experiments.trace_cache import shared_trace_cache
 from repro.obs.tracer import TRACE_SCHEMA_VERSION, Tracer
 
 
@@ -203,22 +202,30 @@ class ProfiledRun:
 
 
 def run_traced(
-    spec: ExperimentSpec, dataset: Optional[object] = None
-) -> Tuple[ExperimentResult, Tracer]:
-    """Execute one spec with a live tracer attached; returns both.
+    spec: ExperimentSpec,
+    dataset: Optional[object] = None,
+    sink: Optional[Callable[[Dict[str, Any]], None]] = None,
+    tick_every_s: Optional[float] = None,
+) -> Tuple[ExperimentResult, bytes]:
+    """Execute one spec with a live tracer; returns the result and its JSONL.
 
-    The tracer is created here (one per run -- tracers are not shared
-    across runs, matching the per-run RNG stream discipline) and wired
-    through the runner into every instrumented substrate.
+    This is the one place a traced run is built.  The tracer is created
+    here (one per run -- tracers are not shared across runs, matching
+    the per-run RNG stream discipline) and wired through the runner
+    into every instrumented substrate.  ``sink`` sees every row as it
+    is emitted (a :class:`repro.obs.perf.PerfMeter` or a time-series
+    collector); ``tick_every_s`` asks the engine for one
+    ``engine.tick`` gauge row per that many virtual seconds.  Neither
+    changes a trace byte.
 
     Example::
 
-        result, tracer = run_traced(spec)
-        rows = tracer.rows()
+        result, jsonl = run_traced(spec)
+        rows = parse_jsonl_bytes(jsonl)     # header first
     """
-    tracer = Tracer()
+    tracer = Tracer(sink=sink, tick_every_s=tick_every_s)
     result = run_spec(spec, dataset=dataset, tracer=tracer)
-    return result, tracer
+    return result, trace_to_jsonl_bytes(trace_header(spec), tracer.rows())
 
 
 def run_profiled(spec: ExperimentSpec) -> ProfiledRun:
@@ -229,10 +236,7 @@ def run_profiled(spec: ExperimentSpec) -> ProfiledRun:
         profiled = run_profiled(spec)
         print(render_profile(profiled.summary))
     """
-    result, tracer = run_traced(
-        spec, dataset=shared_trace_cache.dataset_for(spec.config.trace)
-    )
-    payload = trace_to_jsonl_bytes(trace_header(spec), tracer.rows())
+    result, payload = run_traced(spec)
     return ProfiledRun(
         spec=spec,
         result=result,

@@ -1,4 +1,4 @@
-"""Wall-clock performance telemetry: armed-opt-in, inert-by-default.
+"""Wall-clock performance telemetry: a trace-row sink beside the run.
 
 Every other observability layer in this tree is deliberately
 sim-clock-only -- traces, time-series, metrics are pure functions of
@@ -8,84 +8,51 @@ clock: it measures where **wall** time goes (events/s, per-phase
 hotspots) so the ROADMAP's "make the engine fast" work has numbers to
 aim at.
 
-Three rules keep the determinism story intact:
+Two rules keep the determinism story intact:
 
-1. **Hash-neutral by construction.**  Wall-clock readings live only in
-   the sidecar perf report (:mod:`repro.obs.perf_report`), keyed by the
-   spec's ``content_hash`` -- never in canonical rows, traces, or
-   hashes.  Arming a :class:`PerfMeter` must not change a single byte
-   of canonical output (``tests/test_obs_perf.py`` diffs it).
-2. **Zero-cost when off.**  :data:`NULL_PERF` mirrors the
-   :data:`repro.obs.tracer.NULL_TRACER` discipline: it is falsy, so
-   every hook in the runner reduces to one truthiness check
-   (``if perf: ...``) on the inert path.
-3. **Lint-sanctioned namespace.**  The ``wall-clock`` analyzer rule
+1. **Hash-neutral by construction.**  A :class:`PerfMeter` only reads
+   the rows a tracer was already emitting, and its readings live only
+   in the sidecar perf report (:mod:`repro.obs.perf_report`), keyed by
+   the spec's ``content_hash`` -- never in canonical rows, traces, or
+   hashes.  Installing a meter as the tracer's sink must not change a
+   single byte of canonical output (``tests/test_obs_perf.py`` diffs
+   it).  The runner knows nothing of it: a run without a meter pays
+   nothing for this module.
+2. **Lint-sanctioned namespace.**  The ``wall-clock`` analyzer rule
    bans ``time.perf_counter`` and friends everywhere *except* this
    module (mirroring how ``faults.*`` owns its RNG namespace); other
-   modules obtain wall time only through a perf object handed to them.
+   modules obtain wall time only through :meth:`PerfMeter.clock`.
 
 Example::
 
     meter = PerfMeter()
-    meter.attach(tracer)                  # tee: observes every trace row
-    result = run_spec(spec, tracer=tracer, perf=meter)
+    result, jsonl = run_traced(spec, sink=meter.observe_row)
     print(meter.events_per_s(), meter.hotspots(5))
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 #: Bumped whenever the perf-report shape changes, mirroring the trace
 #: schema discipline so stale perf artifacts can never be misread.
 PERF_SCHEMA_VERSION = 3
 
-
-class NullPerfMeter:
-    """The zero-cost disabled perf meter.
-
-    Implements the armed :class:`PerfMeter` surface with no-op bodies
-    and evaluates as *false*, so hot paths guard wall-clock sampling
-    with a single truthiness check (``if perf:``) and pay nothing when
-    perf is off.  There is one shared instance, :data:`NULL_PERF`; it
-    holds no state and is safe to share across schedulers and runs.
-    """
-
-    __slots__ = ()
-
-    #: Mirrors :attr:`PerfMeter.enabled`; always False here.
-    enabled = False
-
-    def __bool__(self) -> bool:
-        return False
-
-    def attach(self, tracer: Any) -> None:
-        """No-op; the null meter never observes trace rows."""
-
-    def run_begin(self) -> None:
-        """No-op; the null meter never reads a clock."""
-
-    def run_end(self, events: int) -> None:
-        """No-op; accepts and discards the engine's event count."""
-
-
-#: The shared do-nothing perf meter every hook site defaults to.
-NULL_PERF = NullPerfMeter()
+#: The engine's event-loop span; its end row carries ``events``.
+_RUN_SPAN = "engine.run"
 
 
 class PerfMeter:
-    """Engine-side wall-clock meter: throughput plus hotspot attribution.
+    """Wall-clock meter fed by trace rows: throughput plus hotspots.
 
-    * :meth:`attach` installs a pass-through tee on a
-      :class:`repro.obs.tracer.Tracer` sink, charging the wall-clock
-      delta since the previous row to the current row's span/event name
-      -- sampling attribution at the trace's own span boundaries, so
-      the sim-clock trace itself is untouched.  Any previously
-      installed sink (the time-series collector) keeps receiving every
-      row.
-    * :meth:`run_begin` / :meth:`run_end` bracket the whole event loop
-      for the headline events/s number.
+    Install :meth:`observe_row` as a :class:`repro.obs.tracer.Tracer`
+    sink.  Each row is charged the wall-clock delta since the previous
+    row, under its span/event name -- sampling attribution at the
+    trace's own span boundaries, so the sim-clock trace itself is
+    untouched.  The ``engine.run`` span's begin and end rows bracket
+    the event loop for the headline events/s number; the end row's
+    ``events`` attribute is the engine's event count.
     """
 
     __slots__ = (
@@ -98,11 +65,8 @@ class PerfMeter:
         "_last_row_t",
     )
 
-    #: Mirrors :attr:`NullPerfMeter.enabled`; always True here.
-    enabled = True
-
     def __init__(self) -> None:
-        self._run_began: Optional[float] = None
+        self._run_began = 0.0
         self._wall_s = 0.0
         self._events = 0
         self._rows = 0
@@ -122,37 +86,16 @@ class PerfMeter:
         """
         return time.perf_counter()
 
-    # -- tracer tee ----------------------------------------------------------
+    # -- row sink ------------------------------------------------------------
 
-    def attach(self, tracer: Any) -> None:
-        """Install the observing tee on ``tracer``'s row sink.
-
-        The previous sink (if any -- e.g. the time-series collector)
-        is chained after the meter's observer, so downstream consumers
-        see exactly the rows they would have seen unarmed, in the same
-        order.  Rows are never mutated.
-        """
-        previous: Optional[Callable[[Dict[str, Any]], None]] = getattr(
-            tracer, "_sink", None
-        )
-        observe = self._observe_row
-        if previous is None:
-            tracer.set_sink(observe)
-            return
-
-        def tee(row: Dict[str, Any]) -> None:
-            """Observe the row, then forward it to the prior sink."""
-            observe(row)
-            previous(row)
-
-        tracer.set_sink(tee)
-
-    def _observe_row(self, row: Dict[str, Any]) -> None:
+    def observe_row(self, row: Dict[str, Any]) -> None:
         """Charge the wall delta since the previous row to this row's name.
 
         ``span_end`` rows carry no name; they resolve through the
         span-id map recorded at ``span_begin``, which makes the
-        attribution robust to detached spans ending out of order.
+        attribution robust to detached spans ending out of order.  The
+        ``engine.run`` begin and end rows also open and close the
+        event-loop timing.  Rows are never mutated.
         """
         now = time.perf_counter()
         last = self._last_row_t
@@ -161,8 +104,14 @@ class PerfMeter:
         if kind == "span_begin":
             name = row["name"]
             self._span_names[row["span"]] = name
+            if name == _RUN_SPAN:
+                self._run_began = now
         elif kind == "span_end":
             name = self._span_names.get(row["span"], "span_end")
+            if name == _RUN_SPAN:
+                self._wall_s += now - self._run_began
+                # The engine's count is cumulative across its loops.
+                self._events = row["attrs"]["events"]
         else:
             name = row.get("name") or str(kind)
         entry = self._by_name.get(name)
@@ -174,35 +123,21 @@ class PerfMeter:
             entry[1] += now - last
         self._rows += 1
 
-    # -- run bracket ---------------------------------------------------------
-
-    def run_begin(self) -> None:
-        """Mark the start of the event loop (called by the runner)."""
-        self._run_began = time.perf_counter()
-        self._last_row_t = self._run_began
-
-    def run_end(self, events: int) -> None:
-        """Mark the end of the event loop; record its event count."""
-        if self._run_began is not None:
-            self._wall_s += time.perf_counter() - self._run_began
-            self._run_began = None
-        self._events += int(events)
-
     # -- read-out ------------------------------------------------------------
 
     @property
     def wall_s(self) -> float:
-        """Wall seconds spent inside the event loop."""
+        """Wall seconds between the ``engine.run`` begin and end rows."""
         return self._wall_s
 
     @property
     def events(self) -> int:
-        """Engine events processed between run_begin and run_end."""
+        """Engine events processed, from the ``engine.run`` end row."""
         return self._events
 
     @property
     def rows(self) -> int:
-        """Trace rows observed by the tee."""
+        """Trace rows observed."""
         return self._rows
 
     def events_per_s(self) -> float:

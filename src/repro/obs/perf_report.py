@@ -21,12 +21,10 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Tuple
 
-from repro.experiments.runner import ExperimentResult, run_spec
+from repro.experiments.runner import ExperimentResult
 from repro.experiments.spec import ExperimentSpec
-from repro.experiments.trace_cache import shared_trace_cache
-from repro.obs.export import trace_header, trace_to_jsonl_bytes
+from repro.obs.export import run_traced
 from repro.obs.perf import PERF_SCHEMA_VERSION, PerfMeter
-from repro.obs.tracer import Tracer
 
 #: Top-level keys of a perf report (:func:`build_perf_report`).
 #: Documented in docs/performance.md (cross-checked by
@@ -48,7 +46,7 @@ def build_perf_report(
     meter: PerfMeter,
     top_k: int = 10,
 ) -> Dict[str, Any]:
-    """Fold one armed run into the :data:`PERF_REPORT_FIELDS` dict."""
+    """Fold one metered run into the :data:`PERF_REPORT_FIELDS` dict."""
     return {
         "schema": PERF_SCHEMA_VERSION,
         "content_hash": spec.content_hash(),
@@ -102,7 +100,7 @@ def render_perf_report(report: Dict[str, Any]) -> str:
 
 @dataclass
 class PerfRun:
-    """One armed run: its result, perf report, and (untouched) trace."""
+    """One metered run: its result, perf report, and (untouched) trace."""
 
     spec: ExperimentSpec
     result: ExperimentResult
@@ -111,22 +109,17 @@ class PerfRun:
 
 
 def run_perf(spec: ExperimentSpec, top_k: int = 10) -> PerfRun:
-    """Execute one spec with the perf layer armed; the ``repro perf`` core.
+    """Execute one spec with a :class:`PerfMeter` sink; the ``repro perf`` core.
 
-    Runs the paper-metric pipeline with a live tracer *and* an attached
-    :class:`PerfMeter`; the trace bytes stay identical to an unarmed
-    ``run_profiled``.
+    The meter reads the rows of an ordinary traced run, so the trace
+    bytes stay identical to ``run_profiled``'s.
 
     Example::
 
         run = run_perf(spec)
         assert run.report["content_hash"] == spec.content_hash()
     """
-    dataset = shared_trace_cache.dataset_for(spec.config.trace)
-    tracer = Tracer()
     meter = PerfMeter()
-    meter.attach(tracer)
-    result = run_spec(spec, dataset=dataset, tracer=tracer, perf=meter)
-    jsonl = trace_to_jsonl_bytes(trace_header(spec), tracer.rows())
+    result, jsonl = run_traced(spec, sink=meter.observe_row)
     report = build_perf_report(spec, result, meter, top_k=top_k)
     return PerfRun(spec=spec, result=result, report=report, jsonl=jsonl)

@@ -48,11 +48,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.experiments.runner import ExperimentResult, run_spec
+from repro.experiments.runner import ExperimentResult
 from repro.experiments.spec import ExperimentSpec
-from repro.experiments.trace_cache import shared_trace_cache
-from repro.obs.export import parse_jsonl_bytes, trace_header, trace_to_jsonl_bytes
-from repro.obs.tracer import Tracer
+from repro.obs.export import parse_jsonl_bytes, run_traced
 
 #: Bumped whenever the per-window record shape changes, mirroring the
 #: trace/spec schema-version discipline so stale series artifacts and
@@ -392,6 +390,8 @@ class TimeSeriesCollector:
             self._hops_sum += attrs.get("depth", 0)
         elif code == 15 or code == 16:  # session.begin/end: active gauge
             self._active_sessions = attrs.get("active", self._active_sessions)
+            if code == 16:  # a node out of session maintains no links
+                self._overlay_links -= self._links_by_node.pop(attrs.get("user"), 0)
         elif code == 17:  # engine.tick: scheduler gauges
             self._pending_events = attrs.get("pending", self._pending_events)
             self._events_processed = attrs.get("events", self._events_processed)
@@ -452,17 +452,12 @@ def run_with_timeseries(
         run = run_with_timeseries(spec)
         print(run.table.series("server_share"))
     """
-    tracer = Tracer(tick_every_s=window_s)
     collector = TimeSeriesCollector(
         window_s=window_s, include_faults=spec.has_faults()
     )
-    tracer.set_sink(collector.observe_row)
-    result = run_spec(
-        spec,
-        dataset=dataset or shared_trace_cache.dataset_for(spec.config.trace),
-        tracer=tracer,
+    result, jsonl = run_traced(
+        spec, dataset=dataset, sink=collector.observe_row, tick_every_s=window_s
     )
-    jsonl = trace_to_jsonl_bytes(trace_header(spec), tracer.rows())
     table = collector.finalize(content_hash=spec.content_hash())
     return TimeseriesRun(spec=spec, result=result, jsonl=jsonl, table=table)
 

@@ -25,41 +25,6 @@ from typing import Dict, List, Sequence, Tuple
 #: Section V: "Nodes probe their neighbors every 10 minutes".
 DEFAULT_PROBE_PERIOD_S = 600.0  # shard: shared-read
 
-#: Delay between a crash and the survivors' repair sweep (repro.faults).
-#: Bounded by the probe period -- a survivor's own cycle would notice
-#: the dead neighbor within DEFAULT_PROBE_PERIOD_S anyway; the default
-#: models the faster failure-triggered repair path.
-DEFAULT_REPAIR_WINDOW_S = 60.0  # shard: shared-read
-
-
-def record_repair_sweep(tracer, node: int, links: int) -> None:
-    """Emit one ``overlay.repair`` event after a crash-repair sweep.
-
-    ``links`` counts the surviving neighbors whose link tables were
-    healed (dead entry dropped, budget topped back up).  Called by the
-    experiment runner when the repair window elapses after a
-    ``churn.crash``; no-op when ``tracer`` is falsy.
-    """
-    if tracer:
-        tracer.event("overlay.repair", node=node, links=links)
-
-
-def record_link_sample(tracer, node: int, links: int, video_index: int) -> None:
-    """Emit one ``overlay.links`` gauge sample for a node's link count.
-
-    Called by the experiment runner when each watch starts, right after
-    the served request (the same moment the Fig 18 collector samples:
-    the links the node maintains while it watches its ``video_index``-th
-    video of the session), so a traced run carries the
-    raw per-node link-count series.  :mod:`repro.obs.timeseries` folds
-    these samples into the windowed ``overlay_links`` total -- the
-    maintenance-overhead-over-time view (Fig 18's trend, and the link
-    count :func:`estimate_probe_traffic` prices).  No-op when ``tracer``
-    is falsy.
-    """
-    if tracer:
-        tracer.event("overlay.links", node=node, links=links, index=video_index)
-
 
 @dataclass
 class ProbeTrafficEstimate:

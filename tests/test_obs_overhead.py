@@ -27,7 +27,7 @@ import time
 
 from repro.experiments.config import SimulationConfig
 from repro.experiments.spec import ExperimentSpec
-from repro.obs.export import run_traced
+from repro.obs.export import parse_jsonl_bytes, run_traced
 from repro.obs.tracer import NULL_TRACER
 
 
@@ -95,8 +95,8 @@ def test_disabled_tracer_overhead_under_two_percent():
     untraced_s = min(timings)
 
     # How many hook invocations of each shape does the run perform?
-    _result, tracer = run_traced(spec)
-    rows = tracer.rows()
+    _result, payload = run_traced(spec)
+    rows = parse_jsonl_bytes(payload)[1:]  # the header is no hook call
     n_rows = len(rows)
     n_span_rows = sum(1 for row in rows if row["kind"] == "span_begin")
 

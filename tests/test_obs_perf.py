@@ -1,14 +1,13 @@
-"""The wall-clock perf layer: hash-neutral, inert-by-default, stable schema.
+"""The wall-clock perf layer: a hash-neutral row sink, stable schema.
 
 Four guarantees pinned here:
 
-1. **Byte parity** -- arming a :class:`~repro.obs.perf.PerfMeter`
+1. **Byte parity** -- a :class:`~repro.obs.perf.PerfMeter` sink
    changes no canonical byte: trace JSONL and metric rows are
-   identical armed vs unarmed.
-2. **Inert-path cost** -- the disabled ``if perf:`` guard stays under
-   2% of run wall-clock, established constructively like
-   ``tests/test_obs_overhead.py`` (per-guard cost measured in
-   isolation x guards per event), not by noisy A/B run deltas.
+   identical with the meter installed and without it.
+2. **Row-fed timing** -- the meter's event-loop wall time and event
+   count come from the ``engine.run`` span rows; the runner has no
+   perf hook at all.
 3. **Report schema stability** -- the sidecar report's top-level keys
    are exactly ``PERF_REPORT_FIELDS`` at ``PERF_SCHEMA_VERSION`` and
    its non-timing fields are deterministic.
@@ -18,21 +17,19 @@ Four guarantees pinned here:
    including ``perf_report.py``.
 """
 
-import time
+import inspect
 
 from repro.experiments.config import SimulationConfig
-from repro.experiments.runner import run_spec
+from repro.experiments.runner import ExperimentRunner, run_spec
 from repro.experiments.spec import ExperimentSpec
-from repro.experiments.trace_cache import shared_trace_cache
 from repro.lint import lint_source
-from repro.obs.export import trace_header, trace_to_jsonl_bytes
-from repro.obs.perf import NULL_PERF, PERF_SCHEMA_VERSION, PerfMeter
+from repro.obs.export import run_traced
+from repro.obs.perf import PERF_SCHEMA_VERSION, PerfMeter
 from repro.obs.perf_report import (
     PERF_REPORT_FIELDS,
     perf_report_to_json_bytes,
     run_perf,
 )
-from repro.obs.tracer import Tracer
 
 
 def _spec() -> ExperimentSpec:
@@ -41,77 +38,60 @@ def _spec() -> ExperimentSpec:
     )
 
 
-def _trace_bytes(spec: ExperimentSpec, perf=None) -> bytes:
-    dataset = shared_trace_cache.dataset_for(spec.config.trace)
-    tracer = Tracer()
-    if perf is not None:
-        perf.attach(tracer)
-    run_spec(spec, dataset=dataset, tracer=tracer, perf=perf)
-    return trace_to_jsonl_bytes(trace_header(spec), tracer.rows())
-
-
 class TestByteParity:
     def test_serial_trace_bytes_identical_armed_vs_unarmed(self):
         spec = _spec()
-        unarmed = _trace_bytes(spec)
-        armed = _trace_bytes(spec, perf=PerfMeter())
+        _result, unarmed = run_traced(spec)
+        _result, armed = run_traced(spec, sink=PerfMeter().observe_row)
         assert armed == unarmed
 
     def test_metric_rows_identical_armed_vs_unarmed(self):
         spec = _spec()
-        dataset = shared_trace_cache.dataset_for(spec.config.trace)
-        unarmed = run_spec(spec, dataset=dataset)
-        armed = run_spec(spec, dataset=dataset, perf=PerfMeter())
+        unarmed, _jsonl = run_traced(spec)
+        armed, _jsonl = run_traced(spec, sink=PerfMeter().observe_row)
         assert armed.render_rows() == unarmed.render_rows()
 
 
-class TestInertOverhead:
+class TestRowFedTiming:
     @staticmethod
-    def _time_empty_loop(n: int) -> float:
-        start = time.perf_counter()
-        for _ in range(n):
-            pass
-        return time.perf_counter() - start
+    def _feed(meter, rows):
+        for row in rows:
+            meter.observe_row(row)
 
-    @staticmethod
-    def _time_guard_checks(n: int) -> float:
-        perf = NULL_PERF
-        start = time.perf_counter()
-        for _ in range(n):
-            if perf:
-                perf.run_begin()
-        return time.perf_counter() - start
+    def test_engine_run_rows_time_the_loop(self):
+        meter = PerfMeter()
+        self._feed(meter, [
+            {"t": 0.0, "kind": "span_begin", "name": "engine.run", "span": 0},
+            {"t": 1.0, "kind": "event", "name": "churn.join", "parent": 0},
+            {"t": 2.0, "kind": "span_begin", "name": "request.serve",
+             "span": 1, "parent": 0},
+            {"t": 2.0, "kind": "span_end", "span": 1, "dur": 0.0},
+            {"t": 9.0, "kind": "span_end", "span": 0, "dur": 9.0,
+             "attrs": {"events": 42}},
+        ])
+        assert meter.wall_s > 0
+        assert meter.events == 42
+        assert meter.events_per_s() > 0
+        assert meter.rows == 5
+        rows_by_name = {h["name"]: h["rows"] for h in meter.hotspots(10)}
+        assert rows_by_name == {
+            "engine.run": 2, "churn.join": 1, "request.serve": 2,
+        }
 
-    def test_null_perf_is_falsy_and_noop(self):
-        assert not NULL_PERF
-        NULL_PERF.run_begin()
-        NULL_PERF.run_end(0)
+    def test_stream_without_engine_run_reads_zero(self):
+        meter = PerfMeter()
+        self._feed(meter, [
+            {"t": 0.0, "kind": "event", "name": "churn.join"},
+            {"t": 1.0, "kind": "event", "name": "churn.leave"},
+        ])
+        assert meter.events == 0
+        assert meter.wall_s == 0.0
+        assert meter.events_per_s() == 0.0
+        assert meter.rows == 2
 
-    def test_disabled_guard_under_two_percent_of_run(self):
-        spec = _spec()
-        timings = []
-        for _ in range(3):
-            start = time.perf_counter()
-            result = run_spec(spec)
-            timings.append(time.perf_counter() - start)
-        base_s = min(timings)
-        events = result.events_processed
-
-        batch = 200_000
-        loop_s = min(self._time_empty_loop(batch) for _ in range(3)) / batch
-        guard_s = max(
-            0.0,
-            min(self._time_guard_checks(batch) for _ in range(3)) / batch
-            - loop_s,
-        )
-        # Two guards per processed event: a conservative over-count,
-        # since the engine has only run-level ``if perf:`` guards.
-        projected_s = 2 * events * guard_s
-        assert projected_s < 0.02 * base_s, (
-            f"disabled perf guards would add {projected_s:.4f}s over "
-            f"{events} events to a {base_s:.4f}s run "
-            f"({100 * projected_s / base_s:.2f}% > 2%)"
-        )
+    def test_runner_has_no_perf_hook(self):
+        assert "perf" not in inspect.signature(run_spec).parameters
+        assert "perf" not in inspect.signature(ExperimentRunner).parameters
 
 
 class TestReportSchema:

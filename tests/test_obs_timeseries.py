@@ -20,6 +20,7 @@ from repro.experiments.config import SimulationConfig
 from repro.experiments.parallel import run_sweep
 from repro.experiments.runner import run_spec
 from repro.experiments.spec import ExperimentSpec
+from repro.faults.plan import FaultPlan
 from repro.obs.timeseries import (
     DEFAULT_WINDOW_S,
     TimeSeriesCollector,
@@ -171,6 +172,38 @@ def test_overlay_links_gauge_folds_deltas():
     collector.observe_row(_event(12.0, "overlay.links", node=1, links=2))
     table = collector.finalize()
     assert table.series("overlay_links") == [7, 5]
+
+
+def test_overlay_links_gauge_drops_departed_nodes():
+    """A session.end takes the leaving node's last sample off the total;
+    its next session starts from nothing."""
+    collector = TimeSeriesCollector(window_s=10.0)
+    collector.observe_row(_event(1.0, "overlay.links", node=1, links=4))
+    collector.observe_row(_event(2.0, "overlay.links", node=2, links=3))
+    collector.observe_row(_event(12.0, "session.end", user=1, active=1))
+    collector.observe_row(_event(13.0, "session.end", user=7, active=1))
+    collector.observe_row(_event(22.0, "overlay.links", node=1, links=5))
+    collector.observe_row(_event(23.0, "session.end", user=2, active=0))
+    table = collector.finalize()
+    assert table.series("overlay_links") == [7, 3, 5]
+
+
+@pytest.mark.parametrize(
+    "faults", [None, FaultPlan.demo()], ids=["no_faults", "demo_faults"]
+)
+def test_overlay_links_zero_once_everyone_left(spec, faults):
+    """Fig 18's trend over time: no session, no maintained links.
+    Crashed nodes leave through session.end too."""
+    if faults is not None:
+        spec = spec.with_faults(faults)
+    run = run_with_timeseries(spec, window_s=DEFAULT_WINDOW_S)
+    idle = [
+        record for record in run.table.windows if record["active_sessions"] == 0
+    ]
+    assert idle, "the run never drains"
+    assert all(record["overlay_links"] == 0 for record in idle)
+    replayed = series_from_trace(run.jsonl, window_s=DEFAULT_WINDOW_S)
+    assert replayed.to_canonical_json() == run.table.to_canonical_json()
 
 
 def test_cluster_request_accounting():
