@@ -98,7 +98,7 @@ def main() -> int:
         "determinism": (
             "the timed path is the canonical run_spec fast path; the perf "
             "meter is a trace sink that changes no byte (asserted in "
-            "tests/test_obs_perf.py and the CI perf-smoke job)"
+            "tests/test_obs_perf.py)"
         ),
         "note": (
             "throughput_events_per_s.nodes_1000 is the headline "

@@ -56,29 +56,43 @@ def best_of(
     return best, value
 
 
-def best_of_each(
+def rounds_of_each(
     fns: Sequence[Callable[[], Any]], repeats: int = 3
-) -> List[Tuple[float, Any]]:
-    """Round-robin :func:`best_of` across several configurations.
+) -> Tuple[List[List[float]], List[Any]]:
+    """Time several configurations round-robin, keeping every round.
 
     Runs one round of every ``fn`` before the next repeat instead of
     exhausting each configuration's repeats in a block, so slow host
     drift (frequency ramp-up, cache warm-up, a neighbour container
     waking) hits every configuration equally rather than biasing
-    whichever block ran first.  This is the policy for A/B overhead
-    comparisons (``no_faults`` vs ``hooks_armed``, ``untraced`` vs
-    ``traced``), where the quantity under a bar is a *difference* of
-    timings and block ordering alone can exceed the bar.  Returns one
-    ``(best seconds, last value)`` pair per ``fn``, in order.
+    whichever block ran first.  Round ``r`` of one configuration and
+    round ``r`` of another ran back to back, which makes them a pair
+    for a paired difference.  Returns one list of per-round seconds
+    per ``fn``, in order, and each ``fn``'s last return value.
     """
-    bests = [float("inf")] * len(fns)
+    times: List[List[float]] = [[] for _ in fns]
     values: List[Any] = [None] * len(fns)
     for _ in range(repeats):
         for i, fn in enumerate(fns):
             t0 = time.perf_counter()
             values[i] = fn()
-            bests[i] = min(bests[i], time.perf_counter() - t0)
-    return list(zip(bests, values))
+            times[i].append(time.perf_counter() - t0)
+    return times, values
+
+
+def best_of_each(
+    fns: Sequence[Callable[[], Any]], repeats: int = 3
+) -> List[Tuple[float, Any]]:
+    """Round-robin :func:`best_of` across several configurations.
+
+    The policy for A/B overhead comparisons (``untraced`` vs
+    ``traced``), where the quantity under a bar is a *difference* of
+    timings and block ordering alone can exceed the bar; see
+    :func:`rounds_of_each`.  Returns one ``(best seconds, last value)``
+    pair per ``fn``, in order.
+    """
+    times, values = rounds_of_each(fns, repeats)
+    return [(min(rounds), value) for rounds, value in zip(times, values)]
 
 
 def envelope(benchmark: str, command: str) -> Dict[str, Any]:

@@ -7,9 +7,9 @@ Commands
 ``figures``    regenerate the Section V figures (15-18 + Table I)
 ``planetlab``  run the emulated PlanetLab testbed comparison
 ``lint``       determinism/invariant static analysis over the source tree
-``profile``    run one protocol under the tracer; write a JSONL trace
-               and print the profile summary (see docs/tracing.md)
-``perf``       wall-clock perf report for one protocol: throughput, hotspots
+``profile``    run one protocol under the tracer; write the JSONL trace
+               and the profile report, and print per-name counts,
+               simulated and wall time (see docs/performance.md)
 ``dashboard``  render the self-contained HTML time-series dashboard
                for one protocol or a protocol comparison
 ``regress``    compare fresh runs against the committed baselines
@@ -80,14 +80,14 @@ def _positive_float(text: str) -> float:
 def _run_flags_parent() -> argparse.ArgumentParser:
     """The shared flag surface of every run-executing subcommand.
 
-    ``compare``, ``figures``, ``profile``, ``perf``, ``chaos``,
-    ``dashboard`` and ``regress`` all attach this parent, so
+    ``compare``, ``figures``, ``profile``, ``chaos``, ``dashboard`` and
+    ``regress`` all attach this parent, so
     ``--seed/--seeds/--jobs`` carry the same spelling, help
     text and validation everywhere instead of drifting per-subcommand
     copies.  ``--seed`` defaults to ``argparse.SUPPRESS`` so a
     subcommand-position ``--seed`` overrides the top-level one without
     clobbering its default when absent.  The single-run commands
-    (``profile``, ``perf``, ``chaos <protocol>``) reject ``--jobs`` other
+    (``profile``, ``chaos <protocol>``) reject ``--jobs`` other
     than 1 through :func:`_reject_jobs`.
     """
     parent = argparse.ArgumentParser(add_help=False)
@@ -245,6 +245,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
     from repro.experiments.spec import ExperimentSpec
     from repro.obs.export import (
+        profile_filename,
+        profile_report_to_json_bytes,
         render_profile,
         run_profiled,
         trace_filename,
@@ -261,46 +263,15 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     spec = ExperimentSpec(
         protocol=args.protocol, config=config, environment=args.environment
     )
-    profiled = run_profiled(spec)
-    path = os.path.join(args.outdir, trace_filename(spec))
-    write_trace(path, profiled.jsonl)
-    print(render_profile(profiled.summary))
-    print(f"trace: {path} ({len(profiled.jsonl)} bytes)")
-    return 0
-
-
-def _cmd_perf(args: argparse.Namespace) -> int:
-    import os
-
-    from repro.experiments.spec import ExperimentSpec
-    from repro.obs.export import trace_filename, write_trace
-    from repro.obs.perf_report import (
-        perf_filename,
-        perf_report_to_json_bytes,
-        render_perf_report,
-        run_perf,
+    _result, jsonl, report = run_profiled(spec)
+    trace_path = write_trace(os.path.join(args.outdir, trace_filename(spec)), jsonl)
+    payload = profile_report_to_json_bytes(report)
+    report_path = write_trace(
+        os.path.join(args.outdir, profile_filename(spec)), payload
     )
-
-    _reject_jobs(args, "perf")
-    seed = _single_seed(args, "perf")
-    config = (
-        SimulationConfig.default_scale(seed=seed)
-        if args.full
-        else SimulationConfig.smoke_scale(seed=seed)
-    )
-    spec = ExperimentSpec(
-        protocol=args.protocol, config=config, environment=args.environment
-    )
-    run = run_perf(spec, top_k=args.top)
-    payload = perf_report_to_json_bytes(run.report)
-    path = write_trace(os.path.join(args.outdir, perf_filename(spec)), payload)
-    print(render_perf_report(run.report))
-    if args.trace_out:
-        trace_path = write_trace(
-            os.path.join(args.trace_out, trace_filename(spec)), run.jsonl
-        )
-        print(f"trace: {trace_path} ({len(run.jsonl)} bytes)")
-    print(f"perf report: {path} ({len(payload)} bytes)")
+    print(render_profile(report))
+    print(f"trace: {trace_path} ({len(jsonl)} bytes)")
+    print(f"profile report: {report_path} ({len(payload)} bytes)")
     return 0
 
 
@@ -474,7 +445,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_lint.set_defaults(func=_cmd_lint)
 
     p_profile = sub.add_parser(
-        "profile", help="traced run: JSONL trace + profile summary",
+        "profile",
+        help="traced run: JSONL trace + profile report (counts, sim and wall time)",
         parents=[run_flags],
     )
     p_profile.add_argument(
@@ -489,37 +461,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="profile at the paper's full scale (default: smoke scale)",
     )
     p_profile.add_argument(
-        "--outdir", default="traces_out", help="directory for the JSONL trace"
+        "--outdir", default="traces_out",
+        help="directory for the JSONL trace and the JSON profile report",
     )
     p_profile.set_defaults(func=_cmd_profile)
-
-    p_perf = sub.add_parser(
-        "perf", help="wall-clock perf report: throughput and hotspots",
-        parents=[run_flags],
-    )
-    p_perf.add_argument(
-        "protocol", choices=("socialtube", "nettube", "pavod"),
-        help="protocol stack to measure",
-    )
-    p_perf.add_argument(
-        "--environment", default="peersim", help="named environment (see config)"
-    )
-    p_perf.add_argument(
-        "--full", action="store_true",
-        help="measure at the paper's full scale (default: smoke scale)",
-    )
-    p_perf.add_argument(
-        "--outdir", default="perf_out", help="directory for the JSON perf report"
-    )
-    p_perf.add_argument(
-        "--trace-out", default=None, metavar="DIR",
-        help="also write the run's canonical trace JSONL (byte-identical "
-        "to 'repro profile' output; the perf-smoke CI job diffs them)",
-    )
-    p_perf.add_argument(
-        "--top", type=_positive_int, default=10, help="hotspot table size (default 10)"
-    )
-    p_perf.set_defaults(func=_cmd_perf)
 
     p_dash = sub.add_parser(
         "dashboard", help="self-contained HTML time-series dashboard",

@@ -515,7 +515,7 @@ def run_spec(
     ``tracer`` (a :class:`repro.obs.tracer.Tracer`) records the run as
     a deterministic trace; the default NULL_TRACER keeps every hook a
     no-op.  See :mod:`repro.obs.export` for turning a traced run into
-    JSONL + a profile summary, and :mod:`repro.obs.perf_report` for
-    wall-clock telemetry read off the same rows.
+    JSONL plus a profile report, whose counts, simulated time and wall
+    time a :class:`repro.obs.perf.PerfMeter` sink reads off the rows.
     """
     return ExperimentRunner(spec, dataset=dataset, tracer=tracer).run()

@@ -117,9 +117,8 @@ def _is_protocol_registry(path: str) -> bool:
 def _owns_wall_clock(path: str) -> bool:
     """The sanctioned wall-clock namespace: ``repro.obs.perf`` only.
 
-    Everything else in the tree -- including ``obs/perf_report.py`` --
-    obtains wall time through a perf object, so the exemption stays as
-    narrow as the ``sim/rng.py`` RNG carve-out it mirrors.
+    Nothing else in the tree reads the wall clock, so the exemption
+    stays as narrow as the ``sim/rng.py`` RNG carve-out it mirrors.
     """
     normalized = path.replace(os.sep, "/")
     return normalized.endswith("obs/perf.py")

@@ -220,9 +220,12 @@ class MetricsCollector:
         self._peer_chunks: Dict[int, int] = defaultdict(int)
         self._server_chunks: Dict[int, int] = defaultdict(int)
         self._cache_chunks: Dict[int, int] = defaultdict(int)
-        self._overhead: Dict[int, List[int]] = defaultdict(list)
-        self._hops: List[int] = []
-        self._contacted: List[int] = []
+        #: video index -> [links total, samples]; integer sums stay
+        #: exact, so their mean equals the mean of the samples.
+        self._overhead: Dict[int, List[int]] = {}
+        #: Totals over every request; ``requests`` is their count.
+        self._hops = 0
+        self._contacted = 0
         self.requests = 0
         self.server_fallbacks = 0
         self.cache_hits = 0
@@ -261,8 +264,8 @@ class MetricsCollector:
             self.cache_hits += 1
         if prefetch_hit:
             self.prefetch_hits += 1
-        self._hops.append(hops)
-        self._contacted.append(peers_contacted)
+        self._hops += hops
+        self._contacted += peers_contacted
 
     def record_chunks(self, user_id: int, source: ChunkSource, count: int) -> None:
         if count < 0:
@@ -275,7 +278,12 @@ class MetricsCollector:
             self._server_chunks[user_id] += count
 
     def record_overhead(self, user_id: int, video_index: int, links: int) -> None:
-        self._overhead[video_index].append(links)
+        entry = self._overhead.get(video_index)
+        if entry is None:
+            self._overhead[video_index] = [links, 1]
+        else:
+            entry[0] += links
+            entry[1] += 1
 
     def record_count(self, name: str, n: int = 1) -> None:
         """Add ``n`` to the fault counter ``name`` (one of :data:`COUNTERS`)."""
@@ -349,8 +357,8 @@ class MetricsCollector:
         delays = self._startup_delays_ms
         bandwidth = self.node_peer_bandwidth() or [0.0]
         overhead = {
-            idx: mean([float(v) for v in values])
-            for idx, values in self._overhead.items()
+            idx: float(total) / count
+            for idx, (total, count) in self._overhead.items()
         }
         continuity = self._continuity or [1.0]
         stall_ms = self._stall_ms or [0.0]
@@ -377,8 +385,8 @@ class MetricsCollector:
             server_fallback_fraction=self.server_fallbacks / self.requests,
             cache_hit_fraction=self.cache_hits / self.requests,
             prefetch_hit_fraction=self.prefetch_hits / self.requests,
-            mean_search_hops=mean([float(h) for h in self._hops]),
-            mean_peers_contacted=mean([float(c) for c in self._contacted]),
+            mean_search_hops=float(self._hops) / self.requests,
+            mean_peers_contacted=float(self._contacted) / self.requests,
             failover_latency_ms_mean=(
                 mean(self._failover_latencies_ms)
                 if self._failover_latencies_ms

@@ -3,22 +3,20 @@
 * :mod:`repro.obs.tracer` -- the span/event API with
   sim-clock timestamps and a zero-cost :data:`NULL_TRACER` no-op mode.
 * :mod:`repro.obs.export` -- canonical JSONL trace export keyed by
-  ``ExperimentSpec.content_hash`` plus the profile summary behind
+  ``ExperimentSpec.content_hash`` plus the profile report behind
   ``python -m repro profile``.
-* :mod:`repro.obs.perf` -- the sanctioned wall-clock telemetry layer:
-  :class:`PerfMeter`, a hash-neutral trace-row sink, and
-  :mod:`repro.obs.perf_report` -- the sidecar perf report behind
-  ``python -m repro perf``.
+* :mod:`repro.obs.perf` -- the sanctioned wall-clock layer:
+  :class:`PerfMeter`, the hash-neutral trace-row sink that folds the
+  profile's counts, simulated time and wall time.
 
 This ``__init__`` deliberately re-exports only the leaf primitives:
-:mod:`repro.obs.export` and :mod:`repro.obs.perf_report` pull in the
-experiment runner, and the substrates (``sim.engine`` et al.) import
-the tracer layer, so importing the report layers here would create a
-cycle.  Import them explicitly::
+:mod:`repro.obs.export` pulls in the experiment runner, and the
+substrates (``sim.engine`` et al.) import the tracer layer, so
+importing the report layer here would create a cycle.  Import it
+explicitly::
 
     from repro.obs import Tracer, NULL_TRACER, PerfMeter
     from repro.obs.export import run_profiled
-    from repro.obs.perf_report import run_perf
 """
 
 from repro.obs.perf import PERF_SCHEMA_VERSION, PerfMeter

@@ -1,4 +1,4 @@
-"""Canonical JSONL trace export and the profile summary.
+"""Canonical JSONL trace export and the profile report.
 
 A trace artifact is a JSON-Lines file: one header row identifying the
 run (schema version, :meth:`ExperimentSpec.content_hash`, protocol,
@@ -9,29 +9,29 @@ of its spec: running the same spec twice, in-process or in a worker of
 :func:`repro.experiments.parallel.run_sweep`, produces byte-identical
 files (tested by ``tests/test_obs_determinism.py``).
 
-The profile summary folds a trace into the table behind
-``python -m repro profile``: simulated time per span name
-("time-in-phase"), row counts by name ("events-by-type"), per-node
-and per-node hotspots.
+The profile report is what ``python -m repro profile`` writes beside
+the trace: a :class:`repro.obs.perf.PerfMeter` sink folds the live rows
+into a count, inclusive simulated seconds and wall seconds per row
+name, the busiest nodes, and the event-loop throughput.
 
 Example::
 
-    from repro.obs.export import run_profiled, render_profile
+    from repro.obs.export import render_profile, run_profiled
 
-    profiled = run_profiled(spec)
-    open(path, "wb").write(profiled.jsonl)
-    print(render_profile(profiled.summary))
+    result, jsonl, report = run_profiled(spec)
+    open(path, "wb").write(jsonl)
+    print(render_profile(report))
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.experiments.runner import ExperimentResult, run_spec
 from repro.experiments.spec import ExperimentSpec
+from repro.obs.perf import PERF_SCHEMA_VERSION, PerfMeter
 from repro.obs.tracer import TRACE_SCHEMA_VERSION, Tracer
 
 
@@ -94,111 +94,7 @@ def trace_filename(spec: ExperimentSpec) -> str:
 
 
 # ---------------------------------------------------------------------------
-# profile summary
-
-
-@dataclass
-class PhaseStat:
-    """Aggregate of one span name: how often, how much simulated time."""
-
-    name: str
-    count: int = 0
-    total_sim_s: float = 0.0
-
-
-@dataclass
-class ProfileSummary:
-    """The folded view of one trace: phases, event counts, hotspots.
-
-    ``phases`` maps span name to :class:`PhaseStat` (time is
-    *inclusive* simulated time: a parent span's total contains its
-    children).  ``events_by_type`` counts every named row.
-    ``node_hotspots`` ranks nodes by how many rows carry their
-    ``node`` attribute -- the per-node instrumentation cost/activity
-    view.
-    """
-
-    phases: Dict[str, PhaseStat] = field(default_factory=dict)
-    events_by_type: Dict[str, int] = field(default_factory=dict)
-    node_hotspots: List[Tuple[int, int]] = field(default_factory=list)
-    total_rows: int = 0
-
-    @classmethod
-    def from_rows(cls, rows: List[Dict[str, Any]], top_nodes: int = 10) -> "ProfileSummary":
-        """Fold parsed trace rows (header tolerated) into a summary.
-
-        Example::
-
-            summary = ProfileSummary.from_rows(parse_jsonl_bytes(payload))
-            print(summary.phases["engine.run"].total_sim_s)
-        """
-        summary = cls()
-        span_names: Dict[int, str] = {}
-        node_rows: Dict[int, int] = {}
-        for row in rows:
-            kind = row.get("kind")
-            if kind in ("header",):
-                continue
-            summary.total_rows += 1
-            name = row.get("name")
-            if kind == "span_begin":
-                span_names[row["span"]] = name
-                stat = summary.phases.setdefault(name, PhaseStat(name=name))
-                stat.count += 1
-            elif kind == "span_end":
-                name = span_names.get(row["span"])
-                if name is not None:
-                    summary.phases[name].total_sim_s += row.get("dur", 0.0)
-                continue  # span_end rows carry no name; counted at begin
-            if name is not None:
-                summary.events_by_type[name] = summary.events_by_type.get(name, 0) + 1
-            node = row.get("attrs", {}).get("node")
-            if isinstance(node, int):
-                node_rows[node] = node_rows.get(node, 0) + 1
-        ranked = sorted(node_rows.items(), key=lambda item: (-item[1], item[0]))
-        summary.node_hotspots = ranked[:top_nodes]
-        return summary
-
-
-def render_profile(summary: ProfileSummary) -> str:
-    """The ``python -m repro profile`` summary table as text.
-
-    Three sections: time-in-phase (span names sorted by inclusive
-    simulated time), events-by-type (row counts), and the busiest
-    nodes.  Output is deterministic: ties break on name/id.
-    """
-    lines: List[str] = []
-    lines.append("time in phase (inclusive sim seconds)")
-    phases = sorted(
-        summary.phases.values(), key=lambda s: (-s.total_sim_s, s.name)
-    )
-    for stat in phases:
-        lines.append(
-            f"  {stat.name:<24} {stat.count:>8} spans  {stat.total_sim_s:>14.3f} s"
-        )
-    lines.append("events by type")
-    for name in sorted(summary.events_by_type):
-        lines.append(f"  {name:<24} {summary.events_by_type[name]:>8} rows")
-    if summary.node_hotspots:
-        lines.append("busiest nodes (trace rows)")
-        for node, count in summary.node_hotspots:
-            lines.append(f"  node {node:<19} {count:>8} rows")
-    lines.append(f"{summary.total_rows} trace rows")
-    return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
 # traced / profiled execution
-
-
-@dataclass
-class ProfiledRun:
-    """One traced experiment: its result, trace bytes, and summary."""
-
-    spec: ExperimentSpec
-    result: ExperimentResult
-    jsonl: bytes
-    summary: ProfileSummary
 
 
 def run_traced(
@@ -228,18 +124,105 @@ def run_traced(
     return result, trace_to_jsonl_bytes(trace_header(spec), tracer.rows())
 
 
-def run_profiled(spec: ExperimentSpec) -> ProfiledRun:
-    """Trace one spec in-process and fold the trace into a profile summary.
+def run_profiled(
+    spec: ExperimentSpec,
+) -> Tuple[ExperimentResult, bytes, Dict[str, Any]]:
+    """Trace one spec with a :class:`PerfMeter` sink; the ``repro profile`` core.
+
+    Returns the result, the trace JSONL and the profile report
+    (:func:`build_profile_report`).  The meter only reads rows, so the
+    trace bytes equal :func:`run_traced`'s.
 
     Example::
 
-        profiled = run_profiled(spec)
-        print(render_profile(profiled.summary))
+        result, jsonl, report = run_profiled(spec)
+        print(render_profile(report))
     """
-    result, payload = run_traced(spec)
-    return ProfiledRun(
-        spec=spec,
-        result=result,
-        jsonl=payload,
-        summary=ProfileSummary.from_rows(parse_jsonl_bytes(payload)),
-    )
+    meter = PerfMeter()
+    result, jsonl = run_traced(spec, sink=meter.observe_row)
+    return result, jsonl, build_profile_report(spec, result, meter)
+
+
+# ---------------------------------------------------------------------------
+# profile report
+
+#: Top-level keys of a profile report (:func:`build_profile_report`).
+#: Documented in docs/performance.md (cross-checked by
+#: tools/check_docs.py).
+PERF_REPORT_FIELDS: Tuple[str, ...] = (
+    "schema",
+    "content_hash",
+    "protocol",
+    "environment",
+    "seed",
+    "engine",
+    "names",
+    "busiest_nodes",
+)
+
+
+def build_profile_report(
+    spec: ExperimentSpec, result: ExperimentResult, meter: PerfMeter
+) -> Dict[str, Any]:
+    """Fold one metered run into the :data:`PERF_REPORT_FIELDS` dict."""
+    return {
+        "schema": PERF_SCHEMA_VERSION,
+        "content_hash": spec.content_hash(),
+        "protocol": spec.protocol,
+        "environment": spec.environment,
+        "seed": spec.seed,
+        "engine": {
+            "wall_s": meter.wall_s,
+            "events": meter.events,
+            "events_per_s": meter.events_per_s(),
+            "rows": meter.rows,
+            "rows_per_s": meter.rows_per_s(),
+            "sim_duration_s": result.sim_duration_s,
+        },
+        "names": meter.by_name(),
+        "busiest_nodes": [
+            {"node": node, "rows": rows} for node, rows in meter.busiest_nodes()
+        ],
+    }
+
+
+def profile_report_to_json_bytes(report: Dict[str, Any]) -> bytes:
+    """Serialize one report to canonical JSON bytes (sorted keys)."""
+    return (
+        json.dumps(report, sort_keys=True, indent=2, default=str) + "\n"
+    ).encode("utf-8")
+
+
+def profile_filename(spec: ExperimentSpec) -> str:
+    """Report name keyed by the spec's identity: protocol + hash prefix."""
+    return f"perf_{spec.protocol}_{spec.content_hash()[:16]}.json"
+
+
+def render_profile(report: Dict[str, Any]) -> str:
+    """The ``python -m repro profile`` table as text.
+
+    The throughput line, then every row name in name order with its
+    count, inclusive simulated seconds, wall seconds and wall share,
+    then the busiest nodes by trace rows.
+    """
+    engine = report["engine"]
+    lines: List[str] = [
+        f"profile (schema {report['schema']}) -- "
+        f"{report['protocol']} / {report['environment']} / "
+        f"seed {report['seed']} / {report['content_hash'][:16]}",
+        f"  engine: {engine['events']} events in {engine['wall_s']:.2f} s "
+        f"wall ({engine['events_per_s']:.0f} events/s, "
+        f"{engine['rows']} rows, {engine['rows_per_s']:.0f} rows/s, "
+        f"{engine['sim_duration_s'] / 3600.0:.1f} sim hours)",
+        f"  {'name':<24} {'count':>8} {'sim s':>14} {'wall s':>9} {'share':>6}",
+    ]
+    for entry in report["names"]:
+        lines.append(
+            f"  {entry['name']:<24} {entry['count']:>8} {entry['sim_s']:>14.3f} "
+            f"{entry['wall_s']:>9.3f} {100.0 * entry['share']:>5.1f}%"
+        )
+    if report["busiest_nodes"]:
+        lines.append("busiest nodes (trace rows)")
+        for entry in report["busiest_nodes"]:
+            lines.append(f"  node {entry['node']:<19} {entry['rows']:>8} rows")
+    return "\n".join(lines)

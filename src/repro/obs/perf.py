@@ -1,58 +1,65 @@
-"""Wall-clock performance telemetry: a trace-row sink beside the run.
+"""The profile sink: row counts, simulated time and wall time per name.
 
 Every other observability layer in this tree is deliberately
 sim-clock-only -- traces, time-series, metrics are pure functions of
 the :class:`repro.experiments.spec.ExperimentSpec` and byte-identical
 across machines.  This module is the one sanctioned home of the *other*
-clock: it measures where **wall** time goes (events/s, per-phase
-hotspots) so the ROADMAP's "make the engine fast" work has numbers to
-aim at.
+clock: it measures where **wall** time goes (events/s, per-name
+attribution) so the ROADMAP's "make the engine fast" work has numbers
+to aim at, and folds the deterministic columns (counts, inclusive
+simulated seconds, busiest nodes) from the same rows.
 
 Two rules keep the determinism story intact:
 
 1. **Hash-neutral by construction.**  A :class:`PerfMeter` only reads
    the rows a tracer was already emitting, and its readings live only
-   in the sidecar perf report (:mod:`repro.obs.perf_report`), keyed by
-   the spec's ``content_hash`` -- never in canonical rows, traces, or
-   hashes.  Installing a meter as the tracer's sink must not change a
-   single byte of canonical output (``tests/test_obs_perf.py`` diffs
-   it).  The runner knows nothing of it: a run without a meter pays
-   nothing for this module.
+   in the sidecar profile report (:func:`repro.obs.export.run_profiled`),
+   keyed by the spec's ``content_hash`` -- never in canonical rows,
+   traces, or hashes.  Installing a meter as the tracer's sink must not
+   change a single byte of canonical output (``tests/test_obs_perf.py``
+   diffs it).  The runner knows nothing of it: a run without a meter
+   pays nothing for this module.
 2. **Lint-sanctioned namespace.**  The ``wall-clock`` analyzer rule
    bans ``time.perf_counter`` and friends everywhere *except* this
-   module (mirroring how ``faults.*`` owns its RNG namespace); other
-   modules obtain wall time only through :meth:`PerfMeter.clock`.
+   module, mirroring how ``sim/rng.py`` owns the ``random`` module.
 
 Example::
 
     meter = PerfMeter()
     result, jsonl = run_traced(spec, sink=meter.observe_row)
-    print(meter.events_per_s(), meter.hotspots(5))
+    print(meter.events_per_s(), meter.by_name(), meter.busiest_nodes())
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
-#: Bumped whenever the perf-report shape changes, mirroring the trace
-#: schema discipline so stale perf artifacts can never be misread.
-PERF_SCHEMA_VERSION = 3
+#: Bumped whenever the profile-report shape changes, mirroring the
+#: trace schema discipline so stale reports can never be misread.
+PERF_SCHEMA_VERSION = 4
+
+#: How many nodes :meth:`PerfMeter.busiest_nodes` ranks.
+TOP_NODES = 10
 
 #: The engine's event-loop span; its end row carries ``events``.
 _RUN_SPAN = "engine.run"
 
 
 class PerfMeter:
-    """Wall-clock meter fed by trace rows: throughput plus hotspots.
+    """Profile sink fed by trace rows: per-name and per-node folds.
 
     Install :meth:`observe_row` as a :class:`repro.obs.tracer.Tracer`
-    sink.  Each row is charged the wall-clock delta since the previous
-    row, under its span/event name -- sampling attribution at the
-    trace's own span boundaries, so the sim-clock trace itself is
-    untouched.  The ``engine.run`` span's begin and end rows bracket
-    the event loop for the headline events/s number; the end row's
-    ``events`` attribute is the engine's event count.
+    sink.  Each row name gets a count (one per event row, one per span
+    at its ``span_begin``), inclusive simulated seconds (each
+    ``span_end``'s ``dur``, a parent's total containing its children's)
+    and wall seconds: each row is charged the wall-clock delta since the
+    previous row -- sampling attribution at the trace's own span
+    boundaries, so the sim-clock trace itself is untouched.  Event and
+    ``span_begin`` rows carrying an integer ``node`` attribute count
+    toward that node.  The ``engine.run`` span's begin and end rows
+    bracket the event loop for the headline events/s number; the end
+    row's ``events`` attribute is the engine's event count.
     """
 
     __slots__ = (
@@ -62,6 +69,7 @@ class PerfMeter:
         "_rows",
         "_by_name",
         "_span_names",
+        "_node_rows",
         "_last_row_t",
     )
 
@@ -70,58 +78,59 @@ class PerfMeter:
         self._wall_s = 0.0
         self._events = 0
         self._rows = 0
-        #: name -> [row count, attributed wall seconds]
+        #: name -> [count, inclusive sim seconds, attributed wall seconds]
         self._by_name: Dict[str, List[Any]] = {}
         self._span_names: Dict[int, str] = {}
+        self._node_rows: Dict[int, int] = {}
         self._last_row_t: Optional[float] = None
-
-    # -- clock ---------------------------------------------------------------
-
-    @staticmethod
-    def clock() -> float:
-        """The wall clock every perf consumer reads (monotonic seconds).
-
-        This is the only sanctioned wall-clock source in the tree; the
-        lint ``wall-clock`` rule bans direct reads everywhere else.
-        """
-        return time.perf_counter()
 
     # -- row sink ------------------------------------------------------------
 
     def observe_row(self, row: Dict[str, Any]) -> None:
-        """Charge the wall delta since the previous row to this row's name.
+        """Fold one row into its name's count, sim and wall columns.
 
         ``span_end`` rows carry no name; they resolve through the
         span-id map recorded at ``span_begin``, which makes the
-        attribution robust to detached spans ending out of order.  The
-        ``engine.run`` begin and end rows also open and close the
+        attribution robust to detached spans ending out of order.  An
+        end whose begin was never seen is charged under ``span_end``.
+        The ``engine.run`` begin and end rows also open and close the
         event-loop timing.  Rows are never mutated.
         """
         now = time.perf_counter()
         last = self._last_row_t
         self._last_row_t = now
+        self._rows += 1
         kind = row.get("kind")
-        if kind == "span_begin":
-            name = row["name"]
-            self._span_names[row["span"]] = name
-            if name == _RUN_SPAN:
-                self._run_began = now
-        elif kind == "span_end":
+        if kind == "span_end":
             name = self._span_names.get(row["span"], "span_end")
+            entry = self._entry(name)
+            entry[1] += row["dur"]
             if name == _RUN_SPAN:
                 self._wall_s += now - self._run_began
                 # The engine's count is cumulative across its loops.
                 self._events = row["attrs"]["events"]
         else:
-            name = row.get("name") or str(kind)
+            if kind == "span_begin":
+                name = row["name"]
+                self._span_names[row["span"]] = name
+                if name == _RUN_SPAN:
+                    self._run_began = now
+            else:
+                name = row.get("name") or str(kind)
+            entry = self._entry(name)
+            entry[0] += 1
+            node = row.get("attrs", {}).get("node")
+            if isinstance(node, int):
+                self._node_rows[node] = self._node_rows.get(node, 0) + 1
+        if last is not None:
+            entry[2] += now - last
+
+    def _entry(self, name: str) -> List[Any]:
         entry = self._by_name.get(name)
         if entry is None:
-            entry = [0, 0.0]
+            entry = [0, 0.0, 0.0]
             self._by_name[name] = entry
-        entry[0] += 1
-        if last is not None:
-            entry[1] += now - last
-        self._rows += 1
+        return entry
 
     # -- read-out ------------------------------------------------------------
 
@@ -148,23 +157,30 @@ class PerfMeter:
         """Trace rows emitted per wall second."""
         return self._rows / self._wall_s if self._wall_s > 0 else 0.0
 
-    def hotspots(self, top_k: int = 10) -> List[Dict[str, Any]]:
-        """Top-K span/event names by attributed wall time.
+    def by_name(self) -> List[Dict[str, Any]]:
+        """Every row name, in name order, with its three folds.
 
-        Each entry is ``{"name", "rows", "wall_s", "share"}`` where
-        ``share`` is the fraction of all *attributed* wall time (ties
-        break on name, so the ranking is stable for equal timings).
+        Each entry is ``{"name", "count", "sim_s", "wall_s", "share"}``
+        where ``share`` is the name's fraction of all *attributed* wall
+        time.  Only ``wall_s`` and ``share`` depend on the host.
         """
-        total = sum(entry[1] for entry in self._by_name.values())
-        ranked = sorted(
-            self._by_name.items(), key=lambda item: (-item[1][1], item[0])
-        )
+        total = sum(entry[2] for entry in self._by_name.values())
         return [
             {
                 "name": name,
-                "rows": entry[0],
-                "wall_s": entry[1],
-                "share": entry[1] / total if total > 0 else 0.0,
+                "count": entry[0],
+                "sim_s": entry[1],
+                "wall_s": entry[2],
+                "share": entry[2] / total if total > 0 else 0.0,
             }
-            for name, entry in ranked[: max(0, int(top_k))]
+            for name, entry in sorted(self._by_name.items())
         ]
+
+    def busiest_nodes(self) -> List[Tuple[int, int]]:
+        """The :data:`TOP_NODES` nodes with the most rows, as ``(node, rows)``.
+
+        Equal row counts rank by ascending node id, so the cut is
+        deterministic whatever order the nodes were first seen in.
+        """
+        ranked = sorted(self._node_rows.items(), key=lambda item: (-item[1], item[0]))
+        return ranked[:TOP_NODES]

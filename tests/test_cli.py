@@ -1,5 +1,7 @@
 """Unit tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -13,7 +15,6 @@ RUN_COMMANDS = (
     ["compare", "--quick"],
     ["figures", "--quick"],
     ["profile", "socialtube"],
-    ["perf", "socialtube"],
     ["chaos", "socialtube"],
     ["dashboard", "socialtube"],
     ["regress", "--quick"],
@@ -48,13 +49,12 @@ def test_bad_run_flags_are_usage_errors(command, bad_flag, capsys):
         [command, "socialtube", "--window", value]
         for command in ("dashboard", "chaos")
         for value in ("0", "-5", "nan", "inf")
-    ]
-    + [["perf", "socialtube", "--top", value] for value in ("0", "-3")],
+    ],
     ids=lambda argv: f"{argv[0]}{argv[2]}={argv[3]}",
 )
 def test_bad_values_are_usage_errors(argv, capsys):
-    # A window must be finite and positive and a table size at least
-    # 1; argparse rejects anything else before the run starts.
+    # A window must be finite and positive; argparse rejects anything
+    # else before the run starts.
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 2
@@ -153,12 +153,25 @@ class TestCli:
             main(["regress", "--seeds", "1,2"])
 
     def test_perf_rejects_jobs(self, capsys):
-        # perf, profile and chaos <protocol> execute their one spec
+        # profile and chaos <protocol> execute their one spec
         # in-process, so a worker count would be ignored.
-        for command in ("perf", "profile", "chaos"):
+        for command in ("profile", "chaos"):
             with pytest.raises(SystemExit, match="--jobs"):
                 main([command, "socialtube", "--jobs", "2"])
             assert capsys.readouterr().out == ""
+
+    def test_profile_writes_one_trace_and_one_report(self, tmp_path, capsys):
+        assert main(["profile", "socialtube", "--outdir", str(tmp_path)]) == 0
+        traces = list(tmp_path.glob("trace_*.jsonl"))
+        reports = list(tmp_path.glob("perf_*.json"))
+        assert len(traces) == len(reports) == 1
+        assert len(list(tmp_path.iterdir())) == 2
+        header = json.loads(traces[0].read_text().splitlines()[0])
+        report = json.loads(reports[0].read_text())
+        assert report["content_hash"] == header["content_hash"]
+        out = capsys.readouterr().out
+        assert "busiest nodes (trace rows)" in out
+        assert str(reports[0]) in out
 
     def test_single_run_commands_reject_multi_seed(self):
         with pytest.raises(SystemExit):

@@ -24,11 +24,11 @@ def spec():
 
 @pytest.fixture(scope="module")
 def serial_payload(spec):
-    return run_profiled(spec).jsonl
+    return run_profiled(spec)[1]
 
 
 def test_repeat_runs_are_byte_identical(spec, serial_payload):
-    assert run_profiled(spec).jsonl == serial_payload
+    assert run_profiled(spec)[1] == serial_payload
 
 
 def test_pool_path_matches_serial(spec):
@@ -43,7 +43,7 @@ def test_pool_path_matches_serial(spec):
 
 
 def test_different_seed_different_trace(spec, serial_payload):
-    other = run_profiled(spec.with_seed(spec.seed + 1)).jsonl
+    other = run_profiled(spec.with_seed(spec.seed + 1))[1]
     assert other != serial_payload
 
 

@@ -1,13 +1,14 @@
-"""Unit tests for trace serialization and the profile summary."""
+"""Unit tests for trace serialization and the profile report."""
 
 import os
+from types import SimpleNamespace
 
 import pytest
 
 from repro.experiments.config import SimulationConfig
 from repro.experiments.spec import ExperimentSpec
 from repro.obs.export import (
-    ProfileSummary,
+    build_profile_report,
     parse_jsonl_bytes,
     render_profile,
     trace_filename,
@@ -15,6 +16,7 @@ from repro.obs.export import (
     trace_to_jsonl_bytes,
     write_trace,
 )
+from repro.obs.perf import TOP_NODES, PerfMeter
 from repro.obs.tracer import TRACE_SCHEMA_VERSION, Tracer
 
 
@@ -67,7 +69,23 @@ class TestSerialization:
             assert handle.read() == payload
 
 
+def _fold(rows):
+    meter = PerfMeter()
+    for row in rows:
+        meter.observe_row(row)
+    return meter
+
+
+def _node_rows(nodes):
+    return [
+        {"kind": "event", "t": 0.0, "name": "x", "attrs": {"node": n}}
+        for n in nodes
+    ]
+
+
 class TestProfileSummary:
+    """The profile sink's deterministic folds, fed rows directly."""
+
     def _rows(self):
         tracer = Tracer(clock=lambda: 0.0)
         clock = {"t": 0.0}
@@ -80,55 +98,59 @@ class TestProfileSummary:
             clock["t"] = 10.0
         return tracer.rows()
 
+    def _by_name(self, rows):
+        return {entry["name"]: entry for entry in _fold(rows).by_name()}
+
     def test_phase_times_are_inclusive(self):
-        summary = ProfileSummary.from_rows(self._rows())
-        assert summary.phases["outer"].total_sim_s == 10.0
-        assert summary.phases["inner"].total_sim_s == 2.0
-        assert summary.phases["outer"].count == 1
+        by_name = self._by_name(self._rows())
+        assert by_name["outer"]["sim_s"] == 10.0
+        assert by_name["inner"]["sim_s"] == 2.0
+        assert by_name["tick"]["sim_s"] == 0.0
 
     def test_events_by_type_counts_named_rows(self):
-        summary = ProfileSummary.from_rows(self._rows())
-        assert summary.events_by_type == {"outer": 1, "inner": 1, "tick": 1}
+        # One count per event row and one per span, at its begin.
+        rows = self._rows()
+        meter = _fold(rows)
+        counts = {entry["name"]: entry["count"] for entry in meter.by_name()}
+        assert counts == {"inner": 1, "outer": 1, "tick": 1}
+        assert meter.rows == len(rows) == 5
+
+    def test_unknown_span_end_is_charged_to_span_end(self):
+        rows = self._rows() + [{"t": 11.0, "kind": "span_end", "span": 99, "dur": 3.0}]
+        by_name = self._by_name(rows)
+        assert (by_name["span_end"]["count"], by_name["span_end"]["sim_s"]) == (0, 3.0)
+        assert by_name["outer"]["sim_s"] == 10.0
 
     def test_node_hotspots_ranked_by_row_count(self):
-        summary = ProfileSummary.from_rows(self._rows())
-        assert summary.node_hotspots == [(2, 2), (1, 1)]
+        assert _fold(self._rows()).busiest_nodes() == [(2, 2), (1, 1)]
 
     def test_node_hotspot_ties_break_on_node_id(self):
         """Equal row counts rank by ascending node id, so the top-N
         cut is deterministic across runs regardless of dict order."""
-        rows = [
-            {"kind": "event", "t": 0.0, "name": "x", "attrs": {"node": n}}
-            for n in (9, 2, 7, 2, 9, 7)
-        ]
-        summary = ProfileSummary.from_rows(rows)
-        assert summary.node_hotspots == [(2, 2), (7, 2), (9, 2)]
-        reversed_summary = ProfileSummary.from_rows(list(reversed(rows)))
-        assert reversed_summary.node_hotspots == summary.node_hotspots
+        rows = _node_rows((9, 2, 7, 2, 9, 7))
+        assert _fold(rows).busiest_nodes() == [(2, 2), (7, 2), (9, 2)]
+        assert _fold(list(reversed(rows))).busiest_nodes() == [(2, 2), (7, 2), (9, 2)]
 
     def test_node_hotspot_tie_straddling_top_n_cut(self):
-        """When the tie straddles the top-N boundary the lower id
-        survives the cut -- the ordering contract, not luck."""
-        rows = [
-            {"kind": "event", "t": 0.0, "name": "x", "attrs": {"node": n}}
-            for n in (5, 3, 8)
-        ]
-        summary = ProfileSummary.from_rows(rows, top_nodes=2)
-        assert summary.node_hotspots == [(3, 1), (5, 1)]
+        """When the tie straddles the top-N boundary the lower ids
+        survive the cut -- the ordering contract, not luck."""
+        rows = _node_rows([50, 50] + list(range(TOP_NODES, 0, -1)))
+        ranked = _fold(rows).busiest_nodes()
+        assert ranked == [(50, 2)] + [(n, 1) for n in range(1, TOP_NODES)]
 
-    def test_header_and_footers_tolerated(self, spec):
-        payload = trace_to_jsonl_bytes(trace_header(spec), self._rows())
-        summary = ProfileSummary.from_rows(parse_jsonl_bytes(payload))
-        assert summary.total_rows == len(self._rows())
-        assert summary.phases["outer"].total_sim_s == 10.0
+    def _report(self, spec):
+        result = SimpleNamespace(sim_duration_s=10.0)
+        return build_profile_report(spec, result, _fold(self._rows()))
 
-    def test_render_profile_sections(self):
-        text = render_profile(ProfileSummary.from_rows(self._rows()))
-        assert "time in phase (inclusive sim seconds)" in text
-        assert "events by type" in text
-        assert "busiest nodes (trace rows)" in text
-        assert text.splitlines()[-1].endswith("trace rows")
+    def test_render_profile_sections(self, spec):
+        lines = render_profile(self._report(spec)).splitlines()
+        assert lines[0].startswith("profile (schema ")
+        assert "events/s" in lines[1]
+        names = [line.split()[0] for line in lines[3:6]]
+        assert names == ["inner", "outer", "tick"]
+        assert lines[6] == "busiest nodes (trace rows)"
+        assert lines[7].split()[:2] == ["node", "2"]
 
-    def test_render_profile_deterministic(self):
-        summary = ProfileSummary.from_rows(self._rows())
-        assert render_profile(summary) == render_profile(summary)
+    def test_render_profile_deterministic(self, spec):
+        report = self._report(spec)
+        assert render_profile(report) == render_profile(report)

@@ -1,4 +1,4 @@
-"""The wall-clock perf layer: a hash-neutral row sink, stable schema.
+"""The profile sink: a hash-neutral row sink, stable report schema.
 
 Four guarantees pinned here:
 
@@ -8,13 +8,13 @@ Four guarantees pinned here:
 2. **Row-fed timing** -- the meter's event-loop wall time and event
    count come from the ``engine.run`` span rows; the runner has no
    perf hook at all.
-3. **Report schema stability** -- the sidecar report's top-level keys
-   are exactly ``PERF_REPORT_FIELDS`` at ``PERF_SCHEMA_VERSION`` and
-   its non-timing fields are deterministic.
+3. **Report schema stability** -- the profile report's top-level keys
+   are exactly ``PERF_REPORT_FIELDS`` at ``PERF_SCHEMA_VERSION``, and
+   every column but wall time is a pure function of the spec.
 4. **Lint carve-out** -- ``repro.obs.perf`` may read the wall clock
    and nothing else may: the ``wall-clock`` rule stays silent for the
    sanctioned path and fires (high severity) everywhere else,
-   including ``perf_report.py``.
+   including the rest of ``repro.obs``.
 """
 
 import inspect
@@ -23,13 +23,13 @@ from repro.experiments.config import SimulationConfig
 from repro.experiments.runner import ExperimentRunner, run_spec
 from repro.experiments.spec import ExperimentSpec
 from repro.lint import lint_source
-from repro.obs.export import run_traced
-from repro.obs.perf import PERF_SCHEMA_VERSION, PerfMeter
-from repro.obs.perf_report import (
+from repro.obs.export import (
     PERF_REPORT_FIELDS,
-    perf_report_to_json_bytes,
-    run_perf,
+    profile_report_to_json_bytes,
+    run_profiled,
+    run_traced,
 )
+from repro.obs.perf import PERF_SCHEMA_VERSION, PerfMeter
 
 
 def _spec() -> ExperimentSpec:
@@ -73,10 +73,8 @@ class TestRowFedTiming:
         assert meter.events == 42
         assert meter.events_per_s() > 0
         assert meter.rows == 5
-        rows_by_name = {h["name"]: h["rows"] for h in meter.hotspots(10)}
-        assert rows_by_name == {
-            "engine.run": 2, "churn.join": 1, "request.serve": 2,
-        }
+        counts = {entry["name"]: entry["count"] for entry in meter.by_name()}
+        assert counts == {"churn.join": 1, "engine.run": 1, "request.serve": 1}
 
     def test_stream_without_engine_run_reads_zero(self):
         meter = PerfMeter()
@@ -96,37 +94,38 @@ class TestRowFedTiming:
 
 class TestReportSchema:
     def test_report_keys_are_exactly_the_schema(self):
-        run = run_perf(_spec(), top_k=5)
-        assert set(run.report) == set(PERF_REPORT_FIELDS)
-        assert run.report["schema"] == PERF_SCHEMA_VERSION
+        _result, _jsonl, report = run_profiled(_spec())
+        assert set(report) == set(PERF_REPORT_FIELDS)
+        assert report["schema"] == PERF_SCHEMA_VERSION
 
     def test_non_timing_fields_are_deterministic(self):
+        # Counts, simulated seconds, busiest nodes and row totals come
+        # from the deterministic trace; wall time is the only column
+        # two runs of one spec may disagree on.
         spec = _spec()
-        run = run_perf(spec, top_k=5)
-        assert run.report["content_hash"] == spec.content_hash()
-        assert run.report["protocol"] == "socialtube"
-        assert run.report["environment"] == spec.environment
-        assert run.report["seed"] == spec.seed
-        engine = run.report["engine"]
-        assert engine["events"] == run.result.events_processed
-        # Hotspot *ranking* is by wall seconds (machine-dependent),
-        # but each name's row count comes from the deterministic
-        # trace: wherever two runs both rank a name, they must agree
-        # on its row count.
-        again = run_perf(spec, top_k=5)
-        rows_by_name = {h["name"]: h["rows"] for h in run.report["hotspots"]}
-        for hotspot in again.report["hotspots"]:
-            if hotspot["name"] in rows_by_name:
-                assert hotspot["rows"] == rows_by_name[hotspot["name"]]
-        assert again.report["engine"]["rows"] == run.report["engine"]["rows"]
+        result, _jsonl, report = run_profiled(spec)
+        assert report["content_hash"] == spec.content_hash()
+        assert report["protocol"] == "socialtube"
+        assert report["environment"] == spec.environment
+        assert report["seed"] == spec.seed
+        assert report["engine"]["events"] == result.events_processed
+        _result, _jsonl, again = run_profiled(spec)
+
+        def deterministic(names):
+            return [(e["name"], e["count"], e["sim_s"]) for e in names]
+
+        assert deterministic(again["names"]) == deterministic(report["names"])
+        assert again["busiest_nodes"] == report["busiest_nodes"]
+        assert again["engine"]["rows"] == report["engine"]["rows"]
+        assert report["busiest_nodes"]
 
     def test_report_serializes_canonically(self):
-        run = run_perf(_spec(), top_k=3)
-        blob = perf_report_to_json_bytes(run.report)
+        _result, _jsonl, report = run_profiled(_spec())
+        blob = profile_report_to_json_bytes(report)
         assert blob.endswith(b"\n")
         import json
 
-        assert json.loads(blob) == run.report
+        assert json.loads(blob) == report
 
 
 class TestLintCarveOut:
@@ -138,7 +137,7 @@ class TestLintCarveOut:
 
     def test_everything_else_may_not(self):
         for path in (
-            "src/repro/obs/perf_report.py",
+            "src/repro/obs/export.py",
             "src/repro/sim/engine.py",
         ):
             findings = lint_source(self.SOURCE, path=path)

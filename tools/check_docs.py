@@ -34,9 +34,9 @@ Six checks, all offline:
   Same anti-drift idea as the lint reference: the counters are
   code-owned constants, and the operator docs may not silently fall
   behind them.
-* **Perf report reference** -- ``docs/performance.md`` must mention
-  every top-level field of the sidecar perf report
-  (``repro.obs.perf_report.PERF_REPORT_FIELDS``) as a backticked token,
+* **Profile report reference** -- ``docs/performance.md`` must mention
+  every top-level field of the sidecar profile report
+  (``repro.obs.export.PERF_REPORT_FIELDS``) as a backticked token,
   so the telemetry guide tracks the schema it documents.
 
 Exit code 0 when clean, 1 with one ``file:line: message`` row per
@@ -298,8 +298,8 @@ def check_fault_event_reference(path: str) -> List[str]:
 
 
 def check_perf_field_reference(path: str) -> List[str]:
-    """docs/performance.md mentions every perf-report field."""
-    from repro.obs.perf_report import PERF_REPORT_FIELDS
+    """docs/performance.md mentions every profile-report field."""
+    from repro.obs.export import PERF_REPORT_FIELDS
 
     problems: List[str] = []
     with open(path, "r", encoding="utf-8") as handle:
@@ -307,8 +307,8 @@ def check_perf_field_reference(path: str) -> List[str]:
     for field in PERF_REPORT_FIELDS:
         if f"`{field}`" not in text:
             problems.append(
-                f"{path}:1: perf report field {field!r} "
-                "(repro.obs.perf_report.PERF_REPORT_FIELDS) is not "
+                f"{path}:1: profile report field {field!r} "
+                "(repro.obs.export.PERF_REPORT_FIELDS) is not "
                 "documented as a backticked token"
             )
     return problems
