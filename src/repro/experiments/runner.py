@@ -487,6 +487,7 @@ class ExperimentRunner:
         if faults:
             self.metrics.fault_onset_t = faults.arm()
         self.scheduler.run()
+        self.metrics.check_chunks(self.config.chunks_per_video)
         # Server-side fault counters live on the server; fold them into
         # the collector so the summary (and the regress gate) sees them.
         self.metrics.record_count(

@@ -4,7 +4,10 @@ The experiment runner builds one :class:`FaultInjector` for a nonzero
 :class:`FaultPlan` and none for a fault-free run, and calls it at its
 hook points (session start and end, serve, shed retry, watch start and
 finish, run start).  Crashes, failover, repair sweeps and the
-infrastructure windows are events the driver schedules itself.
+infrastructure windows are events the injector schedules itself.  A
+fault counter is recorded by emitting the trace row its declaration
+names (:data:`repro.metrics.collectors.COUNTERS`), so the scalar and its
+time series count the same rows.
 
 Every fault draw comes from the injector's own ``faults.*``
 ``RngStreams`` substreams.  Stream derivation is name-based, so these
@@ -20,6 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 from repro.faults.plan import FaultPlan
+from repro.metrics.collectors import COUNTER_ROWS
 from repro.net.message import LookupResult
 from repro.net.streaming import simulate_resume
 from repro.sim.rng import RngStreams
@@ -165,6 +169,13 @@ class FaultInjector:
             raise ValueError("community_crash_cluster needs a nonempty cluster list")
         return clusters[self._rng_community.randrange(len(clusters))]
 
+    def _emit(self, row: str, **attrs) -> None:
+        """Record every fault counter declared on ``row``, then trace the row."""
+        for counter, by in COUNTER_ROWS[row]:
+            self.metrics.record_count(counter, attrs[by] if by else 1)
+        if self.tracer:
+            self.tracer.event(row, **attrs)
+
     # -- runner hooks ---------------------------------------------------
 
     def arm(self) -> float:
@@ -213,16 +224,16 @@ class FaultInjector:
         retry_delay = 0.0
         lost_retries = 0
         while lookup.from_peer and self.query_lost():
-            if self.tracer:
-                self.tracer.event("failover.query_lost", node=user_id, video=video_id)
-            if lost_retries >= self.retry.max_retries:
+            retry = lost_retries < self.retry.max_retries
+            self._emit(
+                "failover.query_lost", node=user_id, video=video_id, retries=int(retry)
+            )
+            if not retry:
                 lookup = lookup.server_fallback()
                 break
             retry_delay += self.retry.backoff_delay(lost_retries)
             lost_retries += 1
             lookup = self.protocol.locate(user_id, video_id)
-        if lost_retries:
-            self.metrics.record_count("failover_retries", lost_retries)
         return lookup, retry_delay
 
     def shed_retry(self, user_id: int, video_id: int, shed_attempts: int) -> None:
@@ -233,7 +244,6 @@ class FaultInjector:
         retry degraded and the server admits it regardless, so a flash
         crowd delays sessions but never strands one.
         """
-        self.metrics.record_count("shed_retries")
         self.scheduler.schedule(
             self.retry.backoff_delay(shed_attempts),
             self.runner._request_next_video,
@@ -308,9 +318,7 @@ class FaultInjector:
         terminates; the node returns after a normal off period.
         """
         self._crash_events.pop(user_id, None)
-        self.metrics.record_count("crashes")
-        if self.tracer:
-            self.tracer.event("churn.crash", node=user_id)
+        self._emit("churn.crash", node=user_id)
         watch = self._watches.get(user_id)
         if watch is not None:
             watch.finish_event.cancel()
@@ -371,15 +379,13 @@ class FaultInjector:
         if watch.grant is not None:
             watch.grant.release()
         self.watch_finished(user_id)
-        self.metrics.record_count("interrupted_transfers")
-        if self.tracer:
-            self.tracer.event(
-                "failover.interrupted",
-                node=user_id,
-                video=watch.video_id,
-                provider=provider_id,
-                chunk=chunks_done,
-            )
+        self._emit(
+            "failover.interrupted",
+            node=user_id,
+            video=watch.video_id,
+            provider=provider_id,
+            chunk=chunks_done,
+        )
         state = _FailoverState(
             watch=watch, interrupted_at=now, chunks_done=chunks_done
         )
@@ -472,20 +478,17 @@ class FaultInjector:
             node=user_id,
             video=watch.video_id,
         )
-        self.metrics.record_failover(
-            user_id, latency_s=latency, retries=state.attempt, to_peer=to_peer
-        )
+        self.metrics.record_failover_latency(latency)
         self.metrics.note_recovery_action(now)
-        if self.tracer:
-            self.tracer.event(
-                "failover.resume" if to_peer else "failover.server",
-                node=user_id,
-                video=watch.video_id,
-                provider=provider_id,
-                latency_s=latency,
-                retries=state.attempt,
-                chunk=state.chunks_done,
-            )
+        self._emit(
+            "failover.resume" if to_peer else "failover.server",
+            node=user_id,
+            video=watch.video_id,
+            provider=provider_id,
+            latency_s=latency,
+            retries=state.attempt,
+            chunk=state.chunks_done,
+        )
         watch.provider_id = provider_id
         watch.grant = grant
         watch.rate_bps = rate_bps
@@ -547,14 +550,12 @@ class FaultInjector:
                 pending.cancel()  # the burst preempts the churn crash
             self._crash_node(victim)
             killed += 1
-        self.metrics.record_count("burst_crashes", killed)
-        if self.tracer:
-            self.tracer.event(
-                "fault.community_crash",
-                cluster=cluster,
-                planned=min(count, len(members)),
-                victims=killed,
-            )
+        self._emit(
+            "fault.community_crash",
+            cluster=cluster,
+            planned=min(count, len(members)),
+            victims=killed,
+        )
 
     def _tracker_outage_begin(self) -> None:
         self.server.tracker_outage_begin()
@@ -580,10 +581,8 @@ class FaultInjector:
                 f"tracker lists {listed} nodes after re-registration, "
                 f"but {len(online)} are online"
             )
-        self.metrics.record_count("reregistrations", reports)
         self.metrics.note_recovery_action(self.scheduler.now)
-        if self.tracer:
-            self.tracer.event("tracker.reregister", count=reports)
+        self._emit("tracker.reregister", count=reports)
 
     def _partition_side_of(self, node_id: int) -> int:
         """Which half of the severed network a node sits in.
@@ -646,10 +645,8 @@ class FaultInjector:
             if self.protocol.state(node_id).online:
                 self.protocol.on_maintenance(node_id)
                 healed += 1
-        self.metrics.record_count("healed_nodes", healed)
         self.metrics.note_recovery_action(self.scheduler.now)
-        if self.tracer:
-            self.tracer.event("partition.healed", nodes=healed)
+        self._emit("partition.healed", nodes=healed)
 
     def _flash_crowd_begin(self) -> None:
         self.server.admission_limit = self.plan.flash_crowd_admission_limit

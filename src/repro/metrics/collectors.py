@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import MISSING, dataclass, field, fields
+from types import MappingProxyType
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis.stats import mean, percentile
@@ -43,6 +44,15 @@ def metric(
     )
 
 
+def counter(row: Optional[str] = None, by: Optional[str] = None) -> Any:
+    """Declare one fault counter: a :func:`metric` whose band is exact, 0
+    on a fault-free run.  ``row`` names the trace row that carries it and
+    ``by`` the row attribute holding each increment (None: 1 per row); a
+    counter with no row has no window column.  See :data:`COUNTERS`."""
+    declared = {"rows": (row,) if row else (), "by": by}
+    return field(default=0, metadata={"band": (0.0, 0.0), "faults": True, **declared})
+
+
 def metric_bands(cls: type, faults: bool = True) -> Dict[str, Tuple[float, float]]:
     """Name -> regress band of every metric ``cls`` declares, in field
     order; ``faults=False`` leaves out the fault-only ones."""
@@ -57,10 +67,11 @@ def metric_bands(cls: type, faults: bool = True) -> Dict[str, Tuple[float, float
 class ExperimentMetrics:
     """Summary of one experiment run (one protocol, one environment).
 
-    Every scalar is declared with :func:`metric`; the regress gate, the
-    seed aggregation and the chaos baselines read these declarations.
-    Fractions get a small absolute band, time/count metrics a relative
-    one; fault counts replay exactly.
+    Every scalar is declared with :func:`metric`, each fault count with
+    :func:`counter`; the regress gate, the seed aggregation, the chaos
+    baselines and the time series read these declarations.  Fractions
+    get a small absolute band, time/count metrics a relative one; fault
+    counts replay exactly.
     """
 
     protocol: str
@@ -87,23 +98,22 @@ class ExperimentMetrics:
     mean_search_hops: float = metric(0.05, 0.05)
     mean_peers_contacted: float = metric(0.1, 0.05)
     # Fault recovery (repro.faults; all zero on fault-free runs).
-    crashes: int = metric(0.0, 0.0, faults=True, default=0)
-    interrupted_transfers: int = metric(0.0, 0.0, faults=True, default=0)
-    failover_peer_resumes: int = metric(0.0, 0.0, faults=True, default=0)
-    failover_server_fallbacks: int = metric(0.0, 0.0, faults=True, default=0)
+    crashes: int = counter("churn.crash")
+    interrupted_transfers: int = counter("failover.interrupted")
+    failover_peer_resumes: int = counter("failover.resume")
+    failover_server_fallbacks: int = counter("failover.server")
     failover_latency_ms_mean: float = metric(1.0, 0.05, faults=True, default=0.0)
     retries_per_serve: float = metric(0.01, 0.0, faults=True, default=0.0)
     degraded_serve_fraction: float = metric(0.02, 0.0, faults=True, default=0.0)
     # Correlated & infrastructure faults (repro.faults v2; all zero on
     # fault-free runs *and* on pre-v2 plans, so summaries and baselines
     # captured before these families existed keep their bytes).
-    burst_crashes: int = metric(0.0, 0.0, faults=True, default=0)
-    tracker_lookup_failures: int = metric(0.0, 0.0, faults=True, default=0)
-    reregistrations: int = metric(0.0, 0.0, faults=True, default=0)
-    partition_interrupts: int = metric(0.0, 0.0, faults=True, default=0)
-    healed_nodes: int = metric(0.0, 0.0, faults=True, default=0)
-    server_sheds: int = metric(0.0, 0.0, faults=True, default=0)
-    shed_retries: int = metric(0.0, 0.0, faults=True, default=0)
+    burst_crashes: int = counter("fault.community_crash", by="victims")
+    tracker_lookup_failures: int = counter("tracker.lookup_failed")
+    reregistrations: int = counter("tracker.reregister", by="count")
+    partition_interrupts: int = counter()
+    healed_nodes: int = counter("partition.healed", by="nodes")
+    server_sheds: int = counter("server.shed")
     recovery_time_s: float = metric(1.0, 0.05, faults=True, default=0.0)
 
     def overhead_series(self) -> List[Tuple[int, float]]:
@@ -183,7 +193,6 @@ class ExperimentMetrics:
             or self.partition_interrupts
             or self.healed_nodes
             or self.server_sheds
-            or self.shed_retries
             or self.recovery_time_s
         ):
             rows.append(
@@ -194,20 +203,40 @@ class ExperimentMetrics:
                 f"partition_cuts={self.partition_interrupts} "
                 f"healed={self.healed_nodes} "
                 f"sheds={self.server_sheds} "
-                f"shed_retries={self.shed_retries} "
                 f"recovery_s={self.recovery_time_s:.1f}"
             )
         return rows
 
 
-#: Counters :meth:`MetricsCollector.record_count` accepts: the integer
-#: fault fields of :class:`ExperimentMetrics`, which ``summarize`` copies
-#: by name, plus the retry total behind ``retries_per_serve``.
-COUNTERS: Tuple[str, ...] = tuple(  # shard: shared-read
-    f.name
-    for f in fields(ExperimentMetrics)
-    if f.metadata.get("faults") and isinstance(f.default, int)
-) + ("failover_retries",)
+#: Fault counter -> (the trace rows that carry it, the row attribute
+#: holding each increment or None for 1 per row): the :func:`counter`
+#: fields of :class:`ExperimentMetrics`, plus the retry total behind
+#: ``retries_per_serve`` (1 per re-sent lost query, 0 once the budget is
+#: spent; a settled failover's ladder retries).  ``record_count`` accepts
+#: these names; the fault injector records them by emitting their rows, and
+#: the time series sums those rows into columns of the same names.
+COUNTERS = MappingProxyType(  # shard: shared-read
+    {
+        **{
+            f.name: (f.metadata["rows"], f.metadata["by"])
+            for f in fields(ExperimentMetrics)
+            if "rows" in f.metadata
+        },
+        "failover_retries": (
+            ("failover.query_lost", "failover.resume", "failover.server"),
+            "retries",
+        ),
+    }
+)
+
+#: Trace row -> the ``(counter, by)`` pairs it carries, from :data:`COUNTERS`.
+COUNTER_ROWS = MappingProxyType(  # shard: shared-read
+    {
+        row: tuple((name, by) for name, (rows, by) in COUNTERS.items() if row in rows)
+        for rows, _by in COUNTERS.values()
+        for row in rows
+    }
+)
 
 
 class MetricsCollector:
@@ -293,24 +322,14 @@ class MetricsCollector:
             raise KeyError(f"unknown counter {name!r}")
         self._counts[name] += n
 
-    def record_failover(
-        self, user_id: int, latency_s: float, retries: int, to_peer: bool
-    ) -> None:
-        """Record one resolved failover: latency, retries, destination.
+    def record_failover_latency(self, latency_s: float) -> None:
+        """Record the interruption-to-resume latency of one settled failover.
 
-        ``to_peer`` distinguishes a resume from a fresh provider (the
-        paper's self-healing path) from the server fallback taken after
-        the retry budget -- a *degraded* serve, not a lost session.
+        Its destination and retries are counters carried by its
+        ``failover.resume`` or ``failover.server`` row.
         """
         if latency_s < 0:
             raise ValueError("latency must be >= 0")
-        if retries < 0:
-            raise ValueError("retries must be >= 0")
-        if to_peer:
-            self._counts["failover_peer_resumes"] += 1
-        else:
-            self._counts["failover_server_fallbacks"] += 1
-        self._counts["failover_retries"] += retries
         self._failover_latencies_ms.append(latency_s * 1000.0)
 
     def note_recovery_action(self, now: float) -> None:
@@ -334,6 +353,19 @@ class MetricsCollector:
         self._stall_ms.append(total_stall_s * 1000.0)
         if total_stall_s > 0:
             self.stalled_watches += 1
+
+    def check_chunks(self, chunks_per_video: int) -> None:
+        """Raise unless each request's ``chunks_per_video`` chunks were each
+        recorded against exactly one source: peer, server or cache (run end)."""
+        by_source = [
+            sum(chunks.values())
+            for chunks in (self._peer_chunks, self._server_chunks, self._cache_chunks)
+        ]
+        if sum(by_source) != chunks_per_video * self.requests:
+            raise RuntimeError(
+                f"chunk ledger unbalanced at run end: {by_source} peer, server "
+                f"and cache chunks vs {chunks_per_video} x {self.requests} requests"
+            )
 
     # -- summaries --------------------------------------------------------------
 

@@ -65,25 +65,13 @@ _EXTRA_SLOTS: Tuple[Tuple[str, str], ...] = (
 CHART_METRICS: Tuple[Tuple[str, str, str], ...] = (
     ("server_share", "Server chunk share", "fraction of shared chunks"),
     ("active_sessions", "Active sessions", "users in a session"),
-    ("requests", "Video requests", "per window"),
+    ("num_requests", "Video requests served", "per window"),
     ("startup_ms_mean", "Mean startup delay", "ms"),
     ("stall_rate", "Stalled-watch rate", "fraction of reports"),
     ("search_hops_mean", "Mean search hops", "hops to hit"),
     ("overlay_links", "Overlay links (total)", "maintained links"),
     ("tracker_lookups", "Tracker lookups", "per window"),
     ("server_requests", "Server fallback serves", "per window"),
-)
-
-#: Extra per-window fields charted only for fault-injected runs (their
-#: tables carry the fault-recovery columns; fault-free dashboards are
-#: byte-identical to pages predating repro.faults).
-FAULT_CHART_METRICS: Tuple[Tuple[str, str, str], ...] = (
-    ("crashes", "Node crashes", "per window"),
-    ("interrupted", "Interrupted transfers", "per window"),
-    ("failover_resumes", "Failover resumes (peer)", "per window"),
-    ("failover_server", "Failover server finishes", "per window"),
-    ("failover_latency_ms_mean", "Mean failover latency", "ms"),
-    ("repaired_links", "Crash-repaired links", "per window"),
 )
 
 #: Headline scalar columns shown in the metrics table: (key, label).
@@ -460,16 +448,9 @@ def _scalar_table(runs: List[DashboardRun]) -> str:
     return f"<table><tr><th>protocol</th>{head}</tr>{''.join(body)}</table>"
 
 
-def _has_fault_columns(run: DashboardRun) -> bool:
-    """True when the run's windows carry the fault-recovery columns."""
-    return bool(run.table.windows) and "crashes" in run.table.windows[0]
-
-
 def _window_table(run: DashboardRun) -> str:
     """Collapsible per-window data table (the no-hover path to every value)."""
     fields = [name for name, _title, _hint in CHART_METRICS]
-    if _has_fault_columns(run):
-        fields.extend(name for name, _title, _hint in FAULT_CHART_METRICS)
     head = "".join(f"<th>{html.escape(name)}</th>" for name in fields)
     body = []
     for record in run.table.windows:
@@ -522,10 +503,7 @@ def render_dashboard(runs: List[DashboardRun], window_s: float = DEFAULT_WINDOW_
     parts.append(f'<div class="tiles">{tile_html}</div>')
     parts.append(_scalar_table(runs))
     parts.append('<div class="grid2">')
-    metrics = list(CHART_METRICS)
-    if all(_has_fault_columns(run) for run in runs):
-        metrics.extend(FAULT_CHART_METRICS)
-    for name, chart_title, hint in metrics:
+    for name, chart_title, hint in CHART_METRICS:
         series = [
             {
                 "label": run.protocol,

@@ -7,7 +7,7 @@ end-of-run aggregates of :mod:`repro.metrics` cannot show a trend; this
 module folds the deterministic trace-row stream of
 :class:`repro.obs.tracer.Tracer` into fixed-width virtual-time windows:
 
-* **counters** per window -- requests, chunk transfers by source,
+* **counters** per window -- served requests, chunk transfers by source,
   server fallbacks, tracker lookups, churn arrivals/departures, TTL
   exhaustions, playback stalls, per-cluster (interest-category) request
   load;
@@ -50,12 +50,13 @@ from typing import Any, Dict, List, Optional
 
 from repro.experiments.runner import ExperimentResult
 from repro.experiments.spec import ExperimentSpec
+from repro.metrics.collectors import COUNTER_ROWS, COUNTERS
 from repro.obs.export import parse_jsonl_bytes, run_traced
 
 #: Bumped whenever the per-window record shape changes, mirroring the
 #: trace/spec schema-version discipline so stale series artifacts and
 #: baselines can never be misread by newer tooling.
-TIMESERIES_SCHEMA_VERSION = 1
+TIMESERIES_SCHEMA_VERSION = 2
 
 #: Default window width in virtual seconds -- the paper's 10-minute
 #: probe period (Section V), a natural sampling cadence for overlay
@@ -93,7 +94,7 @@ class TimeSeriesTable:
         return len(self.windows)
 
     def series(self, name: str) -> List[Any]:
-        """One named per-window field as a list, e.g. ``series("requests")``.
+        """One named per-window field as a list, e.g. ``series("num_requests")``.
 
         Example::
 
@@ -163,36 +164,33 @@ _ROW_CODES: Dict[str, int] = {
     "engine.tick": 17,
 }
 
-#: Extra dispatch codes merged in only when the collector is built with
-#: ``include_faults`` (the run carried a nonzero FaultPlan).  Kept out
-#: of :data:`_ROW_CODES` so fault-free tables -- and the committed
-#: baseline digests keyed on their bytes -- are untouched by the fault
-#: subsystem's existence.
-_FAULT_ROW_CODES: Dict[str, int] = {
-    # Tallies only.
-    "churn.crash": 4,
-    "failover.interrupted": 5,
-    "failover.retry": 6,
-    # Correlated & infrastructure families (repro.faults v2).
-    "tracker.lookup_failed": 7,
-    "server.shed": 8,
+#: Fault rows are dispatched only under ``include_faults`` (a nonzero
+#: FaultPlan), so fault-free tables and their baseline digests are
+#: untouched by the fault subsystem.  Every row that carries a declared
+#: fault counter (:data:`repro.metrics.collectors.COUNTER_ROWS`) takes
+#: this code, and its counters are summed into columns of their names.
+_COUNTER_CODE = 18
+#: The shed row carries a counter and also takes its request back out of
+#: ``num_requests``.
+_SHED_CODE = 20
+#: The fault rows folded by hand: into the columns that have no counter,
+#: and the shed into ``num_requests``.
+_HAND_FAULT_CODES: Dict[str, int] = {
     # Outage / partition / flash-crowd edges share one tally.
-    "tracker.outage": 9,
-    "partition.transition": 9,
-    "server.flash_crowd": 9,
-    # Tallies that also fold attrs.
-    "failover.resume": 18,
-    "failover.server": 19,
-    "overlay.repair": 20,
-    "fault.community_crash": 21,
-    "tracker.reregister": 22,
-    "partition.healed": 23,
+    "tracker.outage": 4,
+    "partition.transition": 4,
+    "server.flash_crowd": 4,
+    "overlay.repair": 19,
+    "server.shed": _SHED_CODE,
 }
 
 #: Codes at or above this read the row's attrs after the tally.
 _FIRST_ATTRS_CODE = 10
 #: Length of the per-window tally list (one slot per code).
-_NUM_CODES = 24
+_NUM_CODES = 21
+
+#: The fault counters that have rows: one window column each.
+_WINDOW_COUNTERS = tuple(name for name, (rows, _by) in COUNTERS.items() if rows)
 
 
 class TimeSeriesCollector:
@@ -220,10 +218,10 @@ class TimeSeriesCollector:
         "_active_sessions", "_overlay_links", "_links_by_node",
         "_pending_events", "_events_processed",
         # Per-window tallies and attr sums (see _reset_window).
-        "_counts", "_cluster_requests", "_server_chunks", "_peer_chunks",
-        "_cache_chunks", "_hops_sum", "_startup_sum_s", "_stalled_reports",
-        "_failover_latency_sum_s", "_repaired_links", "_burst_crashes",
-        "_reregistrations", "_healed_nodes",
+        "_counts", "_cluster_requests", "_serve_cluster", "_server_chunks",
+        "_peer_chunks", "_cache_chunks", "_hops_sum", "_startup_sum_s",
+        "_stalled_reports", "_counter_sums", "_failover_latency_sum_s",
+        "_failovers", "_repaired_links",
     )
 
     def __init__(
@@ -238,7 +236,8 @@ class TimeSeriesCollector:
         self._include_faults = bool(include_faults)
         self._codes = dict(_ROW_CODES)
         if self._include_faults:
-            self._codes.update(_FAULT_ROW_CODES)
+            self._codes.update(dict.fromkeys(COUNTER_ROWS, _COUNTER_CODE))
+            self._codes.update(_HAND_FAULT_CODES)
         self._records: List[Dict[str, Any]] = []
         self._index = 0
         self._window_end = self.window_s
@@ -248,6 +247,9 @@ class TimeSeriesCollector:
         self._links_by_node: Dict[int, int] = {}
         self._pending_events = 0
         self._events_processed = 0
+        #: Cluster of the latest request.serve span, open when a shed
+        #: row arrives.
+        self._serve_cluster: Optional[int] = None
         self._reset_window()
 
     def _reset_window(self) -> None:
@@ -262,12 +264,10 @@ class TimeSeriesCollector:
         self._startup_sum_s = 0.0
         self._stalled_reports = 0
         # Fault-recovery sums (recorded only under include_faults).
+        self._counter_sums = dict.fromkeys(_WINDOW_COUNTERS, 0)
         self._failover_latency_sum_s = 0.0
+        self._failovers = 0
         self._repaired_links = 0
-        # Infrastructure-fault sums (repro.faults v2).
-        self._burst_crashes = 0
-        self._reregistrations = 0
-        self._healed_nodes = 0
 
     def _flush_window(self) -> None:
         """Close the current window into a record and start the next."""
@@ -279,10 +279,11 @@ class TimeSeriesCollector:
             "window": self._index,
             "t0": self._index * self.window_s,
             "rows": sum(counts),
-            "requests": counts[11],
+            "num_requests": counts[11] - counts[_SHED_CODE],
             "cluster_requests": {
                 str(cluster): count
                 for cluster, count in sorted(self._cluster_requests.items())
+                if count
             },
             "server_chunks": self._server_chunks,
             "peer_chunks": self._peer_chunks,
@@ -313,24 +314,14 @@ class TimeSeriesCollector:
             "events_processed": self._events_processed,
         }
         if self._include_faults:
-            failovers = counts[18] + counts[19]
-            record["crashes"] = counts[4]
-            record["interrupted"] = counts[5]
-            record["failover_retries"] = counts[6]
-            record["failover_resumes"] = counts[18]
-            record["failover_server"] = counts[19]
+            record.update(self._counter_sums)
             record["failover_latency_ms_mean"] = (
-                1000.0 * self._failover_latency_sum_s / failovers
-                if failovers
+                1000.0 * self._failover_latency_sum_s / self._failovers
+                if self._failovers
                 else 0.0
             )
             record["repaired_links"] = self._repaired_links
-            record["burst_crashes"] = self._burst_crashes
-            record["infra_transitions"] = counts[9]
-            record["lookup_failures"] = counts[7]
-            record["reregistrations"] = self._reregistrations
-            record["healed_nodes"] = self._healed_nodes
-            record["server_sheds"] = counts[8]
+            record["infra_transitions"] = counts[4]
         self._records.append(record)
         self._index += 1
         self._window_end = (self._index + 1) * self.window_s
@@ -372,7 +363,7 @@ class TimeSeriesCollector:
             elif source == "cache":
                 self._cache_chunks += chunks
         elif code == 11:  # request.serve span: per-cluster counts
-            cluster = attrs.get("cluster")
+            cluster = self._serve_cluster = attrs.get("cluster")
             if cluster is not None:
                 self._cluster_requests[cluster] = (
                     self._cluster_requests.get(cluster, 0) + 1
@@ -395,17 +386,20 @@ class TimeSeriesCollector:
         elif code == 17:  # engine.tick: scheduler gauges
             self._pending_events = attrs.get("pending", self._pending_events)
             self._events_processed = attrs.get("events", self._events_processed)
-        # Fault-recovery rows (codes mapped only under include_faults).
-        elif code == 18 or code == 19:  # failover.resume/server: latency
-            self._failover_latency_sum_s += attrs.get("latency_s", 0.0)
-        elif code == 20:  # overlay.repair: crash-repair sweep outcome
+        # Fault rows (codes mapped only under include_faults).
+        elif code == 19:  # overlay.repair: crash-repair sweep outcome
             self._repaired_links += attrs.get("links", 0)
-        elif code == 21:  # fault.community_crash: one correlated burst
-            self._burst_crashes += attrs.get("victims", 0)
-        elif code == 22:  # tracker.reregister: recovery reports re-filed
-            self._reregistrations += attrs.get("count", 0)
-        else:  # code 23, partition.healed: heal-sweep size at re-link
-            self._healed_nodes += attrs.get("nodes", 0)
+        else:  # a row carrying declared counters (the shed row among them)
+            sums = self._counter_sums
+            for counter, by in COUNTER_ROWS[row["name"]]:
+                sums[counter] += attrs.get(by, 0) if by else 1
+            latency_s = attrs.get("latency_s")
+            if latency_s is not None:  # a settled failover
+                self._failover_latency_sum_s += latency_s
+                self._failovers += 1
+            if code == _SHED_CODE:  # its request.serve span is still open
+                if self._serve_cluster in self._cluster_requests:
+                    self._cluster_requests[self._serve_cluster] -= 1
 
     def finalize(self, content_hash: str = "") -> TimeSeriesTable:
         """Close the trailing window and return the finished table.
@@ -477,7 +471,7 @@ def series_from_trace(
         table = series_from_trace(open(path, "rb").read())
         assert table.to_canonical_json() == live_table.to_canonical_json()
     """
-    collector: Optional[TimeSeriesCollector] = None
+    collector = TimeSeriesCollector(window_s=window_s)
     content_hash = ""
     for row in parse_jsonl_bytes(payload):
         if row.get("kind") == "header":
@@ -488,10 +482,6 @@ def series_from_trace(
             collector = TimeSeriesCollector(
                 window_s=window_s, include_faults=bool(row.get("faults"))
             )
-            continue
-        if collector is None:
-            collector = TimeSeriesCollector(window_s=window_s)
-        collector.observe_row(row)
-    if collector is None:
-        collector = TimeSeriesCollector(window_s=window_s)
+        else:
+            collector.observe_row(row)
     return collector.finalize(content_hash=content_hash)

@@ -46,6 +46,18 @@ class TestRepoDocs:
             assert "```mermaid" in fh.read()
 
 
+class TestFaultCounterReference:
+    def test_undocumented_rows_and_columns_detected(self, check_docs, tmp_path):
+        page = tmp_path / "tracing.md"
+        page.write_text("`churn.crash` and `partition_interrupts`\n")
+        problems = check_docs.check_fault_counter_reference(str(page))
+        flagged = {problem.split(" ")[1] for problem in problems}
+        assert "'churn.crash'" not in flagged
+        assert {"'crashes'", "'failover.query_lost'", "'failover_retries'"} <= flagged
+        # no row, so no window column to document
+        assert not any("partition_interrupts" in p for p in problems)
+
+
 class TestLinkChecker:
     def test_broken_relative_link_detected(self, check_docs, tmp_path):
         page = tmp_path / "page.md"

@@ -7,6 +7,7 @@ from repro.experiments.registry import protocol_names
 from repro.experiments.runner import ExperimentRunner, run_spec
 from repro.experiments.spec import ExperimentSpec
 from repro.faults.plan import FaultPlan
+from repro.net.message import ChunkSource
 from repro.trace.synthesizer import TraceConfig, TraceSynthesizer
 
 
@@ -103,6 +104,13 @@ class TestRun:
     def test_prefetch_disabled_means_no_hits(self):
         result = run_spec(micro_spec(prefetch_window=0))
         assert result.metrics.prefetch_hit_fraction == 0.0
+
+    def test_corrupted_chunk_count_raises(self):
+        runner = ExperimentRunner(micro_spec())
+        runner.run()  # the run-end check passed
+        runner.metrics.record_chunks(0, ChunkSource.CACHE, 1)
+        with pytest.raises(RuntimeError, match="chunk ledger unbalanced"):
+            runner.metrics.check_chunks(MICRO.chunks_per_video)
 
     def test_render_rows(self):
         result = run_spec(micro_spec())

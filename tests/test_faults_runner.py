@@ -113,7 +113,6 @@ class TestInfraFamilies:
             assert metrics.healed_nodes > 0
         else:  # flash_crowd
             assert metrics.server_sheds > 0
-            assert metrics.shed_retries > 0
         assert metrics.recovery_time_s > 0
         # Graceful degradation, not collapse: no dangling sessions.
         runner.faults.check_ledger(metrics)
@@ -269,7 +268,7 @@ class TestDeterminism:
         for column in (
             "burst_crashes",
             "infra_transitions",
-            "lookup_failures",
+            "tracker_lookup_failures",
             "reregistrations",
             "healed_nodes",
             "server_sheds",

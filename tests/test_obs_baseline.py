@@ -10,12 +10,13 @@ this inside the tier-1 budget.
 
 import dataclasses
 import json
+import os
 
 import pytest
 
-from repro.experiments.runner import ExperimentResult
+from repro.experiments.runner import ExperimentResult, ExperimentRunner
 from repro.faults.plan import FaultPlan
-from repro.metrics.collectors import ExperimentMetrics, metric_bands
+from repro.metrics.collectors import COUNTERS, ExperimentMetrics, metric_bands
 from repro.obs.baseline import (
     Deviation,
     baseline_path,
@@ -26,6 +27,10 @@ from repro.obs.baseline import (
     spec_for_baseline,
     write_baseline,
 )
+from repro.obs.timeseries import TimeSeriesCollector
+from repro.obs.tracer import Tracer
+
+_BASELINE_DIR = os.path.join(os.path.dirname(__file__), "..", "baselines")
 
 # ---------------------------------------------------------------------------
 # band arithmetic
@@ -193,3 +198,40 @@ def test_quick_filters_to_smoke_scale(tmp_path, payload, capsys):
     out = capsys.readouterr().out
     assert "socialtube/peersim" in out
     assert "nettube" not in out
+
+
+# ---------------------------------------------------------------------------
+# window columns sum to their scalars on every committed baseline spec
+
+
+@pytest.mark.parametrize(
+    "path",
+    [path for path, _payload in load_baselines(_BASELINE_DIR)],
+    ids=os.path.basename,
+)
+def test_window_columns_sum_to_their_scalars(path):
+    """Every declared fault counter with a row, and the request, server
+    and tracker counts, total the same over the windows as at run end."""
+    with open(path, encoding="utf-8") as handle:
+        payload = json.load(handle)
+    spec = spec_for_baseline(payload)
+    window_s = payload["window_s"]
+    collector = TimeSeriesCollector(window_s, include_faults=spec.has_faults())
+    runner = ExperimentRunner(
+        spec, tracer=Tracer(sink=collector.observe_row, tick_every_s=window_s)
+    )
+    result = runner.run()
+    table = collector.finalize()
+    scalars = {
+        "num_requests": result.metrics.num_requests,
+        "server_requests": result.server_requests,
+        "tracker_lookups": result.tracker_lookups,
+    }
+    if spec.has_faults():
+        scalars.update(
+            (name, runner.metrics._counts[name])
+            for name, (rows, _by) in COUNTERS.items()
+            if rows
+        )
+    for name, scalar in scalars.items():
+        assert sum(table.series(name)) == scalar, name

@@ -221,10 +221,30 @@ def test_cluster_request_accounting():
          "attrs": {"cluster": 2}}
     )
     table = collector.finalize()
-    assert table.series("requests") == [2, 1]
+    assert table.series("num_requests") == [2, 1]
     assert table.cluster_ids() == ["2", "10"]  # numeric, not lexicographic
     assert table.cluster_series("2") == [1, 1]
     assert table.cluster_series("10") == [1, 0]
+
+
+def test_shed_request_is_not_served():
+    """A shed row arrives inside its request.serve span: the request
+    leaves num_requests and its cluster's count, and counts as a shed."""
+    collector = TimeSeriesCollector(window_s=10.0, include_faults=True)
+    for cluster in (2, 3):
+        collector.observe_row(
+            {"kind": "span_begin", "t": 1.0, "name": "request.serve",
+             "attrs": {"cluster": cluster}}
+        )
+    collector.observe_row(_event(1.0, "server.shed", active=2, limit=2))
+    collector.observe_row(
+        {"kind": "span_begin", "t": 2.0, "name": "request.serve",
+         "attrs": {"cluster": 2}}
+    )
+    (record,) = collector.finalize().windows
+    assert record["num_requests"] == 2
+    assert record["cluster_requests"] == {"2": 2}
+    assert record["server_sheds"] == 1
 
 
 def test_span_end_and_unknown_rows_ignored():

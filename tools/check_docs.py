@@ -28,12 +28,12 @@ Six checks, all offline:
   ``#### `rule-id` (severity)`` heading whose severity matches the
   registry, and must not document rule ids that no longer exist.  This
   keeps the rule reference from drifting as rules are added/renamed.
-* **Fault event reference** -- ``docs/tracing.md`` must mention every
-  fault trace event the time-series collector folds
-  (``repro.obs.timeseries._FAULT_ROW_CODES``) as a backticked token.
-  Same anti-drift idea as the lint reference: the counters are
-  code-owned constants, and the operator docs may not silently fall
-  behind them.
+* **Fault counter reference** -- ``docs/tracing.md`` must mention, as
+  backticked tokens, every trace row that carries a declared fault
+  counter and every counter's window column
+  (``repro.metrics.collectors.COUNTERS``).  Same anti-drift idea as the
+  lint reference: the counters are code-owned declarations, and the
+  operator docs may not silently fall behind them.
 * **Profile report reference** -- ``docs/performance.md`` must mention
   every top-level field of the sidecar profile report
   (``repro.obs.export.PERF_REPORT_FIELDS``) as a backticked token,
@@ -280,20 +280,23 @@ def check_lint_rule_reference(path: str) -> List[str]:
     return problems
 
 
-def check_fault_event_reference(path: str) -> List[str]:
-    """docs/tracing.md mentions every fault-row event the collector folds."""
-    from repro.obs.timeseries import _FAULT_ROW_CODES
+def check_fault_counter_reference(path: str) -> List[str]:
+    """docs/tracing.md mentions every declared fault counter's rows and
+    window column."""
+    from repro.metrics.collectors import COUNTERS
 
     problems: List[str] = []
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
-    for name in _FAULT_ROW_CODES:
-        if f"`{name}`" not in text:
-            problems.append(
-                f"{path}:1: fault trace event {name!r} "
-                "(repro.obs.timeseries._FAULT_ROW_CODES) is not documented "
-                "as a backticked token"
-            )
+    for counter, (rows, _by) in COUNTERS.items():
+        # A counter with rows has a window column of its own name.
+        for token in (*rows, counter) if rows else ():
+            if f"`{token}`" not in text:
+                problems.append(
+                    f"{path}:1: {token!r} (a row or the window column of fault "
+                    f"counter {counter!r}, repro.metrics.collectors.COUNTERS) "
+                    "is not documented as a backticked token"
+                )
     return problems
 
 
@@ -327,7 +330,7 @@ def check_file(path: str) -> List[str]:
     if os.path.basename(path) == "lint.md" and in_docs:
         problems += check_lint_rule_reference(path)
     if os.path.basename(path) == "tracing.md" and in_docs:
-        problems += check_fault_event_reference(path)
+        problems += check_fault_counter_reference(path)
     if os.path.basename(path) == "performance.md" and in_docs:
         problems += check_perf_field_reference(path)
     return problems
