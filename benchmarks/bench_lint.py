@@ -8,8 +8,8 @@ Times the three layers of ``python -m repro lint`` separately over the
 shipped ``src/repro`` tree --
 
 * ``index_build``   -- parse every module and build the
-  :class:`~repro.lint.program.ProgramIndex` (symbol tables, import
-  graph, call graph, event reachability, substream sites);
+  :class:`~repro.lint.program.ProgramIndex` (the RNG substream sites
+  the program rules read);
 * ``full_analysis`` -- everything ``lint_paths`` does: per-file AST +
   flow rules, the program pass, suppression matching;
 * ``render_json``   -- serializing the report (the CI artifact).
@@ -58,10 +58,6 @@ def main() -> int:
         "tree": {
             "files_checked": report.files_checked,
             "modules_indexed": stats["modules"],
-            "functions": stats["functions"],
-            "call_edges": stats["call_edges"],
-            "import_edges": stats["import_edges"],
-            "event_reachable": stats["event_reachable"],
             "stream_sites": stats["stream_sites"],
         },
         "timings_s": {
@@ -76,10 +72,10 @@ def main() -> int:
         "note": (
             "full_analysis is the complete lint_paths pipeline CI runs: "
             "per-file AST + flow-sensitive rules over every module, the "
-            "whole-program pass (substream ownership, cross-module shard "
-            "mutation, event-reachability) and suppression matching.  "
-            "index_build isolates the parse + ProgramIndex construction that "
-            "dominates it.  The 10 s bar keeps the analyzer cheap enough "
+            "whole-program pass (substream aliasing and namespace "
+            "ownership) and suppression matching.  index_build isolates "
+            "the parse + ProgramIndex construction (substream sites "
+            "only).  The 10 s bar keeps the analyzer cheap enough "
             "to sit inside tier-1 (tests/test_lint_clean.py) and run on "
             "every push."
         ),

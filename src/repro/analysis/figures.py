@@ -30,9 +30,6 @@ class FigureSeries:
     series: Dict[str, List[Tuple[float, float]]] = field(default_factory=dict)
     notes: Dict[str, float] = field(default_factory=dict)
 
-    def series_named(self, name: str) -> List[Tuple[float, float]]:
-        return self.series[name]
-
     def render_rows(self, max_rows: int = 12) -> List[str]:
         """Paper-style text rows: evenly subsampled points per series."""
         rows = [f"{self.figure}: {self.title}"]

@@ -1,4 +1,3 @@
-# shard: module=shard-local -- instances live and die inside one run/shard
 """Video cache and prefetch store.
 
 Section IV: "SocialTube requires users to maintain a cache of all

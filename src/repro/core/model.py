@@ -1,4 +1,3 @@
-# shard: module=shard-local -- instances live and die inside one run/shard
 """Analytical models from the paper.
 
 * Section IV-C's maintenance-overhead comparison (Fig 15):

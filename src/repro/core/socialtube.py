@@ -1,4 +1,3 @@
-# shard: module=shard-local -- instances live and die inside one run/shard
 """The SocialTube protocol (Section IV).
 
 Ties together the two-level hierarchical structure, Algorithm 1's

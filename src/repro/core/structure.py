@@ -1,4 +1,3 @@
-# shard: module=shard-local -- instances live and die inside one run/shard
 """The interest-based per-community two-level overlay (Section IV-A).
 
 Lower level: the subscribers/viewers currently engaged with a channel

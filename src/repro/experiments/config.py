@@ -86,7 +86,7 @@ def planetlab_environment() -> Environment:
 #: *name* (Environment itself holds latency-model closures that do not
 #: pickle across process boundaries); the runner resolves the name on
 #: whichever process executes the spec.
-ENVIRONMENT_FACTORIES: Dict[str, Callable[[], Environment]] = {  # shard: shared-mutable
+ENVIRONMENT_FACTORIES: Dict[str, Callable[[], Environment]] = {
     "peersim": simulator_environment,
     "planetlab": planetlab_environment,
 }

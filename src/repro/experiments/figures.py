@@ -29,7 +29,7 @@ from repro.experiments.trace_cache import shared_trace_cache
 from repro.trace.dataset import TraceDataset
 
 #: The five systems of Fig 17 (Fig 16/18 use the with-prefetch three).
-VARIANTS: List[Tuple[str, str, Dict]] = [  # shard: shared-mutable
+VARIANTS: List[Tuple[str, str, Dict]] = [
     ("PA-VoD", "pavod", {}),
     ("SocialTube w/ PF", "socialtube", {}),
     ("SocialTube w/o PF", "socialtube", {"prefetch_window": 0}),

@@ -14,7 +14,10 @@ Determinism contract (tested by ``tests/test_experiments_parallel.py``):
 
 * a task's result is a pure function of its spec -- every run owns an
   independent ``RngStreams.for_run(spec.seed)`` family, shares no
-  mutable state with other runs, and reads the trace corpus only;
+  mutable state with other runs, and reads the trace corpus only.
+  ``TestCrossRunIsolation`` checks this directly: runs made one after
+  another in one interpreter, in either order, match the same specs
+  run in fresh processes;
 * duplicate specs (equal :meth:`ExperimentSpec.content_hash`) execute
   once and share their result;
 * results return in spec order regardless of completion order.
@@ -84,8 +87,8 @@ def family_key(spec: ExperimentSpec) -> str:
 # them out of the public surface.  Workers deserialize each trace
 # snapshot at most once and then reuse it for every spec they execute.
 
-_WORKER_TRACE_BLOBS: Dict[str, bytes] = {}  # shard: shared-mutable
-_WORKER_DATASETS: Dict[str, object] = {}  # shard: shared-mutable
+_WORKER_TRACE_BLOBS: Dict[str, bytes] = {}
+_WORKER_DATASETS: Dict[str, object] = {}
 
 
 def _init_worker(trace_blobs: Dict[str, bytes]) -> None:

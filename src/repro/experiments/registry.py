@@ -95,7 +95,7 @@ class ProtocolEntry:
     params_type: Type[Any]
 
 
-_REGISTRY: Dict[str, ProtocolEntry] = {}  # shard: shared-mutable
+_REGISTRY: Dict[str, ProtocolEntry] = {}
 
 
 def register_protocol(

@@ -83,4 +83,4 @@ class TraceCache:
 
 
 #: The process-wide cache used by the runner, suite, sweeps and CLI.
-shared_trace_cache = TraceCache()  # shard: shared-mutable
+shared_trace_cache = TraceCache()

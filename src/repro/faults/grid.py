@@ -1,4 +1,3 @@
-# shard: module=shard-local -- builds specs and aggregates finished runs
 """The resilience grid: protocols x fault families -> degradation scorecard.
 
 ``python -m repro chaos --grid`` runs every paper protocol under each
@@ -37,13 +36,13 @@ from repro.experiments.spec import ExperimentSpec
 from repro.faults.plan import FaultPlan
 
 #: Grid schema version, bumped when the scorecard layout changes.
-GRID_SCHEMA_VERSION = 1  # shard: shared-read
+GRID_SCHEMA_VERSION = 1
 
 #: Row order of the scorecard (the paper's three evaluated systems).
-GRID_PROTOCOLS: Tuple[str, ...] = ("socialtube", "nettube", "pavod")  # shard: shared-read
+GRID_PROTOCOLS: Tuple[str, ...] = ("socialtube", "nettube", "pavod")
 
 #: Column order: one scenario per v2 fault family.
-GRID_FAMILIES: Tuple[str, ...] = (  # shard: shared-read
+GRID_FAMILIES: Tuple[str, ...] = (
     "community_crash",
     "tracker_outage",
     "partition",

@@ -33,7 +33,7 @@ from repro.trace.dataset import primary_interest
 #: plan arms each with ``has_<family>()`` and opens it at
 #: ``<family>_at_s``; a window closes ``<family>_duration_s`` later, a
 #: one-shot family has no end handler.
-_WINDOWS = (  # shard: shared-read
+_WINDOWS = (
     ("community_crash", "_community_crash", None),
     ("tracker_outage", "_tracker_outage_begin", "_tracker_outage_end"),
     ("partition", "_partition_begin", "_partition_end"),

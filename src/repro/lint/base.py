@@ -10,7 +10,7 @@ whatever its severity, fails the run.
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Iterator, List, Optional
+from typing import Iterator, List, Optional
 
 from repro.lint.findings import Finding, RuleContext
 
@@ -75,10 +75,3 @@ class Rule:
             message=message,
             severity=self.severity,
         )
-
-
-def iter_function_defs(tree: ast.Module) -> Iterable[ast.AST]:
-    """Every function/method definition node in a module tree."""
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node

@@ -1,9 +1,9 @@
-"""Flow-sensitive and whole-program determinism/state-ownership rules.
+"""Flow-sensitive and whole-program determinism rules.
 
-This is the v2 analyzer layer on top of PR 1's per-file rule runner.
-Three rule families live here (plus the two rules migrated off the
-single-pass engine, ``global-random`` and ``set-iteration``, which keep
-their ids, messages, and suppression behaviour bit-for-bit):
+Two rule families live here, on top of the per-file rule runner (plus
+the two rules that started on the single-pass engine,
+``global-random`` and ``set-iteration``, which keep their ids,
+messages, and suppression behaviour):
 
 **RNG substream discipline** -- every draw must be reachable from a
 named :class:`repro.sim.rng.RngStreams` substream:
@@ -21,22 +21,6 @@ named :class:`repro.sim.rng.RngStreams` substream:
 * ``rng-obs-hook-draw``: a draw lexically inside an ``if ...tracer:``
   block or a ``with ...span(...):`` body (or anywhere in ``repro.obs``)
   would make trace-enabled runs diverge from fault-free hashes.
-
-**State ownership** -- static checks against the ``# shard:``
-ownership taxonomy (see :mod:`repro.lint.annotations`), which guards
-module state shared across the runs of one process:
-
-* ``shard-missing-annotation`` / ``shard-missing-module-decl`` /
-  ``bad-shard-annotation``: coverage of the annotation scheme itself.
-* ``shard-class-mutable-default``: a mutable class-level default is
-  shared by every instance, across every run in the process.
-* ``shard-shared-read-mutated``: function-scope mutation of state
-  declared frozen.
-* ``shard-event-mutation`` (program): ``shared-mutable`` state touched
-  from code reachable from an ``EventScheduler`` callback, so one run's
-  handler side effects leak into every later run in the process.
-* ``shard-local-foreign-mutation`` (program): another module mutating
-  state declared shard-local.
 
 **Determinism hazards v2**:
 
@@ -61,12 +45,7 @@ from repro.lint.base import (
     is_set_expression,
 )
 from repro.lint.findings import Finding, RuleContext
-from repro.lint.program import (
-    GlobalBinding,
-    ModuleInfo,
-    ProgramIndex,
-    value_kind,
-)
+from repro.lint.program import ModuleInfo, ProgramIndex
 
 # ---------------------------------------------------------------------------
 # migrated rule (a): module-global randomness  [formerly ast_rules]
@@ -263,6 +242,50 @@ class SetIterationRule(Rule):
 # determinism hazards v2
 
 
+#: Calls whose result can never be mutated through the binding.
+_IMMUTABLE_CALLS = frozenset(
+    ("frozenset", "tuple", "int", "float", "str", "bytes", "bool")
+)
+
+#: Calls that build a fresh mutable container.
+_MUTABLE_CALLS = frozenset(
+    ("list", "dict", "set", "bytearray", "defaultdict", "deque", "Counter", "OrderedDict")
+)
+
+
+def _value_kind(node: ast.AST) -> str:
+    """Coarse mutability of an expression: ``"immutable"``, ``"mutable"``
+    or ``"opaque"`` (names and calls whose result type is unknown).
+
+    A tuple counts as mutable unless every element is immutable.
+    """
+    if isinstance(node, ast.Constant):
+        return "immutable"
+    if isinstance(node, ast.Tuple):
+        if all(_value_kind(e) == "immutable" for e in node.elts):
+            return "immutable"
+        return "mutable"
+    if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)):
+        return "mutable"
+    if isinstance(node, ast.UnaryOp):
+        return _value_kind(node.operand)
+    if isinstance(node, ast.BinOp):
+        if _value_kind(node.left) == _value_kind(node.right) == "immutable":
+            return "immutable"
+        return "opaque"
+    if isinstance(node, ast.Call):
+        func = node.func
+        if isinstance(func, ast.Name):
+            if func.id in _IMMUTABLE_CALLS:
+                return "immutable"
+            if func.id in _MUTABLE_CALLS:
+                return "mutable"
+        if isinstance(func, ast.Attribute) and func.attr == "compile":
+            # re.compile patterns are immutable and thread-safe.
+            return "immutable"
+    return "opaque"
+
+
 class MutableDefaultArgRule(Rule):
     rule_id = "mutable-default-arg"
     severity = "high"
@@ -279,7 +302,7 @@ class MutableDefaultArgRule(Rule):
             defaults: List[ast.AST] = list(node.args.defaults)
             defaults.extend(d for d in node.args.kw_defaults if d is not None)
             for default in defaults:
-                if value_kind(default) == "mutable":
+                if _value_kind(default) == "mutable":
                     findings.append(
                         self.finding(
                             ctx,
@@ -614,275 +637,6 @@ class RngObsHookDrawRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# state ownership (per-file parts)
-
-
-#: Packages whose module-level state must carry # shard: annotations.
-SHARD_SCOPE_PACKAGES = (
-    "core",
-    "experiments",
-    "faults",
-    "metrics",
-    "net",
-    "overlay",
-    "sim",
-    "workload",
-)
-
-#: The simulation layers that additionally need a module declaration.
-MODULE_DECL_PACKAGES = ("core", "net", "overlay", "sim")
-
-#: Method names that mutate their receiver in place.
-_MUTATOR_METHODS = frozenset(
-    (
-        "append",
-        "add",
-        "update",
-        "pop",
-        "popitem",
-        "clear",
-        "extend",
-        "insert",
-        "remove",
-        "discard",
-        "setdefault",
-        "sort",
-        "reverse",
-    )
-)
-
-
-def _chain_root(node: ast.AST) -> Optional[str]:
-    """The base Name of an Attribute/Subscript chain, if any."""
-    while isinstance(node, (ast.Attribute, ast.Subscript)):
-        node = node.value
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
-
-
-def iter_mutations(
-    tree: ast.Module, names: Set[str]
-) -> List[Tuple[str, ast.AST, str, Optional[str]]]:
-    """(name, node, how, enclosing function name) for every mutation of
-    ``names`` from *function scope* in the module.
-
-    Module-scope statements are initialization, not mutation.  A bare
-    ``name = ...`` inside a function only mutates the module global when
-    the function declares ``global name``.
-    """
-    mutations: List[Tuple[str, ast.AST, str, Optional[str]]] = []
-    for func in ast.walk(tree):
-        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        declared_global: Set[str] = set()
-        for node in ast.walk(func):
-            if isinstance(node, ast.Global):
-                declared_global.update(node.names)
-        for node in ast.walk(func):
-            if isinstance(node, (ast.Assign, ast.AugAssign)):
-                targets = (
-                    node.targets
-                    if isinstance(node, ast.Assign)
-                    else [node.target]
-                )
-                for target in targets:
-                    if isinstance(target, ast.Name):
-                        if target.id in names and target.id in declared_global:
-                            mutations.append(
-                                (target.id, node, "rebinding", func.name)
-                            )
-                    elif isinstance(target, (ast.Subscript, ast.Attribute)):
-                        root = _chain_root(target)
-                        if root in names:
-                            mutations.append(
-                                (root, node, "item/attribute store", func.name)
-                            )
-            elif isinstance(node, ast.Delete):
-                for target in node.targets:
-                    root = _chain_root(target)
-                    if root in names:
-                        mutations.append((root, node, "deletion", func.name))
-            elif (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _MUTATOR_METHODS
-            ):
-                root = _chain_root(node.func.value)
-                if root in names:
-                    mutations.append(
-                        (root, node, f".{node.func.attr}() call", func.name)
-                    )
-    return mutations
-
-
-class ShardAnnotationRule(Rule):
-    """Annotation coverage plus in-module shared-read protection.
-
-    Emits several finding ids (each documented in RULE_INFO); grouped in
-    one rule because they share the binding scan.
-    """
-
-    rule_id = "shard-missing-annotation"
-    severity = "medium"
-    description = (
-        "module-level state in a shard-scope package (sim/overlay/net/"
-        "core/workload/experiments/faults/metrics) lacks a '# shard:' "
-        "ownership annotation (shard-local | shared-read | shared-mutable)"
-    )
-
-    def _emit(
-        self,
-        ctx: RuleContext,
-        node: ast.AST,
-        rule_id: str,
-        message: str,
-        lineno: Optional[int] = None,
-    ) -> Finding:
-        severity, _desc = RULE_INFO[rule_id]
-        return Finding(
-            path=ctx.path,
-            line=lineno if lineno is not None else getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0),
-            rule=rule_id,
-            message=message,
-            severity=severity,
-        )
-
-    def check(self, tree: ast.Module, ctx: RuleContext) -> List[Finding]:
-        # Tree runs only (module_name set): lint_source snippets are not
-        # held to the annotation scheme even at repro-like paths.
-        if (
-            ctx.shard_package is None
-            or ctx.module_name is None
-            or ctx.is_test_module
-        ):
-            return []
-        from repro.lint.annotations import ShardIndex
-
-        shard = ShardIndex.from_source(ctx.source)
-        findings: List[Finding] = []
-        for lineno in shard.malformed_lines:
-            findings.append(
-                self._emit(
-                    ctx,
-                    tree,
-                    "bad-shard-annotation",
-                    "'# shard:' names no valid ownership class; use "
-                    "shard-local, shared-read, shared-mutable, or "
-                    "module=<class>",
-                    lineno=lineno,
-                )
-            )
-        if (
-            ctx.requires_module_shard_decl
-            and not ctx.is_package_init
-            and shard.module_class is None
-        ):
-            findings.append(
-                self._emit(
-                    ctx,
-                    tree,
-                    "shard-missing-module-decl",
-                    "modules in sim/overlay/net/core must declare the "
-                    "ownership of their instance state with a "
-                    "'# shard: module=<class>' comment",
-                    lineno=1,
-                )
-            )
-        annotated: Dict[str, str] = {}
-        for node in tree.body:
-            self._check_binding(node, ctx, shard, findings, annotated, None)
-            if isinstance(node, ast.ClassDef):
-                for stmt in node.body:
-                    self._check_binding(
-                        stmt, ctx, shard, findings, annotated, node.name
-                    )
-        # In-module protection of shared-read state.
-        frozen = {n for n, cls in annotated.items() if cls == "shared-read"}
-        for name, node, how, func_name in iter_mutations(tree, frozen):
-            findings.append(
-                self._emit(
-                    ctx,
-                    node,
-                    "shard-shared-read-mutated",
-                    f"'{name}' is declared '# shard: shared-read' but "
-                    f"'{func_name}' mutates it ({how}); shared-read state "
-                    "is frozen after import",
-                )
-            )
-        return findings
-
-    def _check_binding(
-        self,
-        node: ast.stmt,
-        ctx: RuleContext,
-        shard: "ShardIndexLike",
-        findings: List[Finding],
-        annotated: Dict[str, str],
-        owner_class: Optional[str],
-    ) -> None:
-        if isinstance(node, ast.Assign):
-            targets = [t for t in node.targets if isinstance(t, ast.Name)]
-            value: Optional[ast.AST] = node.value
-        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            targets = [node.target]
-            value = node.value
-        else:
-            return
-        kind = value_kind(value)
-        classification = shard.classification(node.lineno)
-        for target in targets:
-            if target.id == "__all__" or kind == "type-alias":
-                continue
-            label = (
-                f"{owner_class}.{target.id}" if owner_class else target.id
-            )
-            if owner_class is not None:
-                if kind == "mutable":
-                    findings.append(
-                        self._emit(
-                            ctx,
-                            node,
-                            "shard-class-mutable-default",
-                            f"class attribute '{label}' binds a mutable "
-                            "default shared by every instance (and every "
-                            "run in the process); use an immutable value or "
-                            "initialize per instance",
-                        )
-                    )
-                continue
-            if classification is None:
-                findings.append(
-                    self._emit(
-                        ctx,
-                        node,
-                        "shard-missing-annotation",
-                        f"module-level '{label}' has no '# shard:' "
-                        "ownership annotation (shard-local | shared-read "
-                        "| shared-mutable)",
-                    )
-                )
-            else:
-                annotated[target.id] = classification
-                if classification == "shared-read" and kind == "mutable":
-                    findings.append(
-                        self._emit(
-                            ctx,
-                            node,
-                            "shard-class-mutable-default",
-                            f"'{label}' is declared shared-read but binds "
-                            "a mutable value; freeze it (tuple/frozenset) "
-                            "or reclassify as shared-mutable",
-                        )
-                    )
-
-
-# typing alias for the duck-typed shard index parameter above
-ShardIndexLike = object
-
-
-# ---------------------------------------------------------------------------
 # program-level rules
 
 
@@ -895,19 +649,14 @@ class ProgramRule:
         raise NotImplementedError
 
     def _finding(
-        self,
-        module: ModuleInfo,
-        lineno: int,
-        col: int,
-        rule_id: str,
-        message: str,
+        self, module: ModuleInfo, lineno: int, col: int, message: str
     ) -> Finding:
-        severity, _desc = RULE_INFO[rule_id]
+        severity, _desc = RULE_INFO[self.rule_id]
         return Finding(
             path=module.path,
             line=lineno,
             col=col,
-            rule=rule_id,
+            rule=self.rule_id,
             message=message,
             severity=severity,
         )
@@ -936,7 +685,6 @@ class RngSubstreamAliasRule(ProgramRule):
                         module,
                         site.lineno,
                         site.col,
-                        self.rule_id,
                         f"substream '{name}' is requested from "
                         f"{len(qualnames)} functions ({others}); aliasing "
                         "one generator across phases couples their draw "
@@ -970,7 +718,6 @@ class RngForeignSubstreamRule(ProgramRule):
                         module,
                         site.lineno,
                         site.col,
-                        self.rule_id,
                         "observability code must not own RNG substreams; "
                         f"'{site.name}' requested in {site.qualname}",
                     )
@@ -981,7 +728,6 @@ class RngForeignSubstreamRule(ProgramRule):
                         module,
                         site.lineno,
                         site.col,
-                        self.rule_id,
                         f"fault-injection substream '{site.name}' must use "
                         "the reserved 'faults.' prefix so fault-free runs "
                         "never share its sequence",
@@ -993,132 +739,12 @@ class RngForeignSubstreamRule(ProgramRule):
                         module,
                         site.lineno,
                         site.col,
-                        self.rule_id,
                         f"substream '{site.name}' uses the 'faults.' "
                         "namespace reserved for repro.faults; pick a "
                         "phase-owned name",
                     )
                 )
         return findings
-
-
-def _shard_package_of(module_name: str, root_pkg: str) -> Optional[str]:
-    parts = module_name.split(".")
-    if len(parts) >= 2 and parts[0] == root_pkg:
-        if parts[1] in SHARD_SCOPE_PACKAGES:
-            return parts[1]
-    return None
-
-
-class ShardProgramRule(ProgramRule):
-    """Cross-module and event-handler-context shard-safety checks."""
-
-    rule_id = "shard-event-mutation"
-
-    def check_program(self, index: ProgramIndex) -> List[Finding]:
-        import os as _os
-
-        root_pkg = _os.path.basename(index.root)
-        # name -> (owning module, binding) for every annotated global in
-        # a shard-scope package.
-        owned: Dict[Tuple[str, str], GlobalBinding] = {}
-        for module_name in sorted(index.modules):
-            if _shard_package_of(module_name, root_pkg) is None:
-                continue
-            info = index.modules[module_name]
-            for name in sorted(info.module_globals):
-                binding = info.module_globals[name]
-                if binding.shard_class is not None:
-                    owned[(module_name, name)] = binding
-        findings: List[Finding] = []
-        for module_name in sorted(index.modules):
-            info = index.modules[module_name]
-            findings.extend(
-                self._check_module(index, info, owned, root_pkg)
-            )
-        return findings
-
-    def _check_module(
-        self,
-        index: ProgramIndex,
-        info: ModuleInfo,
-        owned: Dict[Tuple[str, str], GlobalBinding],
-        root_pkg: str,
-    ) -> List[Finding]:
-        findings: List[Finding] = []
-        # Local names in this module that refer to owned globals --
-        # its own, plus from-imports of another module's global.
-        local_names: Dict[str, Tuple[str, str]] = {}
-        for (owner, name) in owned:
-            if owner == info.name:
-                local_names[name] = (owner, name)
-        for bound, (source_mod, orig) in info.from_imports.items():
-            if (source_mod, orig) in owned:
-                local_names[bound] = (source_mod, orig)
-        if not local_names:
-            return findings
-        qualname_by_line = self._function_lines(info)
-        for name, node, how, func_name in iter_mutations(
-            info.tree, set(local_names)
-        ):
-            owner, orig = local_names[name]
-            binding = owned[(owner, orig)]
-            lineno = getattr(node, "lineno", 1)
-            col = getattr(node, "col_offset", 0)
-            qualname = qualname_by_line.get(func_name)
-            foreign = owner != info.name
-            if binding.shard_class == "shared-read" and foreign:
-                findings.append(
-                    self._finding(
-                        info,
-                        lineno,
-                        col,
-                        "shard-shared-read-mutated",
-                        f"'{owner}.{orig}' is shared-read but "
-                        f"'{info.name}:{func_name}' mutates it ({how})",
-                    )
-                )
-            elif binding.shard_class == "shard-local" and foreign:
-                findings.append(
-                    self._finding(
-                        info,
-                        lineno,
-                        col,
-                        "shard-local-foreign-mutation",
-                        f"'{owner}.{orig}' is shard-local state but "
-                        f"'{info.name}:{func_name}' mutates it ({how}); "
-                        "cross-module mutation breaks its one-owner "
-                        "contract",
-                    )
-                )
-            elif binding.shard_class == "shared-mutable":
-                if qualname is not None and qualname in index.event_reachable:
-                    findings.append(
-                        self._finding(
-                            info,
-                            lineno,
-                            col,
-                            "shard-event-mutation",
-                            f"'{owner}.{orig}' is shared-mutable and "
-                            f"'{qualname}' (reachable from an "
-                            "EventScheduler callback) mutates it "
-                            f"({how}); route the write through the "
-                            "scheduler or move it to setup code",
-                        )
-                    )
-        return findings
-
-    @staticmethod
-    def _function_lines(info: ModuleInfo) -> Dict[str, str]:
-        """function simple name -> qualname (best effort, last wins)."""
-        table: Dict[str, str] = {}
-        for fname in sorted(info.functions):
-            table[fname] = info.functions[fname].qualname
-        for cls_name in sorted(info.classes):
-            cls = info.classes[cls_name]
-            for mname in sorted(cls.methods):
-                table[mname] = cls.methods[mname].qualname
-        return table
 
 
 # ---------------------------------------------------------------------------
@@ -1135,18 +761,16 @@ FLOW_RULES: Tuple[Rule, ...] = (
     UnsortedSerializationRule(),
     RngUnownedGeneratorRule(),
     RngObsHookDrawRule(),
-    ShardAnnotationRule(),
 )
 
 #: Whole-program rules (need the ProgramIndex).
 PROGRAM_RULES: Tuple[ProgramRule, ...] = (
     RngSubstreamAliasRule(),
     RngForeignSubstreamRule(),
-    ShardProgramRule(),
 )
 
-#: rule id -> (severity, description) for every id this module can emit,
-#: including multi-id rules.  The runner folds this into the global
+#: rule id -> (severity, description) for every id this module can emit.
+#: The runner folds this into the global
 #: registry for --list-rules / --explain.
 RULE_INFO: Dict[str, Tuple[str, str]] = {
     "global-random": ("high", GlobalRandomRule.description),
@@ -1166,38 +790,6 @@ RULE_INFO: Dict[str, Tuple[str, str]] = {
         "high",
         "substream namespace violation: 'faults.*' is reserved for "
         "repro.faults and observability code must not own substreams",
-    ),
-    "shard-missing-annotation": (
-        "medium",
-        ShardAnnotationRule.description,
-    ),
-    "shard-missing-module-decl": (
-        "medium",
-        "modules in sim/overlay/net/core must declare instance-state "
-        "ownership with a '# shard: module=<class>' comment",
-    ),
-    "bad-shard-annotation": (
-        "low",
-        "'# shard:' comment names no valid ownership class",
-    ),
-    "shard-class-mutable-default": (
-        "high",
-        "a mutable class-level default (or a mutable value declared "
-        "shared-read) is shared across instances and runs",
-    ),
-    "shard-shared-read-mutated": (
-        "high",
-        "function-scope mutation of state declared '# shard: shared-read'",
-    ),
-    "shard-event-mutation": (
-        "high",
-        "shared-mutable state mutated from code reachable from an "
-        "EventScheduler callback without going through the scheduler",
-    ),
-    "shard-local-foreign-mutation": (
-        "high",
-        "shard-local state mutated from another module (breaks its "
-        "one-owner contract)",
     ),
 }
 

@@ -9,7 +9,7 @@ full reference with flagged/clean examples lives in ``docs/lint.md``;
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.lint.ast_rules import RULE_DESCRIPTIONS, RULE_SEVERITIES
 
@@ -76,49 +76,6 @@ A draw lexically inside an `if ...tracer:` block or a `with
 ...span(...):` body fires only when tracing is enabled, so traced and
 untraced runs diverge -- the obs layer's zero-perturbation guarantee
 breaks.  Hoist the draw above the hook and pass its result in.""",
-    "shard-missing-annotation": """\
-Module state outlives a run: sweeps, the trace cache and worker
-processes execute many runs in one interpreter, so every piece of it
-must say who owns it.  Module-level bindings in
-sim/overlay/net/core/workload/experiments/faults/metrics must carry a
-`# shard:` comment on the assignment line: `shard-local` (one run owns
-it), `shared-read` (frozen after import), or `shared-mutable`
-(cross-run caches; see shard-event-mutation).  Type aliases and
-`__all__` are exempt.""",
-    "shard-missing-module-decl": """\
-The four simulation packages (sim, overlay, net, core) also declare
-the default ownership of their *instance* state with a module-level
-`# shard: module=<class>` comment, normally `module=shard-local`:
-objects these modules create live and die inside one run.""",
-    "bad-shard-annotation": """\
-A `# shard:` marker that names no valid ownership class is probably a
-typo that silently opts state out of the analysis; valid forms are
-`shard-local`, `shared-read`, `shared-mutable`, and
-`module=<class>`.""",
-    "shard-class-mutable-default": """\
-A mutable class-level attribute (`class C: cache = {}`) is one object
-shared by every instance -- across every run in one process.  Use an
-immutable value
-(tuple/frozenset) or initialize per instance in `__init__`.  Also
-fires when a binding declared `shared-read` holds a mutable value:
-frozen-by-convention is not frozen.""",
-    "shard-shared-read-mutated": """\
-State declared `# shard: shared-read` is frozen after import; any
-function-scope mutation (rebinding via `global`, item store, `.append`
-and friends) is a defect no matter which module does it.  Either the
-mutation is a bug, or the state is really `shared-mutable` and must be
-re-classified and routed properly.""",
-    "shard-event-mutation": """\
-`shared-mutable` state (cross-run caches, registries) may be mutated
-only *outside* event-handler code.  This program-level rule walks the
-call graph from every callback passed to `EventScheduler.schedule(...)`
-and flags mutations reachable from one: that write carries one run's
-handler side effects into every later run in the process.  Route it
-through the scheduler, or move it to setup/teardown code.""",
-    "shard-local-foreign-mutation": """\
-State declared `shard-local` is owned by one run; a mutation from a
-*different module* is either a mis-classification or a write that
-breaks the one-owner contract the annotation promises.""",
     "unused-import": """\
 Dead imports hide real dependencies, slow import time, and rot
 silently.  Names exported via `__all__` and quoted annotations count
@@ -172,8 +129,3 @@ def explain_rule(rule_id: str) -> Optional[str]:
     lines.append(f"Suppress one line with: # lint: disable={rule_id}")
     lines.append("See docs/lint.md for flagged/clean examples.")
     return "\n".join(lines)
-
-
-def explained_rule_ids() -> List[str]:
-    """Sorted ids that have long-form explanations (tests pin coverage)."""
-    return sorted(_EXPLANATIONS)

@@ -52,9 +52,7 @@ class RuleContext:
     """
 
     path: str
-    source: str
     is_rng_module: bool = False
-    is_package_init: bool = False
     #: The protocol registry module -- the one sanctioned construction
     #: site of ``*Protocol`` classes (direct-protocol-instantiation).
     is_protocol_registry: bool = False
@@ -65,13 +63,6 @@ class RuleContext:
     #: Packages whose public API must carry docstrings
     #: (missing-public-docstring); opt-in per path, see lint.runner.
     requires_public_docstrings: bool = False
-    #: The shard-scope package this module belongs to ("sim", "overlay",
-    #: "net", "core", "workload", "experiments", "faults", "metrics"),
-    #: or None when the shard-safety rules do not apply to the file.
-    shard_package: "str | None" = None
-    #: The four simulation packages additionally require a
-    #: module-level ``# shard: module=<class>`` ownership declaration.
-    requires_module_shard_decl: bool = False
     #: Dotted module name when known ("repro.sim.engine"); program-pass
     #: rules use it to attribute findings across modules.
     module_name: "str | None" = None

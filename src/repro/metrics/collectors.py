@@ -215,7 +215,7 @@ class ExperimentMetrics:
 #: spent; a settled failover's ladder retries).  ``record_count`` accepts
 #: these names; the fault injector records them by emitting their rows, and
 #: the time series sums those rows into columns of the same names.
-COUNTERS = MappingProxyType(  # shard: shared-read
+COUNTERS = MappingProxyType(
     {
         **{
             f.name: (f.metadata["rows"], f.metadata["by"])
@@ -230,7 +230,7 @@ COUNTERS = MappingProxyType(  # shard: shared-read
 )
 
 #: Trace row -> the ``(counter, by)`` pairs it carries, from :data:`COUNTERS`.
-COUNTER_ROWS = MappingProxyType(  # shard: shared-read
+COUNTER_ROWS = MappingProxyType(
     {
         row: tuple((name, by) for name, (rows, by) in COUNTERS.items() if row in rows)
         for rows, _by in COUNTERS.values()

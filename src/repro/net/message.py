@@ -1,4 +1,3 @@
-# shard: module=shard-local -- instances live and die inside one run/shard
 """Message and result records exchanged between peers, server and harness."""
 
 from __future__ import annotations

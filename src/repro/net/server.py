@@ -1,4 +1,3 @@
-# shard: module=shard-local -- instances live and die inside one run/shard
 """The central server.
 
 In every system the paper evaluates, a central server remains in the
@@ -93,7 +92,7 @@ class MemberPool(dict):
 _Members = Union[MemberPool, Set[int]]
 
 #: What a read of a tracker map returns for a key nobody registered.
-_NO_MEMBERS: FrozenSet[int] = frozenset()  # shard: shared-read
+_NO_MEMBERS: FrozenSet[int] = frozenset()
 
 
 class ServerOverloadError(Exception):

@@ -52,7 +52,7 @@ DEFAULT_PROTOCOLS: Tuple[str, ...] = ("pavod", "nettube", "socialtube")
 #: Regress band of every declared run metric: the scalar fields of
 #: :class:`ExperimentMetrics` and the run-level counters of
 #: :class:`ExperimentResult` (see :func:`repro.metrics.collectors.metric`).
-BANDS: Dict[str, Tuple[float, float]] = {  # shard: shared-read
+BANDS: Dict[str, Tuple[float, float]] = {
     **metric_bands(ExperimentMetrics),
     **metric_bands(ExperimentResult),
 }

@@ -1,4 +1,3 @@
-# shard: module=shard-local -- instances live and die inside one run/shard
 """Message-level (event-driven) TTL flooding.
 
 DESIGN.md §5 documents that the harness resolves Algorithm 1's floods

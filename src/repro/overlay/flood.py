@@ -1,4 +1,3 @@
-# shard: module=shard-local -- instances live and die inside one run/shard
 """TTL-scoped flooding search.
 
 The query primitive of both SocialTube (Algorithm 1: flood inner-links

@@ -1,4 +1,3 @@
-# shard: module=shard-local -- instances live and die inside one run/shard
 """Capped neighbor-set management.
 
 A node's overlay links are the thing the paper's maintenance-overhead

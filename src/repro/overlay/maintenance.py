@@ -1,4 +1,3 @@
-# shard: module=shard-local -- instances live and die inside one run/shard
 """Probe-traffic accounting: the cost side of maintenance overhead.
 
 Section IV-A: "each node periodically probes its neighbors" (every 10
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 #: Section V: "Nodes probe their neighbors every 10 minutes".
-DEFAULT_PROBE_PERIOD_S = 600.0  # shard: shared-read
+DEFAULT_PROBE_PERIOD_S = 600.0
 
 
 @dataclass

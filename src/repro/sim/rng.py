@@ -1,4 +1,3 @@
-# shard: module=shard-local -- instances live and die inside one run/shard
 """Deterministic, named random-number streams.
 
 A reproduction must be bit-for-bit repeatable from a single seed, yet a

@@ -38,11 +38,6 @@ class SessionTracker:
         #: series of repro.obs.timeseries.
         self.tracer = tracer
 
-    @property
-    def active_count(self) -> int:
-        """Number of users currently inside a session (the churn gauge)."""
-        return self._active
-
     def _of(self, user_id: int) -> _UserProgress:
         progress = self._progress.get(user_id)
         if progress is None:

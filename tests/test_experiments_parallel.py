@@ -1,4 +1,5 @@
-"""Parallel orchestrator tests: determinism, dedupe, aggregation.
+"""Parallel orchestrator tests: determinism, dedupe, aggregation,
+cross-run isolation.
 
 The headline contract: ``run_sweep(specs, jobs=N)`` is byte-identical
 to ``run_sweep(specs, jobs=1)`` for any N, because every run owns an
@@ -6,9 +7,15 @@ independent RngStreams family and reads a shared immutable corpus.
 """
 
 import dataclasses
+import hashlib
+import os
+import pickle
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.experiments.config import SimulationConfig
 from repro.experiments.figures import EvaluationSuite
 from repro.experiments.parallel import (
@@ -22,6 +29,8 @@ from repro.experiments.parallel import (
 from repro.experiments.registry import resolve_params
 from repro.experiments.runner import ExperimentResult, run_spec
 from repro.experiments.spec import ExperimentSpec
+from repro.faults.plan import FaultPlan
+from repro.obs.export import run_traced
 from repro.trace.synthesizer import TraceConfig
 
 MICRO = SimulationConfig(
@@ -190,3 +199,82 @@ class TestEvaluationSuiteIntegration:
         direct = aggregate_runs(specs, run_sweep(specs))
         assert via_suite.metrics == direct.metrics
         assert via_suite.intervals == direct.intervals
+
+
+def isolation_specs():
+    """Smoke-scale specs that read every piece of process-wide state a
+    run touches: the protocol registry (three stacks), the fault driver
+    (crash/repair and every infrastructure family), the environment
+    factories and the shared trace cache (every spec shares one trace
+    recipe).  A leak shows only when a spec reads state that an earlier
+    spec wrote, so each stack and each environment runs at least twice;
+    the two ``planetlab`` runs differ only in seed."""
+    config = SimulationConfig.smoke_scale()
+    specs = []
+    for protocol in ("socialtube", "nettube", "pavod"):
+        base = ExperimentSpec(protocol=protocol, config=config)
+        specs += [base, base.with_faults(FaultPlan.demo())]
+    socialtube = specs[0]
+    planetlab = dataclasses.replace(socialtube, environment="planetlab")
+    specs += [
+        socialtube.with_faults(FaultPlan.infra_demo()),
+        planetlab,
+        planetlab.with_seed(7),
+    ]
+    return specs
+
+
+def fingerprint(rows, jsonl):
+    """A run's identity: its result rows plus the sha256 of its trace."""
+    return list(rows), hashlib.sha256(jsonl).hexdigest()
+
+
+#: Runs one pickled spec traced and pickles back (rows, trace JSONL).
+_FRESH_RUN = (
+    "import pickle, sys\n"
+    "from repro.obs.export import run_traced\n"
+    "result, jsonl = run_traced(pickle.load(sys.stdin.buffer))\n"
+    "pickle.dump((result.render_rows(), jsonl), sys.stdout.buffer)\n"
+)
+
+
+def fresh_process_fingerprint(spec):
+    """The fingerprint of ``spec`` run alone in a new interpreter."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_RUN],
+        input=pickle.dumps(spec),
+        capture_output=True,
+        env=env,
+        check=False,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    return fingerprint(*pickle.loads(proc.stdout))
+
+
+class TestCrossRunIsolation:
+    """No run's output depends on what ran before it in the process.
+
+    Sweeps and the trace cache execute many runs in one interpreter, so
+    module state, class attributes, the cached datasets and the
+    registries all outlive a run.  Each spec's in-process fingerprint,
+    with the others run before it in either order, must equal the same
+    spec run alone in a fresh interpreter.
+    """
+
+    @pytest.fixture(scope="class")
+    def fresh(self):
+        return [fresh_process_fingerprint(spec) for spec in isolation_specs()]
+
+    @pytest.mark.parametrize("order", ["forward", "reverse"])
+    def test_in_process_runs_match_fresh_processes(self, fresh, order):
+        specs = list(enumerate(isolation_specs()))
+        if order == "reverse":
+            specs.reverse()
+        leaked = []
+        for i, spec in specs:
+            result, jsonl = run_traced(spec)
+            if fingerprint(result.render_rows(), jsonl) != fresh[i]:
+                leaked.append(f"#{i} {spec.label()} faults={spec.has_faults()}")
+        assert not leaked, f"runs differ from a fresh process: {leaked}"

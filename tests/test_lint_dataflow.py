@@ -22,18 +22,13 @@ def flow_lint(
     *,
     path="src/repro/x.py",
     module_name="repro.x",
-    shard_package=None,
-    requires_decl=False,
     is_test=False,
     is_rng=False,
 ):
     source = textwrap.dedent(source)
     ctx = RuleContext(
         path=path,
-        source=source,
         module_name=module_name,
-        shard_package=shard_package,
-        requires_module_shard_decl=requires_decl,
         is_test_module=is_test,
         is_rng_module=is_rng,
     )
@@ -230,54 +225,6 @@ class TestRngObsHookDraw:
             """
         )
         assert findings == []
-
-
-class TestShardAnnotationRules:
-    def _shard(self, source, **kw):
-        kw.setdefault("shard_package", "sim")
-        kw.setdefault("module_name", "repro.sim.x")
-        kw.setdefault("path", "src/repro/sim/x.py")
-        return flow_lint(source, **kw)
-
-    def test_missing_module_decl_flagged_in_pdes_packages(self):
-        findings = self._shard("X = 1  # shard: shared-read\n", requires_decl=True)
-        assert rules_of(findings) == ["shard-missing-module-decl"]
-
-    def test_module_decl_satisfies_requirement(self):
-        findings = self._shard(
-            "# shard: module=shard-local\nX = 1  # shard: shared-read\n",
-            requires_decl=True,
-        )
-        assert findings == []
-
-    def test_unannotated_module_global_flagged(self):
-        findings = self._shard("TABLE = {}\n")
-        assert rules_of(findings) == ["shard-missing-annotation"]
-
-    def test_unknown_shard_class_flagged(self):
-        findings = self._shard("X = 1  # shard: frozen\n")
-        assert "bad-shard-annotation" in rules_of(findings)
-
-    def test_mutable_shared_read_flagged(self):
-        findings = self._shard("CACHE = {}  # shard: shared-read\n")
-        assert rules_of(findings) == ["shard-class-mutable-default"]
-
-    def test_shared_read_rebinding_flagged(self):
-        findings = self._shard(
-            """
-            LIMITS = (1, 2)  # shard: shared-read
-
-
-            def bump():
-                global LIMITS
-                LIMITS = (2, 3)
-            """
-        )
-        assert "shard-shared-read-mutated" in rules_of(findings)
-
-    def test_outside_shard_packages_silent(self):
-        assert flow_lint("TABLE = {}\n", shard_package=None) == []
-        assert flow_lint("TABLE = {}\n", module_name=None) == []
 
 
 class TestMigratedRules:

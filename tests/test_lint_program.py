@@ -1,5 +1,5 @@
-"""Whole-program index tests: symbol table, import graph, call graph,
-event reachability, and cross-module shard rules on a fixture package."""
+"""Whole-program index tests: substream sites, index determinism, and
+the substream program rules on fixture packages."""
 
 import textwrap
 
@@ -26,7 +26,6 @@ def fixture_pkg(tmp_path):
         root,
         "sim/engine.py",
         '''\
-        # shard: module=shard-local
         """Fixture scheduler."""
 
 
@@ -43,24 +42,7 @@ def fixture_pkg(tmp_path):
         root,
         "overlay/proto.py",
         '''\
-        # shard: module=shard-local
         """Fixture protocol."""
-
-        from pkg.sim.engine import EventScheduler
-
-        CACHE = {}  # shard: shared-mutable
-
-
-        def helper(x):
-            CACHE[x] = 1
-
-
-        def handler(x):
-            helper(x)
-
-
-        def run(sched):
-            sched.schedule(1.0, handler, 3)
 
 
         def seed_streams(streams):
@@ -72,43 +54,6 @@ def fixture_pkg(tmp_path):
 
 
 class TestProgramIndex:
-    def test_symbol_table(self, fixture_pkg):
-        index = build_program(str(fixture_pkg))
-        assert set(index.modules) == {
-            "pkg",
-            "pkg.sim",
-            "pkg.sim.engine",
-            "pkg.overlay",
-            "pkg.overlay.proto",
-        }
-        proto = index.modules["pkg.overlay.proto"]
-        assert set(proto.functions) == {"helper", "handler", "run", "seed_streams"}
-        cache = proto.module_globals["CACHE"]
-        assert cache.shard_class == "shared-mutable"
-        assert cache.kind == "mutable"
-        engine = index.modules["pkg.sim.engine"]
-        assert set(engine.classes) == {"EventScheduler"}
-        assert set(engine.classes["EventScheduler"].methods) == {
-            "__init__",
-            "schedule",
-        }
-
-    def test_import_graph(self, fixture_pkg):
-        index = build_program(str(fixture_pkg))
-        graph = index.import_graph()
-        assert graph["pkg.overlay.proto"] == ("pkg.sim.engine",)
-        assert graph["pkg.sim.engine"] == ()
-
-    def test_call_graph_and_event_reachability(self, fixture_pkg):
-        index = build_program(str(fixture_pkg))
-        assert index.call_graph["pkg.overlay.proto:handler"] == (
-            "pkg.overlay.proto:helper",
-        )
-        # handler is registered via sched.schedule(delay, handler, ...)
-        assert "pkg.overlay.proto:handler" in index.event_roots
-        # ... and its transitive callee is event-reachable.
-        assert "pkg.overlay.proto:helper" in index.event_reachable
-
     def test_stream_sites(self, fixture_pkg):
         index = build_program(str(fixture_pkg))
         sites = index.all_stream_sites()
@@ -120,9 +65,7 @@ class TestProgramIndex:
         first = build_program(str(fixture_pkg))
         second = build_program(str(fixture_pkg))
         assert first.stats() == second.stats()
-        assert first.call_graph == second.call_graph
-        assert first.event_roots == second.event_roots
-        assert first.import_graph() == second.import_graph()
+        assert first.all_stream_sites() == second.all_stream_sites()
 
     def test_syntax_error_files_are_skipped(self, fixture_pkg):
         write(fixture_pkg, "overlay/broken.py", "def f(:\n")
@@ -132,66 +75,6 @@ class TestProgramIndex:
 
 
 class TestShardProgramRules:
-    def test_event_reachable_mutation_of_shared_mutable_flagged(
-        self, fixture_pkg
-    ):
-        index = build_program(str(fixture_pkg))
-        findings = collect_program_findings(index)
-        rules = {f.rule for f in findings}
-        assert "shard-event-mutation" in rules
-        [finding] = [f for f in findings if f.rule == "shard-event-mutation"]
-        assert "CACHE" in finding.message
-        assert finding.severity == "high"
-
-    def test_mutation_outside_event_code_allowed(self, tmp_path):
-        root = tmp_path / "pkg"
-        write(root, "__init__.py", "")
-        write(root, "sim/__init__.py", "")
-        write(
-            root,
-            "sim/setup.py",
-            """\
-            # shard: module=shard-local
-            CACHE = {}  # shard: shared-mutable
-
-
-            def warm(key):
-                CACHE[key] = 1
-            """,
-        )
-        index = build_program(str(root))
-        rules = {f.rule for f in collect_program_findings(index)}
-        assert "shard-event-mutation" not in rules
-
-    def test_foreign_mutation_of_shard_local_flagged(self, tmp_path):
-        root = tmp_path / "pkg"
-        write(root, "__init__.py", "")
-        write(root, "sim/__init__.py", "")
-        write(
-            root,
-            "sim/state.py",
-            """\
-            # shard: module=shard-local
-            TABLE = {}  # shard: shard-local
-            """,
-        )
-        write(
-            root,
-            "sim/other.py",
-            """\
-            # shard: module=shard-local
-            from pkg.sim.state import TABLE
-
-
-            def poke():
-                TABLE["x"] = 1
-            """,
-        )
-        index = build_program(str(root))
-        findings = collect_program_findings(index)
-        rules = {f.rule for f in findings}
-        assert "shard-local-foreign-mutation" in rules
-
     def test_substream_aliasing_flagged(self, tmp_path):
         root = tmp_path / "pkg"
         write(root, "__init__.py", "")
@@ -290,11 +173,19 @@ class TestShardProgramRules:
 
 class TestRunnerIntegration:
     def test_lint_paths_includes_program_findings(self, fixture_pkg):
+        write(
+            fixture_pkg,
+            "overlay/probe.py",
+            """\
+            def reseed(streams):
+                return streams.stream("overlay.probe")
+            """,
+        )
         report = lint_paths([str(fixture_pkg)])
         rules = {f.rule for f in report.findings}
-        assert "shard-event-mutation" in rules
+        assert "rng-substream-aliasing" in rules
         assert report.program_stats is not None
-        assert report.program_stats["modules"] == 5
+        assert report.program_stats["modules"] == 6
 
     def test_program_finding_suppressible_per_line(self, tmp_path):
         root = tmp_path / "pkg"

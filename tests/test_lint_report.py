@@ -69,9 +69,9 @@ class TestGoldenJsonDeterminism:
 
 class TestCli:
     def test_explain_known_and_unknown_rule(self, capsys):
-        assert main(["lint", "--explain", "shard-event-mutation"]) == 0
+        assert main(["lint", "--explain", "rng-foreign-substream"]) == 0
         out = capsys.readouterr().out
-        assert "shard-event-mutation" in out
+        assert "rng-foreign-substream" in out
         assert "[high]" in out
         assert main(["lint", "--explain", "no-such-rule"]) == 2
 

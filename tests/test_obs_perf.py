@@ -22,7 +22,7 @@ import inspect
 from repro.experiments.config import SimulationConfig
 from repro.experiments.runner import ExperimentRunner, run_spec
 from repro.experiments.spec import ExperimentSpec
-from repro.lint import lint_source
+from repro.lint.runner import lint_source
 from repro.obs.export import (
     PERF_REPORT_FIELDS,
     profile_report_to_json_bytes,
