@@ -1,17 +1,14 @@
-"""Wall-clock benchmark for the whole-program lint analyzer.
+"""Wall-clock benchmark for the lint analyzer.
 
 Not a pytest benchmark: run directly with
 
     PYTHONPATH=src python benchmarks/bench_lint.py
 
-Times the three layers of ``python -m repro lint`` separately over the
-shipped ``src/repro`` tree --
+Times ``python -m repro lint`` over the shipped ``src/repro`` tree --
 
-* ``index_build``   -- parse every module and build the
-  :class:`~repro.lint.program.ProgramIndex` (the RNG substream sites
-  the program rules read);
-* ``full_analysis`` -- everything ``lint_paths`` does: per-file AST +
-  flow rules, the program pass, suppression matching;
+* ``full_analysis`` -- everything ``lint_paths`` does: one parse per
+  file, every rule over it, the cross-file substream aliasing check,
+  suppression matching;
 * ``render_json``   -- serializing the report (the CI artifact).
 
 Measurements go to ``BENCH_lint.json`` at the repo root (same schema
@@ -28,7 +25,6 @@ import sys
 
 import harness
 
-from repro.lint.program import build_program
 from repro.lint.runner import default_lint_root, lint_paths, render_json
 
 REPEATS = 3
@@ -39,7 +35,6 @@ OUTPUT = "BENCH_lint.json"
 def main() -> int:
     root = default_lint_root()
 
-    index_s, index = harness.best_of(lambda: build_program(root), repeats=REPEATS)
     analysis_s, report = harness.best_of(lambda: lint_paths([root]), repeats=REPEATS)
     render_s, blob = harness.best_of(lambda: render_json(report), repeats=REPEATS)
 
@@ -49,19 +44,16 @@ def main() -> int:
             + "\n".join(f.render() for f in report.findings)
         )
 
-    stats = index.stats()
     payload = {
         **harness.envelope(
-            "whole-program lint analyzer (full src/repro tree)",
+            "lint analyzer (full src/repro tree)",
             "PYTHONPATH=src python benchmarks/bench_lint.py",
         ),
         "tree": {
             "files_checked": report.files_checked,
-            "modules_indexed": stats["modules"],
-            "stream_sites": stats["stream_sites"],
+            "stream_sites": len(report.stream_sites),
         },
         "timings_s": {
-            "index_build": round(index_s, 4),
             "full_analysis": round(analysis_s, 4),
             "render_json": round(render_s, 4),
         },
@@ -71,11 +63,9 @@ def main() -> int:
         "repeats_best_of": REPEATS,
         "note": (
             "full_analysis is the complete lint_paths pipeline CI runs: "
-            "per-file AST + flow-sensitive rules over every module, the "
-            "whole-program pass (substream aliasing and namespace "
-            "ownership) and suppression matching.  index_build isolates "
-            "the parse + ProgramIndex construction (substream sites "
-            "only).  The 10 s bar keeps the analyzer cheap enough "
+            "one parse per module, every rule over it, the cross-file "
+            "substream aliasing check and suppression matching.  The "
+            "10 s bar keeps the analyzer cheap enough "
             "to sit inside tier-1 (tests/test_lint_clean.py) and run on "
             "every push."
         ),

@@ -222,9 +222,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.lint.ast_rules import RULE_DESCRIPTIONS
-    from repro.lint.explain import explain_rule
-    from repro.lint.runner import run_lint
+    from repro.lint.runner import RULE_DESCRIPTIONS, explain_rule, run_lint
 
     if args.list_rules:
         for rule_id in sorted(RULE_DESCRIPTIONS):

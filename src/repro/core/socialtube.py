@@ -50,7 +50,6 @@ class SocialTubeProtocol(VodProtocol):
         self.structure = HierarchicalStructure(
             dataset,
             server,
-            rng,
             inner_link_limit=inner_link_limit,
             inter_link_limit=inter_link_limit,
         )

@@ -20,7 +20,6 @@ connects to the video provider ... until the number reaches N_l").
 
 from __future__ import annotations
 
-from random import Random
 from typing import Callable, Dict, List, Optional, Set
 
 from repro.net.server import CentralServer
@@ -35,7 +34,6 @@ class HierarchicalStructure:
         self,
         dataset: TraceDataset,
         server: CentralServer,
-        rng: Random,
         inner_link_limit: int = 5,
         inter_link_limit: int = 10,
         bootstrap_inner_links: int = 3,
@@ -52,7 +50,6 @@ class HierarchicalStructure:
             raise ValueError("bootstrap link counts must be >= 0")
         self.dataset = dataset
         self.server = server
-        self.rng = rng
         self.inner_link_limit = inner_link_limit
         self.inter_link_limit = inter_link_limit
         self.bootstrap_inner_links = min(bootstrap_inner_links, inner_link_limit)

@@ -1,18 +1,21 @@
 """Determinism static analysis (plus runtime overlay invariants).
 
-Three analysis layers keep the reproduction's repeatability claim
-honest:
+One pass parses each file once and runs every rule over it; the one
+check that spans files then runs over the RNG substream sites that
+pass collected.  Together with a runtime checker they keep the
+reproduction's repeatability claim honest:
 
-* :mod:`repro.lint.ast_rules` -- single-pass AST rules (wall-clock
-  reads, unused imports, dead names, broad excepts, float time
-  equality, protocol construction, docstring coverage).
-* :mod:`repro.lint.dataflow` + :mod:`repro.lint.program` -- the
-  flow-sensitive and whole-program passes: a project-wide index of RNG
-  substream sites feeding substream discipline (``global-random``,
+* :mod:`repro.lint.ast_rules` -- pattern rules (wall-clock reads,
+  unused imports, dead names, broad excepts, float time equality,
+  protocol construction, docstring coverage).
+* :mod:`repro.lint.dataflow` -- flow-sensitive and RNG substream
+  rules: substream discipline (``global-random``,
   ``rng-substream-aliasing``, ``rng-foreign-substream``,
   ``rng-obs-hook-draw``...) and determinism hazards
   (``unsorted-accumulation``, ``unsorted-serialization``,
   ``mutable-default-arg``).
+* :mod:`repro.lint.runner` -- the rule table (:data:`RULES`), the
+  file walk, suppression and the report.
 * :mod:`repro.lint.invariants` -- runtime checks of the two-level
   overlay's structural invariants (``N_l``/``N_h`` capacity bounds,
   link symmetry, no self-links, no dangling links to departed nodes),

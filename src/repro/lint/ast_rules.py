@@ -1,77 +1,32 @@
-"""Single-pass AST determinism rules for the reproduction's source tree.
+"""Single-pass AST pattern rules for the reproduction's source tree.
 
 The headline claim of the harness is bit-for-bit repeatability from a
-single seed (see :mod:`repro.sim.rng`); these rules mechanically reject
-the ways that claim silently breaks:
+single seed (see :mod:`repro.sim.rng`); these rules reject the
+syntactic patterns that silently break it or rot the code around it:
+``wall-clock``, ``unused-import``, ``dead-name``, ``broad-except``,
+``float-time-eq``, ``direct-protocol-instantiation`` and
+``missing-public-docstring``.
 
-``wall-clock``
-    ``time.time()``, ``datetime.now()`` etc. make results depend on the
-    machine's clock.  Simulated time comes only from
-    ``EventScheduler.now``.
-``unused-import``
-    Dead imports hide real dependencies and rot silently.
-``dead-name``
-    A local assigned a side-effect-free value and never read is dead
-    code (often a refactor leftover).
-``broad-except``
-    ``except Exception`` / bare ``except`` inside event callbacks
-    swallows simulation bugs and lets runs diverge silently; catch the
-    specific exception or re-raise.
-``float-time-eq``
-    ``==`` between floats derived from simulated time (``sched.now``,
-    fire times) is brittle under accumulation order; compare with a
-    tolerance or restructure around event ordering.
-``direct-protocol-instantiation``
-    ``*Protocol`` classes constructed outside
-    :mod:`repro.experiments.registry` bypass the typed parameter
-    defaults and the one sanctioned construction site; tests and
-    benchmarks are exempt.
-``missing-public-docstring``
-    Public classes and functions in the packages that form the
-    harness's user-facing API surface (``repro.obs``,
-    ``repro.experiments.spec``, ``repro.experiments.registry``) must
-    carry docstrings; only files flagged
-    ``requires_public_docstrings`` are checked.
-
-The ``global-random`` and ``set-iteration`` rules started here and
-moved to the flow/program pass in :mod:`repro.lint.dataflow`; they are
-re-exported below with identical ids, messages, and severities, so both
-existing imports and existing ``# lint: disable=`` comments keep
-working.
-
-Each rule emits :class:`repro.lint.findings.Finding` rows; a finding is
-silenced for one line with ``# lint: disable=<rule-id>``.
-:data:`RULE_DESCRIPTIONS` is the *combined* registry -- single-pass,
-flow, program, and runner-emitted ids alike -- because the CLI's
-``--list-rules``/``--explain`` and the docs validator treat it as the
-one source of truth.
+Each rule class declares its id, severity, ``--list-rules``
+description and ``--explain`` paragraph once;
+:data:`repro.lint.runner.RULES` runs them, and a finding is silenced
+for one line with ``# lint: disable=<rule-id>``.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, List, Set, Tuple
+from typing import List, Set, Tuple
 
 from repro.lint.base import (
     Rule,
     dotted_name as _dotted_name,
     walk_skipping_nested_functions as _walk_skipping_nested_functions,
 )
-from repro.lint.dataflow import (
-    RULE_INFO as _DATAFLOW_RULE_INFO,
-    GlobalRandomRule,
-    SetIterationRule,
-)
 from repro.lint.findings import Finding, RuleContext
 
 __all__ = [
-    "ALL_AST_RULES",
-    "RULE_DESCRIPTIONS",
-    "RULE_SEVERITIES",
-    "Rule",
-    "GlobalRandomRule",
-    "SetIterationRule",
     "WallClockRule",
     "UnusedImportRule",
     "DeadNameRule",
@@ -79,7 +34,6 @@ __all__ = [
     "FloatTimeEqRule",
     "DirectProtocolInstantiationRule",
     "MissingPublicDocstringRule",
-    "collect_findings",
 ]
 
 
@@ -113,6 +67,14 @@ class WallClockRule(Rule):
         "comes only from EventScheduler.now, wall time only from "
         "repro.obs.perf"
     )
+    explanation = """\
+`time.time()`, `datetime.now()` and friends make results depend on the
+machine clock.  All simulated time comes from `EventScheduler.now`.
+The one sanctioned wall-clock namespace is `repro.obs.perf` -- the
+hash-neutral sidecar telemetry layer (mirroring how `sim/rng.py` owns
+the `random` module); every other module obtains wall time through a
+perf object, and benchmarks measure wall time through their own
+harness, outside src/repro."""
 
     def check(self, tree: ast.Module, ctx: RuleContext) -> List[Finding]:
         if ctx.owns_wall_clock:
@@ -222,6 +184,10 @@ class UnusedImportRule(Rule):
     rule_id = "unused-import"
     severity = "low"
     description = "imported name is never used in the module"
+    explanation = """\
+Dead imports hide real dependencies, slow import time, and rot
+silently.  Names exported via `__all__` and quoted annotations count
+as uses."""
 
     def check(self, tree: ast.Module, ctx: RuleContext) -> List[Finding]:
         bindings: List[Tuple[str, str, ast.AST]] = []  # (bound name, source, node)
@@ -299,6 +265,10 @@ class DeadNameRule(Rule):
         "local name assigned a side-effect-free value and never read "
         "(dead code; prefix with '_' if intentional)"
     )
+    explanation = """\
+A local assigned a side-effect-free value and never read is dead code,
+usually a refactor leftover.  Prefix with `_` if the binding is
+intentional documentation."""
 
     def check(self, tree: ast.Module, ctx: RuleContext) -> List[Finding]:
         findings: List[Finding] = []
@@ -348,6 +318,10 @@ class BroadExceptRule(Rule):
         "bare 'except' / 'except Exception' swallows simulation bugs "
         "inside event callbacks; catch the specific exception or re-raise"
     )
+    explanation = """\
+`except Exception:` inside event callbacks swallows simulation bugs and
+lets runs diverge silently.  Catch the specific exception, or observe
+and re-raise (a bare `raise` at the handler's top level is allowed)."""
 
     def check(self, tree: ast.Module, ctx: RuleContext) -> List[Finding]:
         findings: List[Finding] = []
@@ -402,6 +376,10 @@ class FloatTimeEqRule(Rule):
         "float == / != against a simulated-time expression; use ordering "
         "comparisons or an explicit tolerance"
     )
+    explanation = """\
+`==`/`!=` between floats derived from simulated time is brittle under
+accumulation order.  Compare with a tolerance or restructure around
+event ordering (`<=`/`>=`)."""
 
     def check(self, tree: ast.Module, ctx: RuleContext) -> List[Finding]:
         findings: List[Finding] = []
@@ -445,6 +423,10 @@ class DirectProtocolInstantiationRule(Rule):
         "go through repro.experiments.registry.create_protocol so "
         "parameter defaults and typed overrides stay in one place"
     )
+    explanation = """\
+`*Protocol` classes constructed outside `repro.experiments.registry`
+bypass the typed parameter defaults and the one sanctioned
+construction site.  Tests and benchmarks are exempt."""
 
     def check(self, tree: ast.Module, ctx: RuleContext) -> List[Finding]:
         if ctx.is_protocol_registry or ctx.is_test_module:
@@ -493,6 +475,10 @@ class MissingPublicDocstringRule(Rule):
         "public class/function on the documented API surface lacks a "
         "docstring (packages opted in via requires_public_docstrings)"
     )
+    explanation = """\
+Public classes/functions in the documented API surface (`repro.obs`,
+the experiment spec and registry) must carry docstrings; the docs site
+is generated from them."""
 
     def check(self, tree: ast.Module, ctx: RuleContext) -> List[Finding]:
         if not ctx.requires_public_docstrings:
@@ -529,61 +515,3 @@ class MissingPublicDocstringRule(Rule):
                 )
             if isinstance(node, ast.ClassDef):
                 self._check_body(node.body, ctx, findings, in_class=True)
-
-
-# ---------------------------------------------------------------------------
-# registry
-
-
-#: The remaining single-pass rules (the migrated pair now runs from the
-#: dataflow pass so every file gets exactly one copy of each rule).
-ALL_AST_RULES: Tuple[Rule, ...] = (
-    WallClockRule(),
-    UnusedImportRule(),
-    DeadNameRule(),
-    BroadExceptRule(),
-    FloatTimeEqRule(),
-    DirectProtocolInstantiationRule(),
-    MissingPublicDocstringRule(),
-)
-
-#: Findings the runner emits itself (not tied to a Rule instance).
-_RUNNER_RULE_INFO: Dict[str, Tuple[str, str]] = {
-    "syntax-error": ("high", "file does not parse; nothing else can be checked"),
-    "io-error": ("high", "file cannot be read"),
-    "bad-suppression": (
-        "low",
-        "'# lint: disable=' names no rules; list rule ids or 'all'",
-    ),
-}
-
-#: rule id -> human description for *every* id the analyzer can emit --
-#: single-pass, flow, program, and runner-internal alike.
-RULE_DESCRIPTIONS: Dict[str, str] = {
-    rule.rule_id: rule.description for rule in ALL_AST_RULES
-}
-RULE_DESCRIPTIONS.update(
-    {rule_id: desc for rule_id, (_sev, desc) in _DATAFLOW_RULE_INFO.items()}
-)
-RULE_DESCRIPTIONS.update(
-    {rule_id: desc for rule_id, (_sev, desc) in _RUNNER_RULE_INFO.items()}
-)
-
-#: rule id -> severity, same coverage as RULE_DESCRIPTIONS.
-RULE_SEVERITIES: Dict[str, str] = {
-    rule.rule_id: rule.severity for rule in ALL_AST_RULES
-}
-RULE_SEVERITIES.update(
-    {rule_id: sev for rule_id, (sev, _desc) in _DATAFLOW_RULE_INFO.items()}
-)
-RULE_SEVERITIES.update(
-    {rule_id: sev for rule_id, (sev, _desc) in _RUNNER_RULE_INFO.items()}
-)
-
-
-def collect_findings(tree: ast.Module, ctx: RuleContext) -> List[Finding]:
-    """Run every single-pass AST rule over one parsed module."""
-    findings: List[Finding] = []
-    for rule in ALL_AST_RULES:
-        findings.extend(rule.check(tree, ctx))
-    return findings

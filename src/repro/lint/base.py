@@ -1,6 +1,6 @@
 """Shared infrastructure for lint rules: the rule base class, severity
-levels, and small AST helpers used by both the single-pass rules
-(:mod:`repro.lint.ast_rules`) and the flow/program passes
+levels, and small AST helpers used by both the pattern rules
+(:mod:`repro.lint.ast_rules`) and the flow and substream rules
 (:mod:`repro.lint.dataflow`).
 
 Severities grade findings for the report's rollup; every finding,
@@ -10,9 +10,9 @@ whatever its severity, fails the run.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Sequence
 
-from repro.lint.findings import Finding, RuleContext
+from repro.lint.findings import Finding, RuleContext, StreamSite
 
 #: Severity levels, most severe first.  The report counts findings per
 #: level in ``severity_counts``, which ``render_json`` emits key-sorted.
@@ -55,14 +55,24 @@ def is_set_expression(node: ast.AST) -> bool:
 
 
 class Rule:
-    """Base class: one rule id, one ``check`` pass over a module tree."""
+    """Base class: one rule id, declared once with its documentation.
+
+    ``description`` is the ``--list-rules`` line and ``explanation`` the
+    ``--explain`` paragraph.  ``check`` runs once per parsed module;
+    ``check_sites`` runs once per lint run over every module's RNG
+    substream sites, for the one check that spans files.
+    """
 
     rule_id: str = ""
     description: str = ""
     severity: str = DEFAULT_SEVERITY
+    explanation: str = ""
 
     def check(self, tree: ast.Module, ctx: RuleContext) -> List[Finding]:
-        raise NotImplementedError
+        return []
+
+    def check_sites(self, sites: Sequence[StreamSite]) -> List[Finding]:
+        return []
 
     def finding(
         self, ctx: RuleContext, node: ast.AST, message: str
@@ -71,6 +81,16 @@ class Rule:
             path=ctx.path,
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0),
+            rule=self.rule_id,
+            message=message,
+            severity=self.severity,
+        )
+
+    def site_finding(self, site: StreamSite, message: str) -> Finding:
+        return Finding(
+            path=site.path,
+            line=site.lineno,
+            col=site.col,
             rule=self.rule_id,
             message=message,
             severity=self.severity,

@@ -1,30 +1,26 @@
-"""Flow-sensitive and whole-program determinism rules.
-
-Two rule families live here, on top of the per-file rule runner (plus
-the two rules that started on the single-pass engine,
-``global-random`` and ``set-iteration``, which keep their ids,
-messages, and suppression behaviour):
+"""Flow-sensitive and RNG substream determinism rules.
 
 **RNG substream discipline** -- every draw must be reachable from a
 named :class:`repro.sim.rng.RngStreams` substream:
 
-* ``global-random`` (migrated): raw ``random.*`` / ``numpy.random.*``.
+* ``global-random``: raw ``random.*`` / ``numpy.random.*``.
 * ``rng-unowned-generator``: ``random.Random(...)`` constructed outside
   ``sim/rng.py`` bypasses the named-substream discipline.
-* ``rng-substream-aliasing`` (program): the same substream name
-  requested from more than one function aliases one generator across
-  phases -- adding a draw in one phase silently perturbs the other.
-* ``rng-foreign-substream`` (program): the ``faults.*`` namespace is
-  reserved for :mod:`repro.faults` (its streams must stay decoupled so
-  fault-free hashes survive), and observability code must not own
-  substreams at all.
+* ``rng-foreign-substream``: the ``faults.*`` namespace is reserved for
+  :mod:`repro.faults` (its streams must stay decoupled so fault-free
+  hashes survive), and observability code must not own substreams at
+  all.
+* ``rng-substream-aliasing``: the same substream name requested from
+  more than one function aliases one generator across phases -- adding
+  a draw in one phase silently perturbs the other.  The one check that
+  spans files: it runs once over every module's :func:`stream_sites`.
 * ``rng-obs-hook-draw``: a draw lexically inside an ``if ...tracer:``
   block or a ``with ...span(...):`` body (or anywhere in ``repro.obs``)
   would make trace-enabled runs diverge from fault-free hashes.
 
-**Determinism hazards v2**:
+**Determinism hazards**:
 
-* ``set-iteration`` (migrated): hash-order iteration of set literals.
+* ``set-iteration``: hash-order iteration of set literals.
 * ``unsorted-accumulation``: flow-sensitive version -- a *local bound
   to a set-typed value* iterated into an order-sensitive accumulation
   (float ``+=``, ``list.append``) leaks hash order into results.
@@ -37,18 +33,17 @@ named :class:`repro.sim.rng.RngStreams` substream:
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.base import (
     Rule,
     dotted_name,
     is_set_expression,
 )
-from repro.lint.findings import Finding, RuleContext
-from repro.lint.program import ModuleInfo, ProgramIndex
+from repro.lint.findings import Finding, RuleContext, StreamSite
 
 # ---------------------------------------------------------------------------
-# migrated rule (a): module-global randomness  [formerly ast_rules]
+# module-global randomness
 
 
 #: ``from random import X`` bindings that are safe: classes producing an
@@ -71,14 +66,18 @@ _SAFE_NUMPY_RANDOM = {
 
 
 class GlobalRandomRule(Rule):
-    """Migrated from the PR 1 single-pass engine; findings unchanged."""
-
     rule_id = "global-random"
     severity = "high"
     description = (
         "module-global random state (random.*, numpy.random.*) outside sim/rng.py; "
         "use RngStreams or an injected random.Random"
     )
+    explanation = """\
+Draws from `random.*` / `numpy.random.*` use hidden module-global state
+that any import or test can perturb, destroying the single-seed
+repeatability claim.  Route every draw through a named substream from
+`repro.sim.rng.RngStreams` (or an injected `random.Random`).
+`sim/rng.py` itself is exempt -- it is the sanctioned wrapper."""
 
     def check(self, tree: ast.Module, ctx: RuleContext) -> List[Finding]:
         if ctx.is_rng_module:
@@ -164,7 +163,7 @@ class GlobalRandomRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# migrated rule (c): hash-order iteration over set expressions
+# hash-order iteration over set expressions
 
 
 #: Calls whose argument order the caller observes (order-sensitive sinks).
@@ -175,14 +174,17 @@ _ORDER_SENSITIVE_METHODS = {"choice", "choices", "sample", "shuffle"}
 
 
 class SetIterationRule(Rule):
-    """Migrated from the PR 1 single-pass engine; findings unchanged."""
-
     rule_id = "set-iteration"
     severity = "high"
     description = (
         "iteration over a set/frozenset feeds hash-order into downstream "
         "logic; wrap in sorted(...) for a deterministic sequence"
     )
+    explanation = """\
+Iterating a set/frozenset (or passing one to `list`, `enumerate`,
+`rng.choice`...) observes hash order, which varies across processes and
+interpreter versions.  Wrap the set in `sorted(...)` at the point of
+iteration."""
 
     def _msg(self, how: str) -> str:
         return (
@@ -239,7 +241,7 @@ class SetIterationRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# determinism hazards v2
+# determinism hazards
 
 
 #: Calls whose result can never be mutated through the binding.
@@ -293,6 +295,11 @@ class MutableDefaultArgRule(Rule):
         "mutable default argument is shared across every call (and "
         "every run in the process); default to None"
     )
+    explanation = """\
+A mutable default (`def f(xs=[])`) is evaluated once and shared by
+every call -- state leaks across calls, and across every run in the
+process.  Default to `None` and construct the container inside the
+body."""
 
     def check(self, tree: ast.Module, ctx: RuleContext) -> List[Finding]:
         findings: List[Finding] = []
@@ -357,6 +364,15 @@ class UnsortedAccumulationRule(Rule):
         "summation and list order then depend on hash order -- iterate "
         "sorted(...) instead"
     )
+    explanation = """\
+The flow-sensitive big sibling of set-iteration: a *local variable*
+bound to a set-typed value (literal, `set(...)` call, union of sets)
+and later iterated into an order-sensitive accumulation -- a float
+`+=` or a `list.append` -- leaks hash order into float sums and result
+lists even though the loop header itself looks innocent.  Iterate
+`sorted(the_set)` instead.  This is exactly the defect class fixed in
+`metrics/collectors.py::node_peer_bandwidth` (fractions were averaged
+in set order)."""
 
     def check(self, tree: ast.Module, ctx: RuleContext) -> List[Finding]:
         findings: List[Finding] = []
@@ -430,11 +446,18 @@ class UnsortedSerializationRule(Rule):
         "insertion order; canonical artifacts must sort keys so two "
         "builders of the same payload emit identical bytes"
     )
+    explanation = """\
+`json.dumps`/`json.dump` without `sort_keys=True` serializes dict keys
+in insertion order, so two code paths building the same logical payload
+can emit different bytes -- which breaks byte-equality gates and
+content-hash caching.  Every canonical artifact in the tree (traces,
+time-series tables, reports, this linter's own JSON) must pass
+`sort_keys=True`.  Scratch files and tests are exempt."""
 
     def check(self, tree: ast.Module, ctx: RuleContext) -> List[Finding]:
-        # Project-scoped: only fires on tree runs (the runner sets
-        # module_name), so ad-hoc lint_source snippets and scratch files
-        # are not held to the canonical-bytes policy.
+        # Project-scoped: only fires on files on disk (the runner sets
+        # module_name), so ad-hoc lint_source snippets are not held to
+        # the canonical-bytes policy.
         if ctx.module_name is None or ctx.is_test_module:
             return []
         json_aliases = {"json"} if self._imports_json(tree) else set()
@@ -494,6 +517,12 @@ class RngUnownedGeneratorRule(Rule):
         "named-substream discipline; derive streams via "
         "RngStreams.stream/fork so draws stay decoupled"
     )
+    explanation = """\
+`random.Random(seed)` constructed ad hoc bypasses the named-substream
+discipline of `RngStreams`: its draw sequence is invisible to the
+substream registry, cannot be forked deterministically per entity, and
+silently couples with nothing or everything.  Derive generators with
+`streams.stream("phase.name")` / `streams.fork(...)` instead."""
 
     def check(self, tree: ast.Module, ctx: RuleContext) -> List[Finding]:
         # Project-scoped (see UnsortedSerializationRule): `rng =
@@ -579,6 +608,11 @@ class RngObsHookDrawRule(Rule):
         "runs diverge from fault-free hashes; hoist the draw out of the "
         "hook"
     )
+    explanation = """\
+A draw lexically inside an `if ...tracer:` block or a `with
+...span(...):` body fires only when tracing is enabled, so traced and
+untraced runs diverge -- the obs layer's zero-perturbation guarantee
+breaks.  Hoist the draw above the hook and pass its result in."""
 
     def check(self, tree: ast.Module, ctx: RuleContext) -> List[Finding]:
         findings: List[Finding] = []
@@ -637,54 +671,86 @@ class RngObsHookDrawRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# program-level rules
+# RNG substream sites: namespace ownership and cross-file aliasing
 
 
-class ProgramRule:
-    """Base for rules that need the whole-program index."""
+def _function_defs(body: Sequence[ast.stmt]) -> Iterator[Tuple[str, ast.AST]]:
+    """(local qualname, node) for every top-level function and method.
 
-    rule_id: str = ""
-
-    def check_program(self, index: ProgramIndex) -> List[Finding]:
-        raise NotImplementedError
-
-    def _finding(
-        self, module: ModuleInfo, lineno: int, col: int, message: str
-    ) -> Finding:
-        severity, _desc = RULE_INFO[self.rule_id]
-        return Finding(
-            path=module.path,
-            line=lineno,
-            col=col,
-            rule=self.rule_id,
-            message=message,
-            severity=severity,
-        )
+    Definitions under a top-level ``if``/``try`` (TYPE_CHECKING guards,
+    optional-dependency imports) count as top level.
+    """
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for stmt in node.body:
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{node.name}.{stmt.name}", stmt
+        elif isinstance(node, (ast.If, ast.Try)):
+            yield from _function_defs(
+                [c for c in ast.iter_child_nodes(node) if isinstance(c, ast.stmt)]
+            )
 
 
-class RngSubstreamAliasRule(ProgramRule):
+def stream_sites(module: str, path: str, tree: ast.Module) -> List[StreamSite]:
+    """Substream calls with a literal name, in source-walk order."""
+    sites: List[StreamSite] = []
+    for local_name, func in _function_defs(tree.body):
+        for node in ast.walk(func):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("stream", "fork")
+                and node.args
+                and isinstance(node.args[0], ast.Constant)
+                and isinstance(node.args[0].value, str)
+            ):
+                sites.append(
+                    StreamSite(
+                        name=node.args[0].value,
+                        path=path,
+                        module=module,
+                        qualname=f"{module}:{local_name}",
+                        lineno=node.lineno,
+                        col=node.col_offset,
+                        method=node.func.attr,
+                    )
+                )
+    return sites
+
+
+class RngSubstreamAliasRule(Rule):
     rule_id = "rng-substream-aliasing"
+    severity = "medium"
+    description = (
+        "the same RngStreams substream name is requested from more than "
+        "one function; aliasing one generator across phases couples "
+        "their draw sequences"
+    )
+    explanation = """\
+Two different functions requesting the *same* substream name share one
+generator: adding a draw in one phase shifts every later draw of the
+other, so a refactor of phase A perturbs phase B's results.  One
+substream name, one owning call site; derive distinct names per phase
+(the dotted convention: `workload.arrivals`, `overlay.probe`...)."""
 
-    def check_program(self, index: ProgramIndex) -> List[Finding]:
-        sites_by_name: Dict[str, List] = {}
-        for site in index.all_stream_sites():
-            if site.method != "stream":
-                continue
-            sites_by_name.setdefault(site.name, []).append(site)
+    def check_sites(self, sites: Sequence[StreamSite]) -> List[Finding]:
+        sites_by_name: Dict[str, List[StreamSite]] = {}
+        for site in sites:
+            if site.method == "stream":
+                sites_by_name.setdefault(site.name, []).append(site)
         findings: List[Finding] = []
         for name in sorted(sites_by_name):
-            sites = sites_by_name[name]
-            qualnames = sorted({site.qualname for site in sites})
+            named = sites_by_name[name]
+            qualnames = sorted({site.qualname for site in named})
             if len(qualnames) <= 1:
                 continue
             others = ", ".join(qualnames)
-            for site in sites:
-                module = index.modules[site.module]
+            for site in named:
                 findings.append(
-                    self._finding(
-                        module,
-                        site.lineno,
-                        site.col,
+                    self.site_finding(
+                        site,
                         f"substream '{name}' is requested from "
                         f"{len(qualnames)} functions ({others}); aliasing "
                         "one generator across phases couples their draw "
@@ -694,40 +760,38 @@ class RngSubstreamAliasRule(ProgramRule):
         return findings
 
 
-class RngForeignSubstreamRule(ProgramRule):
+class RngForeignSubstreamRule(Rule):
     rule_id = "rng-foreign-substream"
+    severity = "high"
+    description = (
+        "substream namespace violation: 'faults.*' is reserved for "
+        "repro.faults and observability code must not own substreams"
+    )
+    explanation = """\
+Namespace ownership for substreams: the `faults.*` prefix belongs to
+`repro.faults` alone, so fault-free runs can hash identically with the
+injector disabled (PR 5's guarantee), and observability code must not
+own substreams at all -- tracing must never consume entropy."""
 
-    def check_program(self, index: ProgramIndex) -> List[Finding]:
-        import os as _os
-
-        root_pkg = _os.path.basename(index.root)
-        faults_pkg = f"{root_pkg}.faults"
-        obs_pkg = f"{root_pkg}.obs"
+    def check(self, tree: ast.Module, ctx: RuleContext) -> List[Finding]:
         findings: List[Finding] = []
-        for site in index.all_stream_sites():
-            module = index.modules[site.module]
-            in_faults = site.module == faults_pkg or site.module.startswith(
-                faults_pkg + "."
-            )
-            in_obs = site.module == obs_pkg or site.module.startswith(
-                obs_pkg + "."
-            )
-            if in_obs:
+        for site in ctx.stream_sites:
+            # The subpackage under the project's top-level package:
+            # ["faults"] for repro.faults.injector.
+            subpackage = site.module.split(".")[1:2]
+            in_faults = subpackage == ["faults"]
+            if subpackage == ["obs"]:
                 findings.append(
-                    self._finding(
-                        module,
-                        site.lineno,
-                        site.col,
+                    self.site_finding(
+                        site,
                         "observability code must not own RNG substreams; "
                         f"'{site.name}' requested in {site.qualname}",
                     )
                 )
             elif in_faults and not site.name.startswith("faults."):
                 findings.append(
-                    self._finding(
-                        module,
-                        site.lineno,
-                        site.col,
+                    self.site_finding(
+                        site,
                         f"fault-injection substream '{site.name}' must use "
                         "the reserved 'faults.' prefix so fault-free runs "
                         "never share its sequence",
@@ -735,76 +799,11 @@ class RngForeignSubstreamRule(ProgramRule):
                 )
             elif not in_faults and site.name.startswith("faults."):
                 findings.append(
-                    self._finding(
-                        module,
-                        site.lineno,
-                        site.col,
+                    self.site_finding(
+                        site,
                         f"substream '{site.name}' uses the 'faults.' "
                         "namespace reserved for repro.faults; pick a "
                         "phase-owned name",
                     )
                 )
         return findings
-
-
-# ---------------------------------------------------------------------------
-# registries
-
-
-#: Per-file rules added by the dataflow pass (includes the two rules
-#: migrated off the single-pass engine).
-FLOW_RULES: Tuple[Rule, ...] = (
-    GlobalRandomRule(),
-    SetIterationRule(),
-    MutableDefaultArgRule(),
-    UnsortedAccumulationRule(),
-    UnsortedSerializationRule(),
-    RngUnownedGeneratorRule(),
-    RngObsHookDrawRule(),
-)
-
-#: Whole-program rules (need the ProgramIndex).
-PROGRAM_RULES: Tuple[ProgramRule, ...] = (
-    RngSubstreamAliasRule(),
-    RngForeignSubstreamRule(),
-)
-
-#: rule id -> (severity, description) for every id this module can emit.
-#: The runner folds this into the global
-#: registry for --list-rules / --explain.
-RULE_INFO: Dict[str, Tuple[str, str]] = {
-    "global-random": ("high", GlobalRandomRule.description),
-    "set-iteration": ("high", SetIterationRule.description),
-    "mutable-default-arg": ("high", MutableDefaultArgRule.description),
-    "unsorted-accumulation": ("high", UnsortedAccumulationRule.description),
-    "unsorted-serialization": ("medium", UnsortedSerializationRule.description),
-    "rng-unowned-generator": ("high", RngUnownedGeneratorRule.description),
-    "rng-obs-hook-draw": ("high", RngObsHookDrawRule.description),
-    "rng-substream-aliasing": (
-        "medium",
-        "the same RngStreams substream name is requested from more than "
-        "one function; aliasing one generator across phases couples "
-        "their draw sequences",
-    ),
-    "rng-foreign-substream": (
-        "high",
-        "substream namespace violation: 'faults.*' is reserved for "
-        "repro.faults and observability code must not own substreams",
-    ),
-}
-
-
-def collect_flow_findings(tree: ast.Module, ctx: RuleContext) -> List[Finding]:
-    """Run every per-file dataflow rule over one parsed module."""
-    findings: List[Finding] = []
-    for rule in FLOW_RULES:
-        findings.extend(rule.check(tree, ctx))
-    return findings
-
-
-def collect_program_findings(index: ProgramIndex) -> List[Finding]:
-    """Run every whole-program rule over a built index."""
-    findings: List[Finding] = []
-    for rule in PROGRAM_RULES:
-        findings.extend(rule.check_program(index))
-    return findings

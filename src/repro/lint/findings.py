@@ -9,7 +9,7 @@ column, rule) so reports are stable across runs and platforms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict
+from typing import Any, Dict, List
 
 
 @dataclass(frozen=True, order=True)
@@ -43,6 +43,19 @@ class Finding:
 
 
 @dataclass
+class StreamSite:
+    """One ``streams.stream("name")`` / ``.fork("name")`` call site."""
+
+    name: str  # the literal substream name
+    path: str
+    module: str
+    qualname: str  # enclosing function: "module:func" or "module:Class.method"
+    lineno: int
+    col: int
+    method: str  # "stream" | "fork"
+
+
+@dataclass
 class RuleContext:
     """Per-file information the AST rules need beyond the tree itself.
 
@@ -63,9 +76,13 @@ class RuleContext:
     #: Packages whose public API must carry docstrings
     #: (missing-public-docstring); opt-in per path, see lint.runner.
     requires_public_docstrings: bool = False
-    #: Dotted module name when known ("repro.sim.engine"); program-pass
-    #: rules use it to attribute findings across modules.
+    #: Dotted module name of a file on disk ("repro.sim.engine"),
+    #: derived from its ``__init__.py`` parents; None for source text
+    #: linted without a file.  Project-scoped rules only fire when set.
     module_name: "str | None" = None
+    #: The module's RNG substream sites (empty without a module name
+    #: and for test modules).
+    stream_sites: List[StreamSite] = field(default_factory=list)
     #: The one sanctioned home of wall-clock reads
     #: (:mod:`repro.obs.perf`); exempts the wall-clock rule the same
     #: way ``is_rng_module`` exempts :mod:`repro.sim.rng` from

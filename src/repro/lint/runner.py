@@ -1,16 +1,14 @@
-"""The lint driver: walk files, run rule passes, filter, render.
+"""The lint driver: the rule table, the file walk, suppression, rendering.
 
-Three passes run over a tree (in one parse per file):
-
-1. the single-pass AST rules (:mod:`repro.lint.ast_rules`);
-2. the flow-sensitive dataflow rules (:mod:`repro.lint.dataflow`);
-3. the whole-program rules over the :class:`repro.lint.program`
-   index -- substream aliasing and substream namespace ownership.
+One pass parses each file once and runs every rule in :data:`RULES`
+over the tree, collecting the module's RNG substream sites on the way;
+then ``rng-substream-aliasing``, the one check that spans files, runs
+once over every collected site.
 
 Per-line ``# lint: disable=<rule>`` suppression applies uniformly,
-including to program-pass findings (matched back to their file's
-suppression index).  That comment is the only waiver: every finding
-that survives it fails the run, whatever its severity.
+including to the cross-file aliasing findings.  That comment is the
+only waiver: every finding that survives it fails the run, whatever
+its severity.
 
 ``lint_paths`` is the programmatic entry (used by the tier-1 clean-tree
 test); ``run_lint`` backs ``python -m repro lint``.  Output is stable:
@@ -27,11 +25,107 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.lint.ast_rules import collect_findings
-from repro.lint.dataflow import collect_flow_findings, collect_program_findings
-from repro.lint.findings import Finding, RuleContext
-from repro.lint.program import ProgramIndex, build_program
+from repro.lint import ast_rules, dataflow
+from repro.lint.base import Rule
+from repro.lint.findings import Finding, RuleContext, StreamSite
 from repro.lint.suppressions import SuppressionIndex
+
+#: Every rule the analyzer runs, each declared once on its class.
+RULES: Tuple[Rule, ...] = (
+    ast_rules.WallClockRule(),
+    ast_rules.UnusedImportRule(),
+    ast_rules.DeadNameRule(),
+    ast_rules.BroadExceptRule(),
+    ast_rules.FloatTimeEqRule(),
+    ast_rules.DirectProtocolInstantiationRule(),
+    ast_rules.MissingPublicDocstringRule(),
+    dataflow.GlobalRandomRule(),
+    dataflow.SetIterationRule(),
+    dataflow.MutableDefaultArgRule(),
+    dataflow.UnsortedAccumulationRule(),
+    dataflow.UnsortedSerializationRule(),
+    dataflow.RngUnownedGeneratorRule(),
+    dataflow.RngObsHookDrawRule(),
+    dataflow.RngForeignSubstreamRule(),
+    dataflow.RngSubstreamAliasRule(),
+)
+
+#: Findings the runner emits itself: id -> (severity, description,
+#: explanation).
+RUNNER_RULES: Dict[str, Tuple[str, str, str]] = {
+    "syntax-error": (
+        "high",
+        "file does not parse; nothing else can be checked",
+        """\
+The file does not parse, so no other rule can run over it.  Reported
+as a finding (not a crash) so one broken file cannot hide the rest of
+the tree's findings.""",
+    ),
+    "io-error": (
+        "high",
+        "file cannot be read",
+        """\
+The file could not be read.  Reported as a finding so a permissions
+problem fails the gate visibly instead of silently shrinking
+coverage.""",
+    ),
+    "bad-suppression": (
+        "low",
+        "'# lint: disable=' names no rules; list rule ids or 'all'",
+        """\
+A `# lint: disable=` comment that names no rules suppresses nothing
+and usually means a typo'd rule id; list rule ids or `all`.""",
+    ),
+}
+
+_RULE_DOCS: Dict[str, Tuple[str, str, str]] = {
+    **{
+        rule.rule_id: (rule.severity, rule.description, rule.explanation)
+        for rule in RULES
+    },
+    **RUNNER_RULES,
+}
+
+#: rule id -> ``--list-rules`` description, for every id the analyzer
+#: can emit.
+RULE_DESCRIPTIONS: Dict[str, str] = {
+    rule_id: description for rule_id, (_sev, description, _exp) in _RULE_DOCS.items()
+}
+
+#: rule id -> severity, same coverage as RULE_DESCRIPTIONS.
+RULE_SEVERITIES: Dict[str, str] = {
+    rule_id: severity for rule_id, (severity, _desc, _exp) in _RULE_DOCS.items()
+}
+
+
+def explain_rule(rule_id: str) -> Optional[str]:
+    """The full ``--explain`` text for one rule id, or None if unknown."""
+    if rule_id not in _RULE_DOCS:
+        return None
+    severity, description, explanation = _RULE_DOCS[rule_id]
+    return "\n".join(
+        [
+            f"{rule_id} [{severity}]: {description}",
+            "",
+            explanation,
+            "",
+            f"Suppress one line with: # lint: disable={rule_id}",
+            "See docs/lint.md for flagged/clean examples.",
+        ]
+    )
+
+
+def _runner_finding(
+    rule_id: str, path: str, line: int, col: int, message: str
+) -> Finding:
+    return Finding(
+        path=path,
+        line=line,
+        col=col,
+        rule=rule_id,
+        message=message,
+        severity=RUNNER_RULES[rule_id][0],
+    )
 
 
 def default_lint_root() -> str:
@@ -53,9 +147,9 @@ class LintReport:
     files_checked: int = 0
     #: Count of findings silenced by ``# lint: disable`` comments.
     suppressed: int = 0
-    #: Size counters from the whole-program index (None when the run
-    #: had no directory root to index).
-    program_stats: Optional[Dict[str, int]] = None
+    #: Every RNG substream site found, in file order; the JSON report
+    #: carries their count.
+    stream_sites: List[StreamSite] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -70,12 +164,12 @@ class LintReport:
 
     def to_dict(self) -> Dict[str, Any]:
         return {
-            "schema": 3,
+            "schema": 4,
             "ok": self.ok,
             "files_checked": self.files_checked,
             "suppressed": self.suppressed,
             "severity_counts": self.severity_counts(),
-            "program": self.program_stats,
+            "stream_sites": len(self.stream_sites),
             "findings": [f.to_dict() for f in self.findings],
         }
 
@@ -134,7 +228,8 @@ def _requires_public_docstrings(path: str) -> bool:
 
 
 def _is_test_module(path: str) -> bool:
-    normalized = path.replace(os.sep, "/")
+    # The leading "/" lets a relative "tests/x.py" match "/tests/".
+    normalized = "/" + path.replace(os.sep, "/")
     basename = os.path.basename(normalized)
     return (
         basename.startswith("test_")
@@ -144,19 +239,39 @@ def _is_test_module(path: str) -> bool:
     )
 
 
+def module_name_of(path: str) -> str:
+    """Dotted module name of a file: its stem under every package
+    (directory holding an ``__init__.py``) above it."""
+    directory, filename = os.path.split(os.path.abspath(path))
+    stem = os.path.splitext(filename)[0]
+    parts = [] if stem == "__init__" else [stem]
+    while os.path.isfile(os.path.join(directory, "__init__.py")):
+        directory, package = os.path.split(directory)
+        parts.append(package)
+    return ".".join(reversed(parts))
+
+
 def _build_context(
     path: str,
     tree: ast.Module,
     module_name: Optional[str],
 ) -> RuleContext:
+    is_test_module = _is_test_module(path)
     return RuleContext(
         path=path,
         is_rng_module=_is_rng_module(path),
         is_protocol_registry=_is_protocol_registry(path),
-        is_test_module=_is_test_module(path),
+        is_test_module=is_test_module,
         exported_names=_extract_exports(tree),
         requires_public_docstrings=_requires_public_docstrings(path),
         module_name=module_name,
+        # Tests request production substreams to check them; they are
+        # not phases of a run, so their sites are left out.
+        stream_sites=(
+            dataflow.stream_sites(module_name, path, tree)
+            if module_name and not is_test_module
+            else []
+        ),
         owns_wall_clock=_owns_wall_clock(path),
     )
 
@@ -165,41 +280,41 @@ def _lint_module(
     source: str,
     path: str,
     module_name: Optional[str] = None,
-) -> Tuple[List[Finding], int, SuppressionIndex]:
-    """(surviving findings, suppressed count, suppression index)."""
+) -> Tuple[List[Finding], List[StreamSite], SuppressionIndex]:
+    """Parse one module once and run every rule's per-file check.
+
+    Returns (unsuppressed findings, substream sites, suppression index);
+    raises SyntaxError on a bad parse.
+    """
     tree = ast.parse(source, filename=path)
     ctx = _build_context(path, tree, module_name)
-    suppressions = SuppressionIndex.from_source(source)
-    kept: List[Finding] = []
-    suppressed = 0
-    all_findings = collect_findings(tree, ctx) + collect_flow_findings(tree, ctx)
-    for finding in all_findings:
-        if suppressions.is_suppressed(finding.line, finding.rule):
-            suppressed += 1
-        else:
-            kept.append(finding)
-    for lineno in suppressions.malformed_lines:
-        kept.append(
-            Finding(
-                path=path,
-                line=lineno,
-                col=0,
-                rule="bad-suppression",
-                message="'# lint: disable=' names no rules; list rule ids or 'all'",
-                severity="low",
-            )
+    findings = [finding for rule in RULES for finding in rule.check(tree, ctx)]
+    return findings, ctx.stream_sites, SuppressionIndex.from_source(source)
+
+
+def _bad_suppressions(path: str, suppressions: SuppressionIndex) -> List[Finding]:
+    return [
+        _runner_finding(
+            "bad-suppression",
+            path,
+            lineno,
+            0,
+            "'# lint: disable=' names no rules; list rule ids or 'all'",
         )
-    return sorted(kept), suppressed, suppressions
+        for lineno in suppressions.malformed_lines
+    ]
 
 
 def lint_source(source: str, path: str = "<string>") -> List[Finding]:
     """Lint one module's source text; raises SyntaxError on a bad parse.
 
-    Runs the single-pass and flow rules only -- program rules need a
-    directory tree (use :func:`lint_paths`).
+    Source text has no package, so the project-scoped rules (those that
+    need a module name) and the cross-file aliasing check do not run;
+    use :func:`lint_paths` for files on disk.
     """
-    findings, _suppressed, _index = _lint_module(source, path)
-    return findings
+    findings, _sites, suppressions = _lint_module(source, path)
+    kept = [f for f in findings if not suppressions.is_suppressed(f.line, f.rule)]
+    return sorted(kept + _bad_suppressions(path, suppressions))
 
 
 def _iter_python_files(paths: Iterable[str]) -> List[str]:
@@ -219,80 +334,60 @@ def _iter_python_files(paths: Iterable[str]) -> List[str]:
     return sorted(set(files))
 
 
-def _lint_root(paths: Sequence[str]) -> Optional[str]:
-    """The directory that anchors the program pass: the first directory
-    argument (None when only individual files were given)."""
-    for path in paths:
-        if os.path.isdir(path):
-            return path
-    return None
-
-
 def lint_paths(paths: Sequence[str]) -> LintReport:
     """Lint every ``.py`` file under the given files/directories.
 
-    When the first path is a directory, the whole-program pass runs
-    over it as well.
+    Each file is parsed once and named by its own package, so a file
+    linted alone gets the same findings as inside a tree run; the
+    cross-file aliasing check then spans every file given.
     """
     report = LintReport()
-    root = _lint_root(paths)
-    index: Optional[ProgramIndex] = None
-    if root is not None:
-        index = build_program(root)
-        report.program_stats = index.stats()
-    suppression_by_path: Dict[str, SuppressionIndex] = {}
-    all_findings: List[Finding] = []
+    suppressions_by_path: Dict[str, SuppressionIndex] = {}
+    checked: List[Finding] = []
     for filepath in _iter_python_files(paths):
         try:
             with open(filepath, "r", encoding="utf-8") as handle:
                 source = handle.read()
         except OSError as exc:
-            all_findings.append(
-                Finding(
-                    path=filepath,
-                    line=1,
-                    col=0,
-                    rule="io-error",
-                    message=f"cannot read file: {exc.strerror or exc}",
-                    severity="high",
+            report.findings.append(
+                _runner_finding(
+                    "io-error",
+                    filepath,
+                    1,
+                    0,
+                    f"cannot read file: {exc.strerror or exc}",
                 )
             )
             continue
         report.files_checked += 1
-        module_name = None
-        if index is not None:
-            info = index.module_for_path(filepath)
-            if info is not None:
-                module_name = info.name
         try:
-            findings, suppressed, suppressions = _lint_module(
-                source, path=filepath, module_name=module_name
+            findings, sites, suppressions = _lint_module(
+                source, filepath, module_name_of(filepath)
             )
         except SyntaxError as exc:
-            all_findings.append(
-                Finding(
-                    path=filepath,
-                    line=exc.lineno or 1,
-                    col=(exc.offset or 1) - 1,
-                    rule="syntax-error",
-                    message=f"file does not parse: {exc.msg}",
-                    severity="high",
+            report.findings.append(
+                _runner_finding(
+                    "syntax-error",
+                    filepath,
+                    exc.lineno or 1,
+                    (exc.offset or 1) - 1,
+                    f"file does not parse: {exc.msg}",
                 )
             )
             continue
-        report.suppressed += suppressed
-        all_findings.extend(findings)
-        suppression_by_path[os.path.abspath(filepath)] = suppressions
-    if index is not None:
-        for finding in collect_program_findings(index):
-            suppressions = suppression_by_path.get(os.path.abspath(finding.path))
-            if suppressions is not None and suppressions.is_suppressed(
-                finding.line, finding.rule
-            ):
-                report.suppressed += 1
-                continue
-            all_findings.append(finding)
-    report.findings = sorted(all_findings)
+        checked.extend(findings)
+        report.stream_sites.extend(sites)
+        report.findings.extend(_bad_suppressions(filepath, suppressions))
+        suppressions_by_path[filepath] = suppressions
+    for rule in RULES:
+        checked.extend(rule.check_sites(report.stream_sites))
+    for finding in checked:
+        suppressions = suppressions_by_path[finding.path]
+        if suppressions.is_suppressed(finding.line, finding.rule):
+            report.suppressed += 1
+        else:
+            report.findings.append(finding)
+    report.findings.sort()
     return report
 
 

@@ -14,7 +14,6 @@ def structure(tiny_dataset):
     return HierarchicalStructure(
         tiny_dataset,
         server,
-        random.Random(4),
         inner_link_limit=5,
         inter_link_limit=10,
         bootstrap_inner_links=3,

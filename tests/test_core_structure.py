@@ -15,7 +15,6 @@ def structure(tiny_dataset):
     return HierarchicalStructure(
         tiny_dataset,
         server,
-        random.Random(4),
         inner_link_limit=5,
         inter_link_limit=10,
         bootstrap_inner_links=3,
@@ -187,11 +186,9 @@ class TestValidation:
     def test_invalid_limits_rejected(self, tiny_dataset):
         server = CentralServer(tiny_dataset, capacity_bps=1e6, rng=random.Random(0))
         with pytest.raises(ValueError):
-            HierarchicalStructure(tiny_dataset, server, random.Random(0),
-                                  inner_link_limit=0)
+            HierarchicalStructure(tiny_dataset, server, inner_link_limit=0)
         with pytest.raises(ValueError):
-            HierarchicalStructure(tiny_dataset, server, random.Random(0),
-                                  bootstrap_inner_links=-1)
+            HierarchicalStructure(tiny_dataset, server, bootstrap_inner_links=-1)
 
     def test_link_count_sums_levels(self, structure, tiny_dataset):
         ch_a, ch_b, _ = _channels_by_category(tiny_dataset)
@@ -247,7 +244,6 @@ class TestFullTargetSkip:
             cls(
                 dataset,
                 CentralServer(dataset, capacity_bps=50e6, rng=random.Random(3)),
-                random.Random(4),
                 inner_link_limit=2,
                 inter_link_limit=inter_link_limit,
                 bootstrap_inner_links=1,

@@ -1,20 +1,15 @@
 """Positive/negative fixtures for the flow-sensitive rule families and
-the migration of PR 1's global-random / set-iteration rules onto the
-dataflow pass."""
+the global-random / set-iteration rules that share their module."""
 
 import ast
 import textwrap
 
 from repro.lint import dataflow
-from repro.lint.ast_rules import (
-    ALL_AST_RULES,
-    GlobalRandomRule,
-    RULE_SEVERITIES,
-    SetIterationRule,
-)
-from repro.lint.dataflow import FLOW_RULES, collect_flow_findings
 from repro.lint.findings import RuleContext
-from repro.lint.runner import lint_source
+from repro.lint.runner import RULE_SEVERITIES, RULES, lint_source
+
+#: The rules defined in repro.lint.dataflow, in table order.
+FLOW_RULES = [rule for rule in RULES if type(rule).__module__ == dataflow.__name__]
 
 
 def flow_lint(
@@ -32,7 +27,8 @@ def flow_lint(
         is_test_module=is_test,
         is_rng_module=is_rng,
     )
-    return collect_flow_findings(ast.parse(source), ctx)
+    tree = ast.parse(source)
+    return [f for rule in FLOW_RULES for f in rule.check(tree, ctx)]
 
 
 def rules_of(findings):
@@ -228,19 +224,15 @@ class TestRngObsHookDraw:
 
 
 class TestMigratedRules:
-    """PR 1's global-random and set-iteration rules now live on the
-    dataflow pass with unchanged ids, messages, and suppressions."""
+    """The global-random and set-iteration rules run from the one rule
+    table with their original ids, messages, and suppressions."""
 
     def test_rules_moved_not_duplicated(self):
-        flow_ids = [type(r).__name__ for r in FLOW_RULES]
-        ast_ids = [type(r).__name__ for r in ALL_AST_RULES]
-        assert flow_ids.count("GlobalRandomRule") == 1
-        assert flow_ids.count("SetIterationRule") == 1
-        assert "GlobalRandomRule" not in ast_ids
-        assert "SetIterationRule" not in ast_ids
-        # Back-compat re-export points at the same classes.
-        assert GlobalRandomRule is dataflow.GlobalRandomRule
-        assert SetIterationRule is dataflow.SetIterationRule
+        rule_ids = [rule.rule_id for rule in RULES]
+        assert len(rule_ids) == len(set(rule_ids))
+        classes = [type(rule) for rule in RULES]
+        assert classes.count(dataflow.GlobalRandomRule) == 1
+        assert classes.count(dataflow.SetIterationRule) == 1
 
     def test_global_random_findings_identical(self):
         findings = lint_source(

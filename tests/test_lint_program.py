@@ -1,13 +1,12 @@
-"""Whole-program index tests: substream sites, index determinism, and
-the substream program rules on fixture packages."""
+"""Substream sites and the substream rules on fixture packages, all
+through the public ``lint_paths`` entry, plus module naming: a file
+linted alone is named by its own package."""
 
 import textwrap
 
 import pytest
 
-from repro.lint.dataflow import collect_program_findings
-from repro.lint.program import build_program
-from repro.lint.runner import lint_paths
+from repro.lint.runner import lint_paths, module_name_of
 
 
 def write(root, relpath, source):
@@ -53,25 +52,8 @@ def fixture_pkg(tmp_path):
     return root
 
 
-class TestProgramIndex:
-    def test_stream_sites(self, fixture_pkg):
-        index = build_program(str(fixture_pkg))
-        sites = index.all_stream_sites()
-        assert [(s.name, s.qualname, s.method) for s in sites] == [
-            ("overlay.probe", "pkg.overlay.proto:seed_streams", "stream")
-        ]
-
-    def test_index_is_deterministic(self, fixture_pkg):
-        first = build_program(str(fixture_pkg))
-        second = build_program(str(fixture_pkg))
-        assert first.stats() == second.stats()
-        assert first.all_stream_sites() == second.all_stream_sites()
-
-    def test_syntax_error_files_are_skipped(self, fixture_pkg):
-        write(fixture_pkg, "overlay/broken.py", "def f(:\n")
-        index = build_program(str(fixture_pkg))
-        assert "pkg.overlay.broken" not in index.modules
-        assert "pkg.overlay.proto" in index.modules
+def findings_of(root, rule):
+    return [f for f in lint_paths([str(root)]).findings if f.rule == rule]
 
 
 class TestShardProgramRules:
@@ -90,12 +72,7 @@ class TestShardProgramRules:
                 return streams.stream("arrivals")
             """,
         )
-        index = build_program(str(root))
-        findings = [
-            f
-            for f in collect_program_findings(index)
-            if f.rule == "rng-substream-aliasing"
-        ]
+        findings = findings_of(root, "rng-substream-aliasing")
         assert len(findings) == 2  # one per aliasing site
         assert "arrivals" in findings[0].message
 
@@ -114,9 +91,7 @@ class TestShardProgramRules:
                 return streams.stream("departures")
             """,
         )
-        index = build_program(str(root))
-        rules = {f.rule for f in collect_program_findings(index)}
-        assert "rng-substream-aliasing" not in rules
+        assert findings_of(root, "rng-substream-aliasing") == []
 
     def test_faults_namespace_ownership(self, tmp_path):
         root = tmp_path / "pkg"
@@ -138,12 +113,7 @@ class TestShardProgramRules:
                 return streams.stream("faults.sneaky")
             """,
         )
-        index = build_program(str(root))
-        findings = [
-            f
-            for f in collect_program_findings(index)
-            if f.rule == "rng-foreign-substream"
-        ]
+        findings = findings_of(root, "rng-foreign-substream")
         messages = " ".join(f.message for f in findings)
         assert len(findings) == 2
         assert "overlay.crash" in messages  # faults module w/o faults. prefix
@@ -161,12 +131,7 @@ class TestShardProgramRules:
                 return streams.stream("obs.sampling")
             """,
         )
-        index = build_program(str(root))
-        findings = [
-            f
-            for f in collect_program_findings(index)
-            if f.rule == "rng-foreign-substream"
-        ]
+        findings = findings_of(root, "rng-foreign-substream")
         assert len(findings) == 1
         assert "observability" in findings[0].message
 
@@ -184,8 +149,25 @@ class TestRunnerIntegration:
         report = lint_paths([str(fixture_pkg)])
         rules = {f.rule for f in report.findings}
         assert "rng-substream-aliasing" in rules
-        assert report.program_stats is not None
-        assert report.program_stats["modules"] == 6
+        assert report.files_checked == 6
+        assert len(report.stream_sites) == 2
+
+    def test_stream_sites(self, fixture_pkg):
+        sites = lint_paths([str(fixture_pkg)]).stream_sites
+        assert [(s.name, s.qualname, s.method) for s in sites] == [
+            ("overlay.probe", "pkg.overlay.proto:seed_streams", "stream")
+        ]
+
+    def test_report_is_deterministic(self, fixture_pkg):
+        first = lint_paths([str(fixture_pkg)])
+        second = lint_paths([str(fixture_pkg)])
+        assert first == second
+
+    def test_syntax_error_files_are_skipped(self, fixture_pkg):
+        write(fixture_pkg, "overlay/broken.py", "def f(:\n")
+        report = lint_paths([str(fixture_pkg)])
+        assert [f.rule for f in report.findings] == ["syntax-error"]
+        assert [s.module for s in report.stream_sites] == ["pkg.overlay.proto"]
 
     def test_program_finding_suppressible_per_line(self, tmp_path):
         root = tmp_path / "pkg"
@@ -205,3 +187,44 @@ class TestRunnerIntegration:
         report = lint_paths([str(root)])
         assert "rng-substream-aliasing" not in {f.rule for f in report.findings}
         assert report.suppressed == 2
+
+
+class TestModuleNames:
+    def test_named_by_init_parents(self, fixture_pkg, tmp_path):
+        assert module_name_of(str(fixture_pkg / "overlay/proto.py")) == (
+            "pkg.overlay.proto"
+        )
+        assert module_name_of(str(fixture_pkg / "overlay/__init__.py")) == (
+            "pkg.overlay"
+        )
+        loose = write(tmp_path, "loose.py", "")
+        assert module_name_of(str(loose)) == "loose"
+
+    def test_file_alone_matches_tree_run(self, fixture_pkg):
+        # One project-scoped finding of each kind: unsorted-serialization,
+        # rng-unowned-generator and rng-foreign-substream.
+        module = write(
+            fixture_pkg,
+            "overlay/export.py",
+            """\
+            import json
+            import random
+
+
+            def dump(payload, streams):
+                rng = random.Random(7)
+                crash = streams.stream("faults.crash")
+                return json.dumps(payload), rng, crash
+            """,
+        )
+        alone = lint_paths([str(module)]).findings
+        in_tree = [
+            f for f in lint_paths([str(fixture_pkg)]).findings
+            if f.path == str(module)
+        ]
+        assert sorted({f.rule for f in alone}) == [
+            "rng-foreign-substream",
+            "rng-unowned-generator",
+            "unsorted-serialization",
+        ]
+        assert alone == in_tree

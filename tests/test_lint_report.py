@@ -46,7 +46,7 @@ class TestGoldenJsonDeterminism:
         assert runs[0].returncode == 0, runs[0].stdout + runs[0].stderr
         assert runs[0].stdout == runs[1].stdout
         payload = json.loads(runs[0].stdout)
-        assert payload["schema"] == 3
+        assert payload["schema"] == 4
         assert payload["ok"] is True
 
     def test_report_shape(self, proj):
@@ -57,7 +57,7 @@ class TestGoldenJsonDeterminism:
             "files_checked",
             "suppressed",
             "severity_counts",
-            "program",
+            "stream_sites",
             "findings",
         }
         assert payload["severity_counts"]["high"] == 2

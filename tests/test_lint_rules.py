@@ -6,8 +6,13 @@ import textwrap
 import pytest
 
 from repro.cli import main
-from repro.lint.ast_rules import RULE_DESCRIPTIONS
-from repro.lint.runner import lint_paths, lint_source, render_json, render_text
+from repro.lint.runner import (
+    RULE_DESCRIPTIONS,
+    lint_paths,
+    lint_source,
+    render_json,
+    render_text,
+)
 from repro.lint.suppressions import SuppressionIndex
 
 

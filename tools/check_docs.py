@@ -24,7 +24,7 @@ Six checks, all offline:
   every column to the right of it, which is exactly the corruption the
   field-catalogue tables in docs/tracing.md cannot afford.
 * **Lint rule reference** -- ``docs/lint.md`` must document every rule
-  id the analyzer registers (``repro.lint.ast_rules.RULE_DESCRIPTIONS``) with a
+  id the analyzer registers (``repro.lint.runner.RULE_DESCRIPTIONS``) with a
   ``#### `rule-id` (severity)`` heading whose severity matches the
   registry, and must not document rule ids that no longer exist.  This
   keeps the rule reference from drifting as rules are added/renamed.
@@ -249,7 +249,7 @@ _RULE_HEADING_RE = re.compile(r"^####\s+`([a-z0-9-]+)`\s+\((high|medium|low)\)\s
 
 def check_lint_rule_reference(path: str) -> List[str]:
     """docs/lint.md documents exactly the analyzer's registered rules."""
-    from repro.lint.ast_rules import RULE_DESCRIPTIONS, RULE_SEVERITIES
+    from repro.lint.runner import RULE_DESCRIPTIONS, RULE_SEVERITIES
 
     problems: List[str] = []
     documented: dict = {}
