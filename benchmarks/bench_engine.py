@@ -5,13 +5,17 @@ Not a pytest benchmark: run directly with
     PYTHONPATH=src python benchmarks/bench_engine.py [--quick]
 
 Times the production fast path -- ``run_spec`` with ``NULL_TRACER``,
-warm trace cache -- at the two canonical scales:
+warm trace cache -- at three points:
 
 * ``nodes_1000``   -- ``default_scale`` shortened to 2 sessions per
   user (a few seconds per run, best of 3);
 * ``nodes_10000``  -- ``paper_scale`` (Table I verbatim) shortened to
   1 session per user (~a minute per run, single shot; skipped under
-  ``--quick`` so CI stays fast).
+  ``--quick`` so CI stays fast);
+* ``nettube_1000`` -- NetTube at the ``nodes_1000`` config (best of 3),
+  the arm that sets what a five-arm paper-scale comparison costs.
+
+The two ``nodes_*`` points, the canonical scales, run SocialTube.
 
 ``throughput_events_per_s.nodes_1000`` is **the headline** that
 ``tools/perf_trend.py`` tracks across PRs: it is the number a protocol
@@ -36,18 +40,18 @@ from repro.experiments.runner import run_spec
 from repro.experiments.spec import ExperimentSpec
 from repro.experiments.trace_cache import shared_trace_cache
 
-PROTOCOL = "socialtube"
 OUTPUT = "BENCH_engine.json"
 
 
-def _point(config: SimulationConfig, repeats: int) -> dict:
+def _point(protocol: str, config: SimulationConfig, repeats: int) -> dict:
     """One scale point: best-of timing plus event count."""
-    spec = ExperimentSpec(protocol=PROTOCOL, config=config)
+    spec = ExperimentSpec(protocol=protocol, config=config)
     dataset = shared_trace_cache.dataset_for(config.trace)  # warm the cache
     base_s, result = harness.best_of(
         lambda: run_spec(spec, dataset=dataset), repeats=repeats
     )
     return {
+        "protocol": protocol,
         "config": config,
         "repeats": repeats,
         "base_s": base_s,
@@ -64,15 +68,13 @@ def main() -> int:
     )
     args = parser.parse_args()
 
-    points = {
-        "nodes_1000": _point(
-            SimulationConfig.default_scale().scaled_sessions(2), repeats=3
-        )
-    }
+    nodes_1000 = SimulationConfig.default_scale().scaled_sessions(2)
+    points = {"nodes_1000": _point("socialtube", nodes_1000, repeats=3)}
     if not args.quick:
         points["nodes_10000"] = _point(
-            SimulationConfig.paper_scale().scaled_sessions(1), repeats=1
+            "socialtube", SimulationConfig.paper_scale().scaled_sessions(1), repeats=1
         )
+    points["nettube_1000"] = _point("nettube", nodes_1000, repeats=3)
 
     payload = {
         **harness.envelope(
@@ -80,9 +82,9 @@ def main() -> int:
             "PYTHONPATH=src python benchmarks/bench_engine.py",
         ),
         "run": {
-            "protocol": PROTOCOL,
             "points": {
                 name: {
+                    "protocol": p["protocol"],
                     "num_nodes": p["config"].num_nodes,
                     "sessions_per_user": p["config"].sessions_per_user,
                     "events_processed": p["events"],

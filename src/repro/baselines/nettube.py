@@ -26,6 +26,7 @@ from repro.net.message import ChunkSource, LookupResult
 from repro.net.server import CentralServer
 from repro.overlay.flood import ttl_flood
 from repro.overlay.links import LinkTable
+from repro.sim.rng import shuffle_in_place
 from repro.trace.dataset import TraceDataset
 
 
@@ -57,6 +58,10 @@ class NetTubeProtocol(VodProtocol):
         self._overlays: Dict[int, LinkTable] = {}
         #: The overlays each node currently belongs to.
         self._memberships: Dict[int, Set[int]] = defaultdict(set)
+        #: Per node, its neighbors over all its overlays, deduplicated and
+        #: unfiltered (see :meth:`_union_neighbors`).  A node's entry is
+        #: dropped whenever one of its memberships or link rows changes.
+        self._raw_unions: Dict[int, List[int]] = {}
 
     # -- helpers -------------------------------------------------------------
 
@@ -68,7 +73,7 @@ class NetTubeProtocol(VodProtocol):
         return table
 
     def _union_neighbors(self, node_id: int) -> List[int]:
-        """All neighbors across every overlay the node belongs to.
+        """All reachable live neighbors across every overlay of the node.
 
         Redundant links to the same peer in different overlays collapse
         to one entry for forwarding purposes, but each still *counts*
@@ -76,21 +81,61 @@ class NetTubeProtocol(VodProtocol):
         the paper criticises ("two nodes may need to maintain redundant
         links for different per-video overlays though one link is
         sufficient").
-        """
-        seen: Dict[int, None] = {}
-        for video_id in self._memberships.get(node_id, ()):
-            for neighbor in self._overlay(video_id).neighbors(node_id):
-                if self.is_alive(neighbor) and self.can_reach(node_id, neighbor):
-                    seen[neighbor] = None
-        return list(seen)
 
-    def _join_overlay(self, user_id: int, video_id: int, via: int = None) -> None:
-        """Join a video's overlay: link to the provider plus tracker picks."""
+        The deduplicated union (membership-set order, then link order)
+        is kept per node until one of its memberships or link rows
+        changes; liveness and reachability are applied on each read.
+        Both depend only on the neighbor, so filtering after
+        deduplication keeps the order of filtering before it.
+        """
+        raw = self._raw_unions.get(node_id)
+        if raw is None:
+            seen: Dict[int, None] = {}
+            overlays = self._overlays
+            for video_id in self._memberships.get(node_id, ()):
+                seen.update(overlays[video_id].table.get(node_id, ()))
+            raw = self._raw_unions[node_id] = list(seen)
+        online = self._online
+        guard = self.partition_guard
+        if guard is None:
+            return [n for n in raw if n in online]
+        return [n for n in raw if n in online and guard(node_id, n)]
+
+    def _connect(self, table: LinkTable, a: int, b: int, evict: bool) -> None:
+        """``table.connect`` that drops the cached unions it changes.
+
+        A link that forms rewrites the rows of ``a`` and ``b``, and an
+        evicting connect also the row of each full endpoint's oldest
+        neighbor.
+        """
+        rows = table.table
+        la = rows.get(a, ())
+        if b not in la:
+            lb = rows.get(b, ())
+            capacity = table.capacity
+            if evict or (len(la) < capacity and len(lb) < capacity):
+                forget = self._raw_unions.pop
+                forget(a, None)
+                forget(b, None)
+                if len(la) >= capacity:
+                    forget(next(iter(la)), None)
+                if len(lb) >= capacity and a not in lb:
+                    forget(next(iter(lb)), None)
+        table.connect(a, b, evict=evict)
+
+    def _disconnect(self, table: LinkTable, a: int, b: int) -> None:
+        """``table.disconnect`` that drops both endpoints' cached unions."""
+        forget = self._raw_unions.pop
+        forget(a, None)
+        forget(b, None)
+        table.disconnect(a, b)
+
+    def _join_overlay(self, user_id: int, video_id: int) -> None:
+        """Join a video's overlay: link to tracker-picked members."""
         table = self._overlay(video_id)
         self._memberships[user_id].add(video_id)
+        self._raw_unions.pop(user_id, None)
         self.server.register_video_overlay_member(video_id, user_id)
-        if via is not None and via != user_id and self.is_alive(via):
-            table.connect(user_id, via, evict=True)
         needed = self.links_per_overlay - table.degree(user_id)
         if needed <= 0:
             return
@@ -101,7 +146,7 @@ class NetTubeProtocol(VodProtocol):
             if table.degree(user_id) >= self.links_per_overlay:
                 break
             if self.is_alive(pick):
-                table.connect(user_id, pick, evict=True)
+                self._connect(table, user_id, pick, evict=True)
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -115,10 +160,15 @@ class NetTubeProtocol(VodProtocol):
 
     def on_session_end(self, user_id: int) -> None:
         peer = self.state(user_id)
+        forget = self._raw_unions.pop
         for video_id in list(self._memberships.get(user_id, ())):
-            self._overlay(video_id).drop_all(user_id)
+            table = self._overlay(video_id)
+            for neighbor in table.table.get(user_id, ()):
+                forget(neighbor, None)
+            table.drop_all(user_id)
             self.server.unregister_video_overlay_member(video_id, user_id)
         self._memberships.pop(user_id, None)
+        forget(user_id, None)
         peer.online = False
         self.server.node_offline(user_id)
 
@@ -148,7 +198,7 @@ class NetTubeProtocol(VodProtocol):
         for video_id in sorted(self._memberships.get(user_id, ())):
             table = self._overlay(video_id)
             for neighbor in table.neighbors(user_id):
-                table.disconnect(user_id, neighbor)
+                self._disconnect(table, user_id, neighbor)
                 if self.is_alive(neighbor):
                     repaired += 1
         self._memberships.pop(user_id, None)
@@ -224,7 +274,7 @@ class NetTubeProtocol(VodProtocol):
             table = self._overlay(video_id)
             for neighbor in table.neighbors(user_id):
                 if not self.is_alive(neighbor):
-                    table.disconnect(user_id, neighbor)
+                    self._disconnect(table, user_id, neighbor)
             needed = self.links_per_overlay - table.degree(user_id)
             if needed <= 0:
                 continue
@@ -235,7 +285,7 @@ class NetTubeProtocol(VodProtocol):
                 if table.degree(user_id) >= self.links_per_overlay:
                     break
                 if self.is_alive(pick):
-                    table.connect(user_id, pick, evict=False)
+                    self._connect(table, user_id, pick, evict=False)
 
     def reannounce(self, user_id: int) -> int:
         """Tracker recovery: re-file presence plus every overlay membership.
@@ -259,17 +309,17 @@ class NetTubeProtocol(VodProtocol):
         """Random videos from the neighbors' caches (NetTube's strategy)."""
         if not self.prefetch_window:
             return []
-        peer = self.state(user_id)
+        cache_of = self._cache_of
         pool: Set[int] = set()
         for neighbor in self._union_neighbors(user_id):
-            pool.update(self.peers[neighbor].cache)
-        pool -= set(peer.cache)
-        pool -= set(peer.prefetched.video_ids())
+            pool.update(cache_of[neighbor])
+        pool.difference_update(cache_of[user_id])
+        pool.difference_update(self.state(user_id).prefetched.video_ids())
         pool.discard(video_id)
         if not pool:
             return []
         picks = sorted(pool)
-        self.rng.shuffle(picks)
+        shuffle_in_place(self.rng.getrandbits, picks)
         return picks[: self.prefetch_window]
 
     def prefetch_source(self, user_id: int, video_id: int) -> ChunkSource:

@@ -427,7 +427,7 @@ class CentralServer:
         members = [m for m in self._video_overlay_members.get(video_id, ()) if m != exclude]
         if len(members) <= count:
             return members
-        return self._rng.sample(members, count)
+        return sample_from_pool(self._rng.getrandbits, members, count)
 
     # -- current-watcher tracker (PA-VoD) ------------------------------------
 

@@ -15,7 +15,6 @@ changing who is found or at how many hops.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional
 
@@ -63,8 +62,8 @@ def ttl_flood(
         Maximum number of forwarding hops (the paper uses TTL=2).
     tracer:
         Optional :class:`repro.obs.tracer.Tracer`.  When truthy, each
-        BFS hop level becomes a ``flood.hop`` span (BFS visits depths
-        monotonically, so hop spans never interleave), a found holder
+        hop level becomes a ``flood.hop`` span (levels are visited in
+        order, so hop spans never interleave), a found holder
         emits ``flood.found``, and an exhausted flood emits
         ``flood.ttl_exhausted``.  The default/``NULL_TRACER`` case
         skips all packing -- the search loop stays allocation-free.
@@ -76,43 +75,48 @@ def ttl_flood(
     if ttl < 1:
         raise ValueError("ttl must be >= 1")
     visited: Dict[int, Optional[int]] = {requester: None}
-    queue: deque = deque()
-    contacted = 0
-    hop_span = None
-    hop_depth = 0
+    level: List[int] = []
     for neighbor in start_neighbors:
         if neighbor in visited:
             continue
         visited[neighbor] = requester
-        queue.append((neighbor, 1))
-    while queue:
-        node, depth = queue.popleft()
-        contacted += 1
-        if tracer and depth != hop_depth:
+        level.append(neighbor)
+    contacted = 0
+    hop_span = None
+    depth = 1
+    # One pass per hop level: every node of ``level`` sits at ``depth``,
+    # and the nodes it discovers form the next level in discovery order,
+    # so ``is_holder`` and ``neighbors_of`` see the nodes in BFS order.
+    while level:
+        if tracer:
             tracer.end(hop_span)
             hop_span = tracer.begin("flood.hop", node=requester, depth=depth)
-            hop_depth = depth
-        if is_holder(node):
-            path = [node]
-            parent = visited[node]
-            while parent is not None:
-                path.append(parent)
-                parent = visited[parent]
-            path.reverse()
-            if tracer:
-                tracer.end(hop_span)
-                tracer.event(
-                    "flood.found", node=requester, holder=node,
-                    depth=depth, contacted=contacted,
-                )
-            return FloodResult(found=node, hops=depth, contacted=contacted, path=path)
-        if depth >= ttl:
-            continue
-        for neighbor in neighbors_of(node):
-            if neighbor in visited:
-                continue
-            visited[neighbor] = node
-            queue.append((neighbor, depth + 1))
+        forward = depth < ttl
+        next_level: List[int] = []
+        for node in level:
+            contacted += 1
+            if is_holder(node):
+                path = [node]
+                parent = visited[node]
+                while parent is not None:
+                    path.append(parent)
+                    parent = visited[parent]
+                path.reverse()
+                if tracer:
+                    tracer.end(hop_span)
+                    tracer.event(
+                        "flood.found", node=requester, holder=node,
+                        depth=depth, contacted=contacted,
+                    )
+                return FloodResult(found=node, hops=depth, contacted=contacted, path=path)
+            if forward:
+                for neighbor in neighbors_of(node):
+                    if neighbor in visited:
+                        continue
+                    visited[neighbor] = node
+                    next_level.append(neighbor)
+        level = next_level
+        depth += 1
     if tracer:
         tracer.end(hop_span)
         tracer.event(

@@ -1,10 +1,13 @@
 """Unit tests for the NetTube baseline."""
 
+import random
+
 import pytest
 
 from helpers import make_protocol
 from repro.baselines.nettube import NetTubeProtocol
 from repro.net.message import ChunkSource
+from repro.net.server import CentralServer
 
 
 @pytest.fixture()
@@ -174,3 +177,130 @@ class TestMaintenance:
     def test_invalid_links_per_overlay_rejected(self, tiny_dataset):
         with pytest.raises(ValueError):
             make_protocol(NetTubeProtocol, tiny_dataset, links_per_overlay=0)
+
+
+def uncached_union(proto, node_id):
+    """A node's union rebuilt from scratch: every overlay, then link order."""
+    seen = {}
+    for video_id in proto._memberships.get(node_id, ()):
+        for neighbor in proto._overlay(video_id).neighbors(node_id):
+            if proto.is_alive(neighbor) and proto.can_reach(node_id, neighbor):
+                seen[neighbor] = None
+    return list(seen)
+
+
+class TestUnionCache:
+    """The cached union equals a fresh rebuild after every protocol step."""
+
+    PEERS = 24
+    #: Few overlays with tight link budgets, so links overlap across
+    #: overlays and joins evict.
+    VIDEOS = (0, 1, 2, 3, 8, 9, 16, 17, 40, 41)
+    #: Step kinds, weighted so that most peers stay online.
+    STEPS = (
+        ("start",) * 3 + ("end", "crash", "repair", "maintain", "read")
+        + ("watch",) * 5 + ("connect", "disconnect") + ("guard",)
+    )
+
+    def _random_step(self, proto, rng, crashed):
+        online = sorted(proto._online)
+        offline = [n for n in range(self.PEERS) if n not in proto._online]
+        kind = rng.choice(self.STEPS)
+        if kind == "start" and offline:
+            user = rng.choice(offline)
+            proto.on_session_start(user)
+            crashed.discard(user)
+        elif kind == "end" and online:
+            proto.on_session_end(rng.choice(online))
+        elif kind == "watch" and online:
+            proto.on_watch_started(rng.choice(online), rng.choice(self.VIDEOS))
+        elif kind == "maintain" and online:
+            proto.on_maintenance(rng.choice(online))
+        elif kind == "crash" and online:
+            user = rng.choice(online)
+            proto.on_crash(user)
+            crashed.add(user)
+        elif kind == "repair" and crashed:
+            user = rng.choice(sorted(crashed))
+            crashed.discard(user)
+            proto.repair_after_crash(user)
+        elif kind in ("connect", "disconnect"):
+            # Link edits outside the protocol's own choices, so every
+            # eviction case of an evicting connect is reached.
+            video_id = rng.choice(self.VIDEOS)
+            a, b = rng.sample(range(self.PEERS), 2)
+            table = proto._overlay(video_id)
+            if kind == "connect":
+                proto._connect(table, a, b, evict=rng.random() < 0.7)
+            else:
+                proto._disconnect(table, a, b)
+        elif kind == "guard":
+            if proto.partition_guard is None:
+                proto.partition_guard = lambda a, b: a % 2 == b % 2
+            else:
+                proto.partition_guard = None
+        elif kind == "read" and online:
+            user = rng.choice(online)
+            proto.locate(user, rng.choice(self.VIDEOS))
+            proto.select_prefetch(user, rng.choice(self.VIDEOS))
+        return kind
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_cached_union_matches_rebuild(self, tiny_dataset, seed):
+        proto, _ = make_protocol(
+            NetTubeProtocol, tiny_dataset, num_peers=self.PEERS, seed=seed,
+            links_per_overlay=2,
+        )
+        rng = random.Random(seed)
+        crashed = set()
+        for user in range(self.PEERS):
+            proto.on_session_start(user)
+            proto.on_watch_started(user, rng.choice(self.VIDEOS))
+        for step in range(400):
+            kind = self._random_step(proto, rng, crashed)
+            for node in range(self.PEERS):
+                assert proto._union_neighbors(node) == uncached_union(proto, node), (
+                    f"seed {seed}, step {step} ({kind}), node {node}"
+                )
+
+
+class TestDrawParity:
+    """NetTube's draws equal the stdlib ``shuffle``/``sample`` calls."""
+
+    @pytest.mark.parametrize("members", [8, 30, 200])
+    @pytest.mark.parametrize("count", [1, 3, 7])
+    def test_video_overlay_sample_matches_stdlib(self, tiny_dataset, members, count):
+        server = CentralServer(tiny_dataset, capacity_bps=50e6, rng=random.Random(3))
+        for member in range(members):
+            server.register_video_overlay_member(7, member * 5)
+        reference = random.Random(3)
+        for exclude in (None, 0, 10, 999):
+            pool = [m for m in server.video_overlay_members(7) if m != exclude]
+            expected = pool if len(pool) <= count else reference.sample(pool, count)
+            assert server.random_video_overlay_members(7, count, exclude=exclude) == expected
+            assert server._rng.getstate() == reference.getstate()
+
+    @pytest.mark.parametrize("window", [1, 3, 50])
+    def test_prefetch_shuffle_matches_stdlib(self, tiny_dataset, window):
+        proto, _ = make_protocol(NetTubeProtocol, tiny_dataset, prefetch_window=window)
+        for user in (1, 2, 3):
+            proto.on_session_start(user)
+        for video in range(12):
+            proto.on_watch_started(2, video)
+            proto.on_watch_started(3, video + 6)
+        proto.on_watch_started(1, 0)
+        proto.on_watch_started(1, 6)
+        proto.state(1).store_prefetch(11, ChunkSource.PREFETCH_PEER, 0.0)
+        reference = random.Random()
+        reference.setstate(proto.rng.getstate())
+        for video in (0, 6, 11):
+            pool = set()
+            for neighbor in uncached_union(proto, 1):
+                pool.update(proto.state(neighbor).cache)
+            pool -= set(proto.state(1).cache)
+            pool -= set(proto.state(1).prefetched.video_ids())
+            pool.discard(video)
+            expected = sorted(pool)
+            reference.shuffle(expected)
+            assert proto.select_prefetch(1, video) == expected[:window]
+            assert proto.rng.getstate() == reference.getstate()
