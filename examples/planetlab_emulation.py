@@ -14,21 +14,27 @@ Run:  python examples/planetlab_emulation.py
 """
 
 from repro.experiments.config import SimulationConfig
-from repro.planetlab.testbed import PlanetLabTestbed
+from repro.experiments.runner import run_spec
+from repro.experiments.spec import ExperimentSpec
 
 
 def main() -> None:
     config = SimulationConfig.planetlab_scale(seed=3)
     # Trim the session count so the example finishes in ~a minute; use
     # the full 50-session config for the real benchmark numbers.
-    testbed = PlanetLabTestbed(config=config.scaled_sessions(12))
+    trimmed = config.scaled_sessions(12)
     print(
         f"Emulated PlanetLab: {config.num_nodes} WAN nodes, "
         f"{config.trace.num_categories} categories x "
         f"{config.trace.num_channels // config.trace.num_categories} channels x "
         f"{config.trace.num_videos // config.trace.num_channels} videos"
     )
-    results = testbed.compare_protocols()
+    results = {
+        name: run_spec(
+            ExperimentSpec(protocol=name, config=trimmed, environment="planetlab")
+        )
+        for name in ("pavod", "socialtube", "nettube")
+    }
     for name, result in results.items():
         print()
         print("\n".join(result.render_rows()))

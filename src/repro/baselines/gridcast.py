@@ -56,7 +56,6 @@ class GridCastProtocol(VodProtocol):
         # Returning nodes re-report their cache to the tracker.
         for video_id in peer.cache:
             self._replicas[video_id].add(user_id)
-            self.server.subscription_reports += 1
 
     def on_session_end(self, user_id: int) -> None:
         peer = self.state(user_id)

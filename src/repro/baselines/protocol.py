@@ -49,8 +49,6 @@ class PeerState:
         self.prefetched = PrefetchStore(capacity=prefetch_capacity)
         self.uplink = SharedUploadLink(upload_capacity_bps, owner_id=user_id)
         self.current_video: Optional[int] = None
-        self.videos_watched_total = 0
-        self.sessions_completed = 0
 
     @property
     def online(self) -> bool:
@@ -230,9 +228,7 @@ class VodProtocol(ABC):
 
     def on_watch_finished(self, user_id: int, video_id: int) -> None:
         """Playback ended; default just clears the current video."""
-        peer = self.state(user_id)
-        peer.current_video = None
-        peer.videos_watched_total += 1
+        self.state(user_id).current_video = None
 
     def on_maintenance(self, user_id: int) -> None:
         """Periodic neighbor maintenance (probe cycle).

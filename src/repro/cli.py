@@ -38,7 +38,6 @@ from repro.experiments.report import (
     render_shape_checks,
     shape_checks,
 )
-from repro.planetlab.testbed import PlanetLabTestbed
 from repro.trace.synthesizer import TraceConfig, synthesize_trace
 
 
@@ -386,9 +385,14 @@ def _cmd_regress(args: argparse.Namespace) -> int:
 
 
 def _cmd_planetlab(args: argparse.Namespace) -> int:
-    testbed = PlanetLabTestbed(SimulationConfig.planetlab_scale(seed=args.seed))
+    from repro.experiments.runner import run_spec
+    from repro.experiments.spec import ExperimentSpec
+
+    config = SimulationConfig.planetlab_scale(seed=args.seed)
     for name in ("pavod", "nettube", "socialtube"):
-        result = testbed.run(name)
+        result = run_spec(
+            ExperimentSpec(protocol=name, config=config, environment="planetlab")
+        )
         print("\n".join(result.render_rows()))
         print()
     return 0

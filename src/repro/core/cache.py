@@ -33,7 +33,6 @@ class VideoCache:
             raise ValueError("max_videos must be >= 1 or None")
         self.max_videos = max_videos
         self._videos: Dict[int, None] = {}
-        self.evictions = 0
 
     @property
     def videos(self) -> Dict[int, None]:
@@ -64,7 +63,6 @@ class VideoCache:
         if self.max_videos is not None and len(self._videos) >= self.max_videos:
             evicted = next(iter(self._videos))
             del self._videos[evicted]
-            self.evictions += 1
         self._videos[video_id] = None
         return evicted
 
@@ -105,8 +103,6 @@ class PrefetchStore:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self._chunks: Dict[int, PrefetchedChunk] = {}
-        self.hits = 0
-        self.misses = 0
 
     def __len__(self) -> int:
         return len(self._chunks)
@@ -128,18 +124,8 @@ class PrefetchStore:
         self._chunks[video_id] = PrefetchedChunk(video_id, source, now)
 
     def take(self, video_id: int) -> Optional[PrefetchedChunk]:
-        """Consume the chunk for ``video_id``; updates hit/miss counters."""
-        chunk = self._chunks.pop(video_id, None)
-        if chunk is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return chunk
+        """Consume the chunk for ``video_id``; None when it is absent."""
+        return self._chunks.pop(video_id, None)
 
     def discard(self, video_id: int) -> None:
         self._chunks.pop(video_id, None)
-
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from the store (prefetch accuracy)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

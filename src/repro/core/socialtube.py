@@ -197,7 +197,6 @@ class SocialTubeProtocol(VodProtocol):
                 provider_id=result.found,
                 hops=result.hops,
                 peers_contacted=contacted + result.contacted,
-                via_inter_link=True,
                 query_path=result.path,
             )
         contacted += result.contacted
@@ -223,7 +222,6 @@ class SocialTubeProtocol(VodProtocol):
                     provider_id=holder,
                     hops=1,
                     peers_contacted=contacted + 1,
-                    via_inter_link=True,
                 )
 
         # Phase 4: the server serves the video.

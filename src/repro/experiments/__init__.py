@@ -37,7 +37,6 @@ from repro.experiments.registry import (
     create_protocol,
     get_protocol,
     protocol_names,
-    register_protocol,
     resolve_params,
 )
 from repro.experiments.runner import (
@@ -64,7 +63,6 @@ __all__ = [
     "create_protocol",
     "get_protocol",
     "protocol_names",
-    "register_protocol",
     "resolve_params",
     "ExperimentResult",
     "ExperimentRunner",

@@ -70,9 +70,15 @@ def simulator_environment() -> Environment:
 def planetlab_environment() -> Environment:
     """The PlanetLab-style WAN environment (Fig 16b/17b/18b).
 
-    Heavy jitter, congestion episodes and transient peer connection
-    failures -- the pathologies the paper credits for the baselines'
-    1st-percentile peer bandwidth collapsing to zero.
+    PlanetLab is retired, so its defining traits are emulated on the
+    same event engine.  The paper attributes the baselines' zero
+    1st-percentile peer bandwidth partly to "the unstable network
+    environment on PlanetLab (e.g., connection failure and network
+    congestion)"; this environment injects exactly those two
+    pathologies: :class:`repro.net.latency.WanLatencyModel` adds heavy
+    jitter and congestion episodes, and ``peer_failure_prob`` breaks
+    peer connections.  :meth:`SimulationConfig.planetlab_scale` is the
+    paper's testbed scale.
     """
     return Environment(
         name="planetlab",

@@ -11,8 +11,8 @@ that with:
   params value is a complete, hashable, picklable description of a
   stack's tuning, and the one home of every protocol setting (the
   dataclass defaults are the paper's Section V values);
-* a :class:`ProtocolEntry` binding name -> (factory, params type),
-  registered via :func:`register_protocol`;
+* a :class:`ProtocolEntry` binding name -> (factory, params type), one
+  per built-in stack in a literal table;
 * :func:`create_protocol`, the only call site that instantiates a
   ``*Protocol`` class (enforced by the ``direct-protocol-instantiation``
   lint rule).
@@ -95,35 +95,14 @@ class ProtocolEntry:
     params_type: Type[Any]
 
 
-_REGISTRY: Dict[str, ProtocolEntry] = {}
-
-
-def register_protocol(
-    name: str,
-    factory: Callable[..., VodProtocol],
-    params_type: Type[Any],
-) -> ProtocolEntry:
-    """Register a protocol stack under ``name``; returns its entry.
-
-    ``params_type`` must be a frozen dataclass whose fields mirror the
-    factory's keyword arguments.  Re-registering a name replaces the
-    entry (tests register throwaway stacks).
-
-    Example::
-
-        register_protocol("mystack", MyStackProtocol, MyStackParams)
-        protocol = create_protocol("mystack", dataset, server, rng)
-    """
-    if not dataclasses.is_dataclass(params_type):
-        raise TypeError(f"params_type for {name!r} must be a dataclass")
-    entry = ProtocolEntry(name=name, factory=factory, params_type=params_type)
-    _REGISTRY[name] = entry
-    return entry
-
-
-def unregister_protocol(name: str) -> None:
-    """Remove a registered stack (test cleanup for throwaway entries)."""
-    _REGISTRY.pop(name, None)
+#: The built-in stacks.  Each params type is a frozen dataclass whose
+#: fields mirror its factory's keyword arguments.
+_REGISTRY: Dict[str, ProtocolEntry] = {
+    "socialtube": ProtocolEntry("socialtube", SocialTubeProtocol, SocialTubeParams),
+    "nettube": ProtocolEntry("nettube", NetTubeProtocol, NetTubeParams),
+    "pavod": ProtocolEntry("pavod", PaVodProtocol, PaVodParams),
+    "gridcast": ProtocolEntry("gridcast", GridCastProtocol, GridCastParams),
+}
 
 
 def get_protocol(name: str) -> ProtocolEntry:
@@ -137,7 +116,7 @@ def get_protocol(name: str) -> ProtocolEntry:
 
 
 def protocol_names() -> List[str]:
-    """Sorted names of every registered stack."""
+    """Sorted names of every built-in stack."""
     return sorted(_REGISTRY)
 
 
@@ -170,7 +149,7 @@ def create_protocol(
     rng: Random,
     params: Optional[Any] = None,
 ) -> VodProtocol:
-    """Instantiate the stack registered under ``name``.
+    """Instantiate the built-in stack named ``name``.
 
     ``params`` defaults to the entry's params defaults; pass
     :func:`resolve_params` output to tune the stack.
@@ -191,12 +170,3 @@ def create_protocol(
             f"{entry.params_type.__name__}, got {type(params).__name__}"
         )
     return entry.factory(dataset, server, rng, **dataclasses.asdict(params))
-
-
-# ---------------------------------------------------------------------------
-# the built-in stacks
-
-register_protocol("socialtube", SocialTubeProtocol, SocialTubeParams)
-register_protocol("nettube", NetTubeProtocol, NetTubeParams)
-register_protocol("pavod", PaVodProtocol, PaVodParams)
-register_protocol("gridcast", GridCastProtocol, GridCastParams)

@@ -95,7 +95,6 @@ class ExperimentRunner:
         config = spec.config
         self.config = config
         self.environment = environment_by_name(spec.environment)
-        self.protocol_name = spec.protocol
         self.params = spec.resolved_params()
 
         # Each run owns an independent stream family rooted at its
@@ -516,7 +515,8 @@ def run_spec(
     ``tracer`` (a :class:`repro.obs.tracer.Tracer`) records the run as
     a deterministic trace; the default NULL_TRACER keeps every hook a
     no-op.  See :mod:`repro.obs.export` for turning a traced run into
-    JSONL plus a profile report, whose counts, simulated time and wall
-    time a :class:`repro.obs.perf.PerfMeter` sink reads off the rows.
+    JSONL plus a profile report, whose per-name counts and simulated
+    time and whose engine-loop wall time a
+    :class:`repro.obs.perf.PerfMeter` sink reads off the rows.
     """
     return ExperimentRunner(spec, dataset=dataset, tracer=tracer).run()

@@ -7,7 +7,7 @@ same abstractions:
 * :mod:`repro.net.latency` -- pairwise one-way latency models.  The
   simulator uses a planar embedding; the PlanetLab emulation layers
   heavy jitter and congestion episodes on top (see
-  :mod:`repro.planetlab`).
+  :func:`repro.experiments.config.planetlab_environment`).
 * :mod:`repro.net.bandwidth` -- processor-sharing upload links for the
   server and every peer; transfer times grow when a source is busy,
   which is the mechanism behind server-overload startup delays.
@@ -23,7 +23,7 @@ from repro.net.latency import (
     UniformLatencyModel,
     WanLatencyModel,
 )
-from repro.net.message import ChunkSource, LookupResult, VideoRequest
+from repro.net.message import ChunkSource, LookupResult
 from repro.net.server import CentralServer
 
 __all__ = [
@@ -35,6 +35,5 @@ __all__ = [
     "WanLatencyModel",
     "ChunkSource",
     "LookupResult",
-    "VideoRequest",
     "CentralServer",
 ]

@@ -66,8 +66,6 @@ class SharedUploadLink:
         self.capacity_bps = float(capacity_bps)
         self.owner_id = owner_id
         self._active = 0
-        self.total_admitted = 0
-        self.total_bits_served = 0.0
         #: Optional repro.obs tracer (set by the experiment runner).
         #: When truthy, admissions and releases emit trace events with
         #: the grant's fixed share -- the raw series behind chunk-source
@@ -79,22 +77,15 @@ class SharedUploadLink:
         """Number of transfers currently holding a slot."""
         return self._active
 
-    @property
-    def current_share_bps(self) -> float:
-        """Rate the *next* admitted transfer would receive."""
-        return self.capacity_bps / (self._active + 1)
-
     def admit(self, bits: float = 0.0) -> TransferGrant:
         """Admit a transfer, fixing its rate at the current share.
 
-        ``bits`` is only used for accounting (total bytes served by this
-        source); pass the transfer size when known.
+        ``bits`` is the transfer size; it only rides on the
+        ``bandwidth.admit`` trace row.
         """
         if bits < 0:
             raise BandwidthError("bits must be non-negative")
         self._active += 1
-        self.total_admitted += 1
-        self.total_bits_served += bits
         rate = self.capacity_bps / self._active
         if self.tracer:
             self.tracer.event(
@@ -105,14 +96,6 @@ class SharedUploadLink:
                 bits=bits,
             )
         return TransferGrant(link=self, rate_bps=rate)
-
-    def utilization_hint(self) -> float:
-        """Rough load indicator: active transfers per unit capacity share.
-
-        1.0 means one active transfer; higher values mean each transfer
-        gets a proportionally smaller slice.
-        """
-        return float(self._active)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         who = "server" if self.owner_id is None else f"peer {self.owner_id}"

@@ -114,8 +114,9 @@ class WanLatencyModel(LatencyModel):
       is inflated by ``congestion_factor`` (queueing at a loaded
       PlanetLab node or transit link).
 
-    The emulated testbed (:mod:`repro.planetlab`) additionally injects
-    connection *failures*; this class only shapes delay.
+    The ``"planetlab"`` environment
+    (:func:`repro.experiments.config.planetlab_environment`) additionally
+    injects connection *failures*; this class only shapes delay.
     """
 
     #: Representative one-way inter-site latencies in seconds (symmetric).

@@ -26,20 +26,6 @@ class ChunkSource(enum.Enum):
         """True when the bytes were uploaded by another peer."""
         return self in (ChunkSource.PEER, ChunkSource.PREFETCH_PEER)
 
-    @property
-    def counts_for_bandwidth(self) -> bool:
-        """Chunks replayed from the local cache consumed nobody's uplink."""
-        return self is not ChunkSource.CACHE
-
-
-@dataclass
-class VideoRequest:
-    """A user's request to watch one video."""
-
-    user_id: int
-    video_id: int
-    time: float
-
 
 @dataclass
 class LookupResult:
@@ -58,7 +44,6 @@ class LookupResult:
     from_cache: bool = False
     hops: int = 0
     peers_contacted: int = 0
-    via_inter_link: bool = False
     query_path: List[int] = field(default_factory=list)
 
     @property
@@ -70,16 +55,4 @@ class LookupResult:
         """The same search, served by the server: the peer never delivered."""
         return LookupResult(
             self.video_id, from_server=True, hops=self.hops, peers_contacted=self.peers_contacted
-        )
-
-    def describe(self) -> str:
-        """Human-readable one-liner, used by example scripts."""
-        if self.from_cache:
-            return f"video {self.video_id}: local cache"
-        if self.from_server:
-            return f"video {self.video_id}: server fallback after contacting {self.peers_contacted} peers"
-        level = "inter-link" if self.via_inter_link else "inner-link"
-        return (
-            f"video {self.video_id}: peer {self.provider_id} via {level} "
-            f"({self.hops} hops, {self.peers_contacted} peers contacted)"
         )

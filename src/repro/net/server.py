@@ -139,7 +139,6 @@ class CentralServer:
         # Bookkeeping the paper's comparison cares about --------------------
         self.requests_served = 0
         self.tracker_lookups = 0
-        self.subscription_reports = 0
         # Infrastructure-fault state (repro.faults v2) ----------------------
         #: While True the tracker is dark: every lookup fails (counted,
         #: no RNG consumed) and registrations are dropped on the floor.
@@ -248,7 +247,6 @@ class CentralServer:
         if self.tracker_down:
             return
         self._add_member(self._channel_members[channel_id], node_id)
-        self.subscription_reports += 1
 
     def unregister_channel_member(self, channel_id: int, node_id: int) -> None:
         if self.tracker_down:
@@ -406,7 +404,6 @@ class CentralServer:
         if self.tracker_down:
             return
         self._add_member(self._video_overlay_members[video_id], node_id)
-        self.subscription_reports += 1
 
     def unregister_video_overlay_member(self, video_id: int, node_id: int) -> None:
         if self.tracker_down:

@@ -256,17 +256,3 @@ def simulate_resume(
         completion_s=playhead,
         stalls=stalls,
     )
-
-
-def stall_free_rate(bitrate_bps: float, safety_factor: float = 1.0) -> float:
-    """Minimum transfer rate for stall-free playback after startup.
-
-    With equal-size chunks and a filled startup buffer, any rate at or
-    above the bitrate is sufficient; ``safety_factor`` adds headroom for
-    callers that admit at a load-dependent share.
-    """
-    if bitrate_bps <= 0:
-        raise StreamingError("bitrate must be positive")
-    if safety_factor < 1.0:
-        raise StreamingError("safety_factor must be >= 1")
-    return bitrate_bps * safety_factor

@@ -7,7 +7,8 @@
   ``python -m repro profile``.
 * :mod:`repro.obs.perf` -- the sanctioned wall-clock layer:
   :class:`PerfMeter`, the hash-neutral trace-row sink that folds the
-  profile's counts, simulated time and wall time.
+  profile's counts and simulated time per name and times the engine
+  loop.
 
 This ``__init__`` deliberately re-exports only the leaf primitives:
 :mod:`repro.obs.export` pulls in the experiment runner, and the

@@ -202,8 +202,8 @@ def render_profile(report: Dict[str, Any]) -> str:
     """The ``python -m repro profile`` table as text.
 
     The throughput line, then every row name in name order with its
-    count, inclusive simulated seconds, wall seconds and wall share,
-    then the busiest nodes by trace rows.
+    count and inclusive simulated seconds, then the busiest nodes by
+    trace rows.
     """
     engine = report["engine"]
     lines: List[str] = [
@@ -214,12 +214,11 @@ def render_profile(report: Dict[str, Any]) -> str:
         f"wall ({engine['events_per_s']:.0f} events/s, "
         f"{engine['rows']} rows, {engine['rows_per_s']:.0f} rows/s, "
         f"{engine['sim_duration_s'] / 3600.0:.1f} sim hours)",
-        f"  {'name':<24} {'count':>8} {'sim s':>14} {'wall s':>9} {'share':>6}",
+        f"  {'name':<24} {'count':>8} {'sim s':>14}",
     ]
     for entry in report["names"]:
         lines.append(
-            f"  {entry['name']:<24} {entry['count']:>8} {entry['sim_s']:>14.3f} "
-            f"{entry['wall_s']:>9.3f} {100.0 * entry['share']:>5.1f}%"
+            f"  {entry['name']:<24} {entry['count']:>8} {entry['sim_s']:>14.3f}"
         )
     if report["busiest_nodes"]:
         lines.append("busiest nodes (trace rows)")

@@ -1,13 +1,15 @@
-"""The profile sink: row counts, simulated time and wall time per name.
+"""The profile sink: row counts and simulated time per name, engine wall time.
 
 Every other observability layer in this tree is deliberately
 sim-clock-only -- traces, time-series, metrics are pure functions of
 the :class:`repro.experiments.spec.ExperimentSpec` and byte-identical
 across machines.  This module is the one sanctioned home of the *other*
-clock: it measures where **wall** time goes (events/s, per-name
-attribution) so the ROADMAP's "make the engine fast" work has numbers
-to aim at, and folds the deterministic columns (counts, inclusive
-simulated seconds, busiest nodes) from the same rows.
+clock: it times the engine's event loop (events/s, rows/s) so the
+ROADMAP's "make the engine fast" work has numbers to aim at, and folds
+the deterministic columns (counts, inclusive simulated seconds, busiest
+nodes) from the same rows.  It charges no wall time to row names: under
+the tracer, whose own cost dominates a traced run, such a split would
+mostly measure the tracer.
 
 Two rules keep the determinism story intact:
 
@@ -33,11 +35,11 @@ Example::
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 #: Bumped whenever the profile-report shape changes, mirroring the
 #: trace schema discipline so stale reports can never be misread.
-PERF_SCHEMA_VERSION = 4
+PERF_SCHEMA_VERSION = 5
 
 #: How many nodes :meth:`PerfMeter.busiest_nodes` ranks.
 TOP_NODES = 10
@@ -51,15 +53,13 @@ class PerfMeter:
 
     Install :meth:`observe_row` as a :class:`repro.obs.tracer.Tracer`
     sink.  Each row name gets a count (one per event row, one per span
-    at its ``span_begin``), inclusive simulated seconds (each
-    ``span_end``'s ``dur``, a parent's total containing its children's)
-    and wall seconds: each row is charged the wall-clock delta since the
-    previous row -- sampling attribution at the trace's own span
-    boundaries, so the sim-clock trace itself is untouched.  Event and
-    ``span_begin`` rows carrying an integer ``node`` attribute count
-    toward that node.  The ``engine.run`` span's begin and end rows
-    bracket the event loop for the headline events/s number; the end
-    row's ``events`` attribute is the engine's event count.
+    at its ``span_begin``) and inclusive simulated seconds (each
+    ``span_end``'s ``dur``, a parent's total containing its
+    children's).  Event and ``span_begin`` rows carrying an integer
+    ``node`` attribute count toward that node.  The ``engine.run``
+    span's begin and end rows bracket the event loop for the headline
+    events/s number; the end row's ``events`` attribute is the engine's
+    event count.
     """
 
     __slots__ = (
@@ -70,7 +70,6 @@ class PerfMeter:
         "_by_name",
         "_span_names",
         "_node_rows",
-        "_last_row_t",
     )
 
     def __init__(self) -> None:
@@ -78,16 +77,15 @@ class PerfMeter:
         self._wall_s = 0.0
         self._events = 0
         self._rows = 0
-        #: name -> [count, inclusive sim seconds, attributed wall seconds]
+        #: name -> [count, inclusive sim seconds]
         self._by_name: Dict[str, List[Any]] = {}
         self._span_names: Dict[int, str] = {}
         self._node_rows: Dict[int, int] = {}
-        self._last_row_t: Optional[float] = None
 
     # -- row sink ------------------------------------------------------------
 
     def observe_row(self, row: Dict[str, Any]) -> None:
-        """Fold one row into its name's count, sim and wall columns.
+        """Fold one row into its name's count and sim columns.
 
         ``span_end`` rows carry no name; they resolve through the
         span-id map recorded at ``span_begin``, which makes the
@@ -96,9 +94,6 @@ class PerfMeter:
         The ``engine.run`` begin and end rows also open and close the
         event-loop timing.  Rows are never mutated.
         """
-        now = time.perf_counter()
-        last = self._last_row_t
-        self._last_row_t = now
         self._rows += 1
         kind = row.get("kind")
         if kind == "span_end":
@@ -106,7 +101,7 @@ class PerfMeter:
             entry = self._entry(name)
             entry[1] += row["dur"]
             if name == _RUN_SPAN:
-                self._wall_s += now - self._run_began
+                self._wall_s += time.perf_counter() - self._run_began
                 # The engine's count is cumulative across its loops.
                 self._events = row["attrs"]["events"]
         else:
@@ -114,7 +109,7 @@ class PerfMeter:
                 name = row["name"]
                 self._span_names[row["span"]] = name
                 if name == _RUN_SPAN:
-                    self._run_began = now
+                    self._run_began = time.perf_counter()
             else:
                 name = row.get("name") or str(kind)
             entry = self._entry(name)
@@ -122,13 +117,11 @@ class PerfMeter:
             node = row.get("attrs", {}).get("node")
             if isinstance(node, int):
                 self._node_rows[node] = self._node_rows.get(node, 0) + 1
-        if last is not None:
-            entry[2] += now - last
 
     def _entry(self, name: str) -> List[Any]:
         entry = self._by_name.get(name)
         if entry is None:
-            entry = [0, 0.0, 0.0]
+            entry = [0, 0.0]
             self._by_name[name] = entry
         return entry
 
@@ -158,21 +151,12 @@ class PerfMeter:
         return self._rows / self._wall_s if self._wall_s > 0 else 0.0
 
     def by_name(self) -> List[Dict[str, Any]]:
-        """Every row name, in name order, with its three folds.
+        """Every row name, in name order: ``{"name", "count", "sim_s"}``.
 
-        Each entry is ``{"name", "count", "sim_s", "wall_s", "share"}``
-        where ``share`` is the name's fraction of all *attributed* wall
-        time.  Only ``wall_s`` and ``share`` depend on the host.
+        Both folds are deterministic; they depend on the rows alone.
         """
-        total = sum(entry[2] for entry in self._by_name.values())
         return [
-            {
-                "name": name,
-                "count": entry[0],
-                "sim_s": entry[1],
-                "wall_s": entry[2],
-                "share": entry[2] / total if total > 0 else 0.0,
-            }
+            {"name": name, "count": entry[0], "sim_s": entry[1]}
             for name, entry in sorted(self._by_name.items())
         ]
 

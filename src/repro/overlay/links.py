@@ -117,7 +117,3 @@ class LinkTable:
         for neighbor in list(links):
             self.links_of(neighbor).pop(node_id, None)
         links.clear()
-
-    def total_links(self) -> int:
-        """Number of undirected links in the whole table."""
-        return sum(map(len, self._table.values())) // 2

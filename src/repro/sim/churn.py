@@ -80,11 +80,3 @@ class ChurnModel:
         if self.tracer:
             self.tracer.event("churn.off_time", dur=duration)
         return duration
-
-    def session_count(self) -> int:
-        """Number of sessions each user performs in one experiment."""
-        return self.plan.sessions_per_user
-
-    def videos_per_session(self) -> int:
-        """Number of videos watched back-to-back within one session."""
-        return self.plan.videos_per_session

@@ -124,7 +124,6 @@ class EventScheduler:
         self._now = float(start_time)
         self._heap: List[Tuple[float, int, Event, int]] = []
         self._seq = 0
-        self._running = False
         self._stopped = False
         self.events_processed = 0
         #: Live count of not-yet-cancelled, not-yet-fired events.
@@ -316,16 +315,12 @@ class EventScheduler:
                 f"horizon t={horizon!r} is before current time t={self._now!r}"
             )
         self._stopped = False
-        self._running = True
         span = self.tracer.begin("engine.run", horizon=horizon) if self.tracer else None
-        try:
-            while not self._stopped:
-                next_time = self.peek_time()
-                if next_time is None or next_time > horizon:
-                    break
-                self.step()
-        finally:
-            self._running = False
+        while not self._stopped:
+            next_time = self.peek_time()
+            if next_time is None or next_time > horizon:
+                break
+            self.step()
         if not self._stopped:
             self.advance_to(horizon)
         self.tracer.end(span, events=self.events_processed)
@@ -333,13 +328,9 @@ class EventScheduler:
     def run(self) -> None:
         """Fire every pending event until the heap drains."""
         self._stopped = False
-        self._running = True
         span = self.tracer.begin("engine.run") if self.tracer else None
-        try:
-            while not self._stopped and self.step():
-                pass
-        finally:
-            self._running = False
+        while not self._stopped and self.step():
+            pass
         self.tracer.end(span, events=self.events_processed)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

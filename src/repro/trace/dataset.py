@@ -79,9 +79,6 @@ class TraceDataset:
     def video_length(self, video_id: int) -> float:
         return self.videos[video_id].length_seconds
 
-    def subscribers_of_channel(self, channel_id: int) -> Set[int]:
-        return self.channels[channel_id].subscriber_ids
-
     def subscriptions_of_user(self, user_id: int) -> Set[int]:
         return self.users[user_id].subscribed_channel_ids
 

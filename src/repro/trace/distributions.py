@@ -27,13 +27,6 @@ def zipf_weights(n: int, exponent: float = 1.0) -> List[float]:
     return [1.0 / (k ** exponent) for k in range(1, n + 1)]
 
 
-def zipf_probabilities(n: int, exponent: float = 1.0) -> List[float]:
-    """Normalised Zipf pmf over ranks ``1..n``."""
-    weights = zipf_weights(n, exponent)
-    total = sum(weights)
-    return [w / total for w in weights]
-
-
 class DiscreteSampler:
     """O(log n) sampler over a fixed finite weight vector.
 
@@ -111,8 +104,3 @@ def exponential_growth_day(rng: Random, horizon_days: int, rate: float) -> int:
     x = math.log(1.0 + u * (math.exp(rate) - 1.0)) / rate
     day = int(x * horizon_days)
     return min(day, horizon_days - 1)
-
-
-def zipf_sampler(n: int, exponent: float = 1.0) -> DiscreteSampler:
-    """Prebuilt :class:`DiscreteSampler` over Zipf ranks ``0..n-1``."""
-    return DiscreteSampler(zipf_weights(n, exponent))

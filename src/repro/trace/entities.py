@@ -94,12 +94,6 @@ class Channel:
         """Number of categories this channel's videos span (Fig 11)."""
         return len(self.category_mix)
 
-    def total_views(self) -> int:
-        """Filled in by the dataset, which owns the video records."""
-        raise NotImplementedError(
-            "use TraceDataset.channel_total_views; a Channel does not own Video records"
-        )
-
 
 @dataclass
 class User:
@@ -121,7 +115,3 @@ class User:
     def num_interests(self) -> int:
         """Number of distinct favorite-video categories (Fig 13)."""
         return len(self.interest_ids)
-
-    @property
-    def is_uploader(self) -> bool:
-        return self.owned_channel_id >= 0

@@ -53,8 +53,7 @@ from repro.trace.entities import (
 class TraceConfig:
     """Knobs of the synthetic social network.
 
-    Defaults are a laptop-friendly scale; :meth:`paper_crawl_scale`
-    matches the crawl of Section III and :meth:`table1_scale` matches
+    Defaults are a laptop-friendly scale; :meth:`table1_scale` matches
     the simulation corpus of Table I.
     """
 
@@ -113,16 +112,6 @@ class TraceConfig:
             raise ValueError("in_interest_subscription_prob must be a probability")
         if self.max_interests < 1:
             raise ValueError("max_interests must be >= 1")
-
-    @classmethod
-    def paper_crawl_scale(cls, seed: int = 20140630) -> "TraceConfig":
-        """The Section III crawl: 20,310 users, 261,110 videos."""
-        return cls(
-            num_users=20310,
-            num_channels=2300,
-            num_videos=261110,
-            seed=seed,
-        )
 
     @classmethod
     def table1_scale(cls, seed: int = 20140630) -> "TraceConfig":

@@ -59,10 +59,6 @@ class SelectionPolicy:
         if self.channel_popularity_exponent < 0:
             raise ValueError("channel_popularity_exponent must be >= 0")
 
-    @property
-    def p_other_category(self) -> float:
-        return 1.0 - self.p_same_channel - self.p_same_category
-
 
 class VideoSelector:
     """Stateful per-user next-video chooser."""

@@ -91,8 +91,5 @@ class SessionTracker:
     def all_sessions_done(self, user_id: int) -> bool:
         return self._of(user_id).sessions_done >= self.sessions_per_user
 
-    def videos_watched_in_session(self, user_id: int) -> int:
-        return self._of(user_id).videos_this_session
-
     def sessions_done(self, user_id: int) -> int:
         return self._of(user_id).sessions_done

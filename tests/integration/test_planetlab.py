@@ -3,14 +3,19 @@
 import pytest
 
 from repro.experiments.config import SimulationConfig
-from repro.planetlab.testbed import PlanetLabTestbed
+from repro.experiments.runner import run_spec
+from repro.experiments.spec import ExperimentSpec
 
 
 @pytest.fixture(scope="module")
 def results():
     config = SimulationConfig.planetlab_scale(seed=8).scaled_sessions(6)
-    testbed = PlanetLabTestbed(config=config)
-    return testbed.compare_protocols()
+    return {
+        name: run_spec(
+            ExperimentSpec(protocol=name, config=config, environment="planetlab")
+        )
+        for name in ("pavod", "socialtube", "nettube")
+    }
 
 
 class TestPlanetLabEnvironment:

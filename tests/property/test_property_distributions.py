@@ -10,18 +10,7 @@ from repro.trace.distributions import (
     DiscreteSampler,
     bounded_pareto,
     exponential_growth_day,
-    zipf_probabilities,
 )
-
-
-@given(
-    n=st.integers(min_value=1, max_value=200),
-    exponent=st.floats(min_value=0.0, max_value=3.0),
-)
-def test_zipf_probabilities_normalised_and_decreasing(n, exponent):
-    probs = zipf_probabilities(n, exponent)
-    assert abs(sum(probs) - 1.0) < 1e-9
-    assert all(a >= b - 1e-12 for a, b in zip(probs, probs[1:]))
 
 
 @given(

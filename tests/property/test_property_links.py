@@ -55,16 +55,6 @@ def test_degree_never_exceeds_capacity(ops, capacity):
     assert all(table.degree(node) <= capacity for node in range(10))
 
 
-@given(ops=OPS, capacity=st.integers(min_value=1, max_value=5))
-@settings(max_examples=100)
-def test_total_links_consistent_with_degrees(ops, capacity):
-    table = LinkTable(capacity)
-    _apply(table, ops)
-    degree_sum = sum(table.degree(node) for node in range(10))
-    assert degree_sum % 2 == 0
-    assert table.total_links() == degree_sum // 2
-
-
 @given(ops=OPS)
 @settings(max_examples=100)
 def test_no_self_links_ever(ops):

@@ -7,14 +7,12 @@ from hypothesis import strategies as st
 
 from repro.analysis.stats import (
     cdf_points,
-    gini_coefficient,
     mean,
     pearson_correlation,
     percentile,
 )
 
 FINITE = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False)
-POSITIVE = st.floats(min_value=0.0, max_value=1e9, allow_nan=False)
 
 
 @given(values=st.lists(FINITE, min_size=1, max_size=100),
@@ -68,17 +66,3 @@ def test_correlation_invariant_under_affine_map(xs, a, b):
     if len(set(ys)) < 2:
         return  # degenerate after rounding
     assert pearson_correlation(xs, ys) > 0.999
-
-
-@given(values=st.lists(POSITIVE, min_size=1, max_size=100))
-def test_gini_in_unit_interval(values):
-    g = gini_coefficient(values)
-    assert -1e-9 <= g <= 1.0
-
-
-@given(values=st.lists(st.floats(min_value=0.01, max_value=1e6), min_size=1, max_size=50),
-       k=st.floats(min_value=0.01, max_value=100))
-def test_gini_scale_invariant(values, k):
-    original = gini_coefficient(values)
-    scaled = gini_coefficient([v * k for v in values])
-    assert math.isclose(original, scaled, abs_tol=1e-6)

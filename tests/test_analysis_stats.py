@@ -3,9 +3,7 @@
 import pytest
 
 from repro.analysis.stats import (
-    cdf_at,
     cdf_points,
-    gini_coefficient,
     log_log_slope,
     mean,
     mean_confidence_interval,
@@ -80,12 +78,6 @@ class TestCdf:
         points = cdf_points([1, 1, 1, 2])
         assert points == [(1.0, 0.75), (2.0, 1.0)]
 
-    def test_cdf_at(self):
-        values = [1, 2, 3, 4]
-        assert cdf_at(values, 2) == 0.5
-        assert cdf_at(values, 0) == 0.0
-        assert cdf_at(values, 4) == 1.0
-
 
 class TestCorrelation:
     def test_perfect_positive(self):
@@ -135,27 +127,12 @@ class TestLogLogSlope:
             log_log_slope([1, 1], [2, 3])
 
 
-class TestGini:
-    def test_uniform_is_zero(self):
-        assert gini_coefficient([5, 5, 5, 5]) == pytest.approx(0.0)
-
-    def test_concentrated_is_high(self):
-        assert gini_coefficient([0, 0, 0, 100]) > 0.7
-
-    def test_all_zero(self):
-        assert gini_coefficient([0, 0]) == 0.0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            gini_coefficient([-1, 2])
-
+class TestConfidenceInterval:
     def test_mean(self):
         assert mean([1, 2, 3]) == 2.0
         with pytest.raises(ValueError):
             mean([])
 
-
-class TestConfidenceInterval:
     def test_sample_std_matches_hand_computation(self):
         # values 2, 4, 6: mean 4, squared deviations 4+0+4, n-1 = 2.
         assert sample_std([2.0, 4.0, 6.0]) == pytest.approx(2.0)

@@ -5,8 +5,8 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.experiments import runner
 from repro.experiments.config import SimulationConfig
-from repro.planetlab.testbed import PlanetLabTestbed
 
 
 #: Every run-executing subcommand, with the arguments that make it a
@@ -179,17 +179,18 @@ class TestCli:
 
 
 def test_planetlab_honours_seed(monkeypatch, capsys):
-    # Stub the runs: only the testbed's config matters here.
+    # Stub the runs: only the specs matter here.
     seen = []
 
-    def fake_run(testbed, protocol_name):
-        seen.append((protocol_name, testbed.config))
-        return type("Result", (), {"render_rows": lambda self: [protocol_name]})()
+    def fake_run_spec(spec):
+        seen.append(spec)
+        return type("Result", (), {"render_rows": lambda self: [spec.protocol]})()
 
-    monkeypatch.setattr(PlanetLabTestbed, "run", fake_run)
+    monkeypatch.setattr(runner, "run_spec", fake_run_spec)
     assert main(["--seed", "7", "planetlab"]) == 0
-    assert [name for name, _config in seen] == ["pavod", "nettube", "socialtube"]
+    assert [spec.protocol for spec in seen] == ["pavod", "nettube", "socialtube"]
+    assert all(spec.environment == "planetlab" for spec in seen)
     assert all(
-        config == SimulationConfig.planetlab_scale(seed=7) for _name, config in seen
+        spec.config == SimulationConfig.planetlab_scale(seed=7) for spec in seen
     )
     assert "socialtube" in capsys.readouterr().out

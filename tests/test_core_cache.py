@@ -12,7 +12,6 @@ class TestVideoCache:
         for v in range(1000):
             cache.add(v)
         assert len(cache) == 1000
-        assert cache.evictions == 0
 
     def test_invalid_bound_rejected(self):
         with pytest.raises(ValueError):
@@ -30,8 +29,7 @@ class TestVideoCache:
         cache.add(2)
         evicted = cache.add(3)
         assert evicted == 1
-        assert 1 not in cache and 2 in cache and 3 in cache
-        assert cache.evictions == 1
+        assert list(cache) == [2, 3]
 
     def test_re_add_refreshes_recency(self):
         cache = VideoCache(max_videos=2)
@@ -74,17 +72,12 @@ class TestPrefetchStore:
         assert chunk.fetched_at == 10.0
         assert 1 not in store
 
-    def test_take_missing_counts_miss(self):
+    def test_take_missing_returns_none(self):
         store = PrefetchStore(capacity=3)
         assert store.take(1) is None
-        assert store.misses == 1
         store.store(2, ChunkSource.PREFETCH_SERVER, 0.0)
-        store.take(2)
-        assert store.hits == 1
-        assert store.hit_rate() == pytest.approx(0.5)
-
-    def test_hit_rate_empty(self):
-        assert PrefetchStore().hit_rate() == 0.0
+        assert store.take(2) is not None
+        assert store.take(2) is None
 
     def test_duplicate_store_ignored(self):
         store = PrefetchStore(capacity=3)
@@ -111,5 +104,4 @@ class TestPrefetchStore:
         store.store(1, ChunkSource.PREFETCH_PEER, 1.0)
         store.discard(1)
         assert 1 not in store
-        # discard must not skew hit accounting
-        assert store.hits == 0 and store.misses == 0
+        assert store.take(1) is None

@@ -276,7 +276,7 @@ class TestFlatHolderPredicate:
         for video in videos:
             protocol.on_watch_started(0, video)
         protocol.on_watch_started(1, videos[0])
-        assert protocol.state(0).cache.evictions == len(videos) - 2
+        assert list(protocol.state(0).cache) == videos[-2:]
         assert [v for v in videos if protocol.online_holder(v)(0)] == videos[-2:]
         _assert_holder_matches(protocol, videos)
 

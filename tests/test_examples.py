@@ -3,7 +3,8 @@
 ``protocol_comparison.py`` (about 80 s: three protocols at default
 scale) and ``planetlab_emulation.py`` (about 14 s: three PlanetLab-scale
 runs) are left out to keep the tier-1 suite fast; the same code paths
-run in tests/integration (``EvaluationSuite``, ``PlanetLabTestbed``).
+run in tests/integration (``EvaluationSuite``, and ``run_spec`` on the
+``"planetlab"`` environment).
 """
 
 import importlib.util

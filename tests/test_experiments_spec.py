@@ -7,12 +7,12 @@ import pytest
 
 from repro.experiments.config import SimulationConfig
 from repro.experiments.registry import (
+    NetTubeParams,
     SocialTubeParams,
+    create_protocol,
     get_protocol,
     protocol_names,
-    register_protocol,
     resolve_params,
-    unregister_protocol,
 )
 from repro.experiments.spec import ExperimentSpec, seed_sweep
 from repro.experiments.trace_cache import TraceCache
@@ -29,16 +29,6 @@ MICRO = SimulationConfig(
 )
 
 
-@dataclasses.dataclass(frozen=True)
-class _FakeParams:
-    knob: int = 3
-
-
-class _FakeProtocol:
-    def __init__(self, dataset, server, rng, knob=3):
-        self.knob = knob
-
-
 class TestRegistry:
     def test_builtin_protocols_registered(self):
         assert protocol_names() == ["gridcast", "nettube", "pavod", "socialtube"]
@@ -46,18 +36,6 @@ class TestRegistry:
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ValueError, match="unknown protocol"):
             get_protocol("bittorrent")
-
-    def test_register_round_trip(self):
-        entry = register_protocol("fake", _FakeProtocol, _FakeParams)
-        try:
-            assert get_protocol("fake") is entry
-            assert "fake" in protocol_names()
-            assert resolve_params("fake") == _FakeParams()
-            assert resolve_params("fake", {"knob": 9}) == _FakeParams(knob=9)
-        finally:
-            unregister_protocol("fake")
-        with pytest.raises(ValueError):
-            get_protocol("fake")
 
     def test_defaults_are_the_paper_settings(self):
         # Section V: N_l = 5, N_h = 10, TTL 2, M = 3.
@@ -73,9 +51,10 @@ class TestRegistry:
         with pytest.raises(TypeError, match="valid fields"):
             resolve_params("socialtube", {"no_such_knob": 1})
 
-    def test_params_type_must_be_dataclass(self):
-        with pytest.raises(TypeError):
-            register_protocol("bad", _FakeProtocol, dict)
+    def test_params_type_must_match_stack(self):
+        # The check runs before the factory, so no stack is built.
+        with pytest.raises(TypeError, match="NetTubeParams"):
+            create_protocol("socialtube", None, None, None, params=NetTubeParams())
 
 
 class TestExperimentSpec:
@@ -86,7 +65,7 @@ class TestExperimentSpec:
     def test_wrong_params_type_rejected(self):
         with pytest.raises(TypeError):
             ExperimentSpec(
-                protocol="socialtube", config=MICRO, params=_FakeParams()
+                protocol="socialtube", config=MICRO, params=NetTubeParams()
             )
 
     def test_content_hash_is_stable_and_seed_sensitive(self):

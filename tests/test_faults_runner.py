@@ -237,6 +237,25 @@ class TestDeterminism:
         runner.run()
         assert runner.faults is None
 
+    def test_inert_brownout_plan_matches_fault_free_run(self):
+        # Nonzero, so the injector is built and every hook runs, yet
+        # inert: factor 1.0 leaves server rates untouched and no other
+        # fault class can fire.
+        base = ExperimentSpec(
+            protocol="socialtube", config=SimulationConfig.smoke_scale(seed=5)
+        )
+        inert = base.with_faults(
+            FaultPlan(brownout_period_s=600.0, brownout_duty=0.5, brownout_factor=1.0)
+        )
+        dataset = shared_trace_cache.dataset_for(base.config.trace)
+        plain = ExperimentRunner(base, dataset=dataset).run()
+        runner = ExperimentRunner(inert, dataset=dataset)
+        assert runner.faults is not None
+        armed = runner.run()
+        assert armed.metrics.crashes == 0
+        assert armed.metrics.interrupted_transfers == 0
+        assert armed.render_rows() == plain.render_rows()
+
     def test_zero_plan_is_byte_identical_to_no_plan(self):
         base = ExperimentSpec(
             protocol="socialtube", config=SimulationConfig.smoke_scale(seed=5)

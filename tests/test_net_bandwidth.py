@@ -25,10 +25,11 @@ class TestSharedUploadLink:
         assert g2.rate_bps == pytest.approx(500_000)
 
     def test_current_share_reflects_load(self):
+        # A released slot no longer divides the capacity.
         link = SharedUploadLink(900_000)
-        assert link.current_share_bps == pytest.approx(900_000)
-        link.admit()
-        assert link.current_share_bps == pytest.approx(450_000)
+        first, _second = link.admit(), link.admit()
+        first.release()
+        assert link.admit().rate_bps == pytest.approx(450_000)
 
     def test_release_frees_slot(self):
         link = SharedUploadLink(1_000_000)
@@ -67,18 +68,3 @@ class TestSharedUploadLink:
         slow = link.admit()
         assert slow.rate_bps == pytest.approx(100_000)
         assert slow.time_for_bits(640_000) == pytest.approx(6.4)
-
-    def test_accounting_counters(self):
-        link = SharedUploadLink(1_000_000)
-        link.admit(bits=100.0)
-        link.admit(bits=200.0)
-        assert link.total_admitted == 2
-        assert link.total_bits_served == pytest.approx(300.0)
-
-    def test_utilization_hint(self):
-        link = SharedUploadLink(1_000_000)
-        assert link.utilization_hint() == 0.0
-        grants = [link.admit() for _ in range(3)]
-        assert link.utilization_hint() == 3.0
-        grants[0].release()
-        assert link.utilization_hint() == 2.0

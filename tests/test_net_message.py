@@ -13,11 +13,6 @@ class TestChunkSource:
         assert not ChunkSource.PREFETCH_SERVER.is_peer
         assert not ChunkSource.CACHE.is_peer
 
-    def test_cache_excluded_from_bandwidth(self):
-        assert not ChunkSource.CACHE.counts_for_bandwidth
-        assert ChunkSource.PEER.counts_for_bandwidth
-        assert ChunkSource.SERVER.counts_for_bandwidth
-
 
 class TestLookupResult:
     def test_peer_result(self):
@@ -33,16 +28,6 @@ class TestLookupResult:
     def test_cache_result(self):
         result = LookupResult(video_id=1, from_cache=True)
         assert not result.from_peer
-
-    def test_describe_mentions_level(self):
-        inner = LookupResult(video_id=1, provider_id=2, hops=1)
-        inter = LookupResult(video_id=1, provider_id=2, hops=1, via_inter_link=True)
-        assert "inner-link" in inner.describe()
-        assert "inter-link" in inter.describe()
-
-    def test_describe_cache_and_server(self):
-        assert "cache" in LookupResult(video_id=1, from_cache=True).describe()
-        assert "server" in LookupResult(video_id=1, from_server=True).describe()
 
     def test_server_fallback_keeps_the_search_cost(self):
         found = LookupResult(

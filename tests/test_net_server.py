@@ -47,11 +47,6 @@ class TestChannelTracker:
         server.unregister_channel_member(0, 1)
         assert server.random_channel_member(0) is None
 
-    def test_subscription_reports_counted(self, server):
-        before = server.subscription_reports
-        server.register_channel_member(0, 1)
-        assert server.subscription_reports == before + 1
-
     def test_category_picks_span_channels(self, server, tiny_dataset):
         category = next(
             c for c in tiny_dataset.categories.values() if len(c.channel_ids) >= 2

@@ -7,7 +7,6 @@ from repro.net.streaming import (
     StreamingError,
     simulate_playback,
     simulate_resume,
-    stall_free_rate,
 )
 
 BITRATE = 320_000.0
@@ -189,14 +188,6 @@ class TestResume:
 
 
 class TestHelpers:
-    def test_stall_free_rate(self):
-        assert stall_free_rate(BITRATE) == BITRATE
-        assert stall_free_rate(BITRATE, 1.5) == 1.5 * BITRATE
-        with pytest.raises(StreamingError):
-            stall_free_rate(0)
-        with pytest.raises(StreamingError):
-            stall_free_rate(BITRATE, 0.5)
-
     def test_report_continuity_degenerate(self):
         report = PlaybackReport(
             startup_delay_s=0.0, stall_count=0, total_stall_s=0.0,

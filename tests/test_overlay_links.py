@@ -140,12 +140,6 @@ class TestLinkTable:
         assert set(table.neighbors(1)) == {2, 3}
         assert table.neighbors(99) == []
 
-    def test_total_links(self):
-        table = LinkTable(3)
-        table.connect(1, 2)
-        table.connect(2, 3)
-        assert table.total_links() == 2
-
     def test_degree_never_exceeds_capacity_without_evict(self):
         table = LinkTable(2)
         rng = random.Random(0)

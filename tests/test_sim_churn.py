@@ -55,11 +55,6 @@ class TestChurnModel:
         model = self._model(mean_off=0.0)
         assert model.off_duration() == 0.0
 
-    def test_plan_passthrough(self):
-        model = self._model()
-        assert model.session_count() == 5
-        assert model.videos_per_session() == 10
-
     def test_deterministic_given_seed(self):
         plan = SessionPlan(5, 10, 500)
         a = ChurnModel(plan, random.Random(9))

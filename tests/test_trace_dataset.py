@@ -68,7 +68,7 @@ class TestQueries:
     def test_subscription_queries(self):
         dataset = _micro_dataset()
         assert dataset.subscriptions_of_user(0) == {1}
-        assert dataset.subscribers_of_channel(1) == {0}
+        assert dataset.channels[1].subscriber_ids == {0}
 
     def test_summary_mentions_counts(self):
         text = _micro_dataset().summary()

@@ -31,20 +31,11 @@ class TestChannel:
         assert channel.num_subscribers == 2
         assert channel.num_interests == 2
 
-    def test_total_views_delegated_to_dataset(self):
-        channel = Channel(channel_id=0, owner_user_id=1, category_id=2)
-        with pytest.raises(NotImplementedError):
-            channel.total_views()
-
 
 class TestUser:
     def test_interest_count(self):
         user = User(user_id=1, interest_ids={1, 2, 3})
         assert user.num_interests == 3
-
-    def test_uploader_flag(self):
-        assert User(user_id=1, owned_channel_id=5).is_uploader
-        assert not User(user_id=1).is_uploader
 
 
 class TestCategoryNames:

@@ -31,11 +31,6 @@ class TestTraceConfig:
         with pytest.raises(ValueError):
             TraceConfig(**kwargs)
 
-    def test_paper_crawl_scale_counts(self):
-        config = TraceConfig.paper_crawl_scale()
-        assert config.num_users == 20310
-        assert config.num_videos == 261110
-
     def test_table1_scale_counts(self):
         config = TraceConfig.table1_scale()
         assert config.num_users == 10000

@@ -15,7 +15,8 @@ def selector(tiny_dataset):
 class TestSelectionPolicy:
     def test_defaults_sum_correctly(self):
         policy = SelectionPolicy()
-        assert policy.p_other_category == pytest.approx(0.10)
+        # 75% same channel, 15% same category, 10% another category.
+        assert 1.0 - policy.p_same_channel - policy.p_same_category == pytest.approx(0.10)
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -55,7 +55,6 @@ class TestSessionTracker:
         tracker.record_video(1)
         tracker.end_session(1)
         tracker.begin_session(1)
-        assert tracker.videos_watched_in_session(1) == 0
         assert tracker.record_video(1) == 1
 
     def test_users_tracked_independently(self):
@@ -63,4 +62,4 @@ class TestSessionTracker:
         tracker.begin_session(1)
         tracker.begin_session(2)
         tracker.record_video(1)
-        assert tracker.videos_watched_in_session(2) == 0
+        assert tracker.record_video(2) == 1
